@@ -2,15 +2,20 @@
 
 Polynomials live in the single variable p with rational coefficients and
 every operation is exact.  Coefficients are stored as Python ints where
-possible (a Fraction with denominator 1 is normalized to int), which keeps
-the hot paths -- kernel powers and Sturm sequences -- in plain integer
-arithmetic.
+possible (a Fraction with denominator 1 is normalized to int), and the hot
+paths stay in integer Z[p] whenever every coefficient they see is an int:
+exact division runs integer long division, and dot products and matrix
+products use Kronecker substitution (each polynomial packed into one big
+integer, at a slot width proven from the coefficient sizes).  Rational
+coefficients take the Fraction fallback.
 
-Sign questions on subintervals of [0, 1] are answered by Sturm's method:
-root counting uses the squarefree part and a primitive pseudo-remainder
-sequence, and certificates classify a polynomial as positive, nonnegative
-with interior zeros, identically zero, sign-changing (with an isolating
-witness interval), or negative.
+Sign questions on subintervals of [0, 1] are answered in two stages.  A
+Descartes rule-of-signs test on the interval mapped onto (0, oo) proves
+most polynomials root-free inside the interval; the rest go to Sturm's
+method, where root counting uses the squarefree part and a primitive
+pseudo-remainder sequence.  Certificates classify a polynomial as positive,
+nonnegative with interior zeros, identically zero, sign-changing (with an
+isolating witness interval), or negative.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -44,7 +50,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_coeff(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple = tuple(cs)
@@ -146,6 +152,19 @@ class Polynomial:
         return Polynomial(quot), Polynomial(rem)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
+        """Quotient of an exact division; raises ExactDivisionError on a remainder.
+
+        Integer polynomials are divided in Z[p]; the Fraction division is
+        the fallback for rational coefficients and non-integral quotients.
+        """
+        a, b = self.coeffs, other.coeffs
+        if b and _is_integral(a) and _is_integral(b):
+            split = _divmod_int(a, b)
+            if split is not None:
+                quot, rem = split
+                if rem:
+                    raise ExactDivisionError(f"{self!r} is not divisible by {other!r}")
+                return Polynomial(quot)
         quot, rem = self.divmod(other)
         if not rem.is_zero:
             raise ExactDivisionError(f"{self!r} is not divisible by {other!r}")
@@ -232,10 +251,74 @@ def poly_sum(polys: Iterable[Polynomial]) -> Polynomial:
 
 
 def poly_dot(left: Iterable[Polynomial], right: Iterable[Polynomial]) -> Polynomial:
-    """Exact dot product accumulating into one coefficient buffer."""
+    """Exact dot product; see poly_dot_table."""
+    return poly_dot_table([list(left)], [list(right)])[0][0]
+
+
+def poly_dot_table(
+    rows: Sequence[Sequence[Polynomial]], cols: Sequence[Sequence[Polynomial]]
+) -> list[list[Polynomial]]:
+    """table[i][j] = the dot product of rows[i] and cols[j].
+
+    Integer polynomials are multiplied by Kronecker substitution: each entry
+    is packed once into the integer obtained by evaluating it at 2^bits, so
+    every table entry costs one big-integer product per term plus one
+    unpacking.  A dot product of n terms whose factors have at most m
+    coefficients, bounded by A and B in absolute value, has coefficients of
+    absolute value at most n * m * A * B; bits exceeds that bound's bit
+    length by at least one, so each slot holds its signed coefficient
+    exactly.  Any rational coefficient sends the whole table to the
+    schoolbook product.
+    """
+    row_cs = [[e.coeffs for e in row] for row in rows]
+    col_cs = [[e.coeffs for e in col] for col in cols]
+    left = [cs for row in row_cs for cs in row if cs]
+    right = [cs for col in col_cs for cs in col if cs]
+    if not left or not right:
+        return [[Polynomial() for _ in cols] for _ in rows]
+    if not all(map(_is_integral, left)) or not all(map(_is_integral, right)):
+        return [[_schoolbook_dot(row, col) for col in col_cs] for row in row_cs]
+    terms = max(map(len, row_cs))
+    len_a, len_b = max(map(len, left)), max(map(len, right))
+    size_a = max(abs(c) for cs in left for c in cs)
+    size_b = max(abs(c) for cs in right for c in cs)
+    width = (terms * min(len_a, len_b) * size_a * size_b).bit_length() // 8 + 1
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    slots = len_a + len_b - 1
+    # adding half to every slot makes each one nonnegative, so the bytes of
+    # the biased total are the slots side by side
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+    def pack(cs: tuple) -> int:
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc << bits) + c
+        return acc
+
+    packed_rows = [[pack(cs) for cs in row] for row in row_cs]
+    packed_cols = [[pack(cs) for cs in col] for col in col_cs]
+    table = []
+    for prow in packed_rows:
+        line = []
+        for pcol in packed_cols:
+            data = (sum(map(mul, prow, pcol)) + bias).to_bytes(width * slots, "little")
+            line.append(
+                Polynomial(
+                    [
+                        int.from_bytes(data[k : k + width], "little") - half
+                        for k in range(0, width * slots, width)
+                    ]
+                )
+            )
+        table.append(line)
+    return table
+
+
+def _schoolbook_dot(row: Sequence[tuple], col: Sequence[tuple]) -> Polynomial:
+    """Dot product of coefficient tuples accumulated into one buffer."""
     acc: list = []
-    for a, b in zip(left, right):
-        ca, cb = a.coeffs, b.coeffs
+    for ca, cb in zip(row, col):
         if not ca or not cb:
             continue
         need = len(ca) + len(cb) - 1
@@ -251,6 +334,10 @@ def poly_dot(left: Iterable[Polynomial], right: Iterable[Polynomial]) -> Polynom
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (raw coefficient lists, degree ascending).
 # ---------------------------------------------------------------------------
+
+
+def _is_integral(cs: Iterable[Rational]) -> bool:
+    return all(type(c) is int for c in cs)
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -280,8 +367,9 @@ def _derivative_int(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _eval_sign(cs: list[int], point: Fraction) -> int:
-    """Exact sign of the integer polynomial at a rational point."""
+def _eval_sign(cs: Sequence[Rational], point: Fraction) -> int:
+    """Exact sign of a polynomial at a rational point, in integer arithmetic
+    when the coefficients are ints."""
     num, den = point.numerator, point.denominator
     acc = 0
     scale = 1
@@ -332,17 +420,37 @@ def _gcd_int(f: list[int], g: list[int]) -> list[int]:
     return base
 
 
+def _divmod_int(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[list[int], list[int]]]:
+    """Long division in Z[p]: (quotient, trimmed remainder) of f by nonzero g.
+
+    Returns None as soon as a quotient coefficient is not an integer; the
+    quotient over the rationals is then not integral.
+    """
+    dg = len(g) - 1
+    lead = g[-1]
+    low = g[:-1]
+    rem = list(f)
+    quot = [0] * max(0, len(rem) - dg)
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        top = rem[shift + dg]
+        if top:
+            q, r = divmod(top, lead)
+            if r:
+                return None
+            quot[shift] = q
+            rem[shift : shift + dg] = [c - q * d for c, d in zip(rem[shift : shift + dg], low)]
+    return quot, _trim(rem[:dg])
+
+
 def _exact_div_int(f: list[int], g: list[int]) -> list[int]:
-    """Exact division in Q[p] of integer polynomials, result must be integral."""
-    quot, rem = Polynomial(f).divmod(Polynomial(g))
-    if not rem.is_zero:
+    """Exact division of integer polynomials; the quotient must be integral."""
+    split = _divmod_int(f, g)
+    if split is None:
+        raise ExactDivisionError("quotient not integral")
+    quot, rem = split
+    if rem:
         raise ExactDivisionError("inexact integer polynomial division")
-    out = []
-    for c in quot.coeffs:
-        if isinstance(c, Fraction):
-            raise ExactDivisionError("quotient not integral")
-        out.append(c)
-    return out
+    return quot
 
 
 def _squarefree_part(cs: list[int]) -> list[int]:
@@ -399,13 +507,11 @@ class _SturmChain:
 
 
 def _exact_div_rational(cs: list[int], root: Fraction) -> list[int]:
-    """Divide integer polynomial by (den*p - num) after scaling to stay integral."""
-    factor = Polynomial((-root.numerator, root.denominator))
-    quot, rem = Polynomial(cs).divmod(factor)
-    if not rem.is_zero:
-        raise ExactDivisionError("point is not a root")
-    ints, _ = quot.integer_scaled()
-    return _primitive(ints)
+    """Divide an integer polynomial by (den*p - num) at a rational root num/den.
+
+    (den*p - num) is primitive, so by Gauss's lemma the quotient is integral.
+    """
+    return _primitive(_exact_div_int(cs, [-root.numerator, root.denominator]))
 
 
 def _strip_endpoint_roots(cs: list[int], lo: Fraction, hi: Fraction) -> list[int]:
@@ -560,12 +666,62 @@ def _isolate_sign_change(
             a = mid
 
 
+def _interval_image(cs: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """Coefficients of (1+x)^d q((lo + hi*x)/(1+x)), times a positive integer.
+
+    The map x -> (lo + hi*x)/(1+x) takes (0, oo) onto (lo, hi), so the
+    positive roots of the image are the roots of q inside (lo, hi).  q is
+    first moved onto (0, 1) by p = lo + (hi - lo)*t with the denominator m
+    cleared, which is skipped for the unit interval itself; then the image
+    is one Taylor shift of the reversed coefficients.
+    """
+    if lo != 0 or hi != 1:
+        m = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+        a = lo.numerator * (m // lo.denominator)
+        w = hi.numerator * (m // hi.denominator) - a
+        # Horner for sum_i c_i (a + w*t)^i m^(d-i)
+        shifted: list[int] = []
+        scale = 1
+        for c in reversed(cs):
+            out = [a * x for x in shifted] + [0]
+            for i, x in enumerate(shifted):
+                out[i + 1] += w * x
+            out[0] += c * scale
+            shifted = out
+            scale *= m
+        cs = shifted
+    image = list(reversed(cs))
+    n = len(image)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            image[j] += image[j + 1]
+    return image
+
+
+def _sign_variations(cs: list[int]) -> int:
+    """Sign changes between consecutive nonzero coefficients."""
+    signs = [c > 0 for c in cs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _endpoint_zero(qints: list[int], interval: Interval) -> bool:
+    """Whether q vanishes at an endpoint the interval includes."""
+    return (interval.closed_lo and _eval_sign(qints, interval.lo) == 0) or (
+        interval.closed_hi and _eval_sign(qints, interval.hi) == 0
+    )
+
+
 def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     """Classify the sign behaviour of q on a subinterval of [0, 1].
 
     The verdict covers the open interior plus any included endpoint.  A zero
     at an included endpoint demotes "positive" to the nonnegative verdict;
     "negative" likewise covers nonpositive polynomials with isolated zeros.
+
+    Descartes' rule of signs settles q first: when the image of q on
+    (0, oo) has no sign variation, q has no root inside the interval and
+    the sign of any coefficient of the image is the sign of q there.
+    Every other polynomial goes to the Sturm classification.
     """
     if interval.lo < 0 or interval.hi > 1:
         raise ValueError("certification interval must lie within [0, 1]")
@@ -573,11 +729,19 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
         return SignCertificate(IDENTICALLY_ZERO, interval)
 
     qints, _ = q.integer_scaled()
-    endpoint_zero = False
-    if interval.closed_lo and _eval_sign(qints, interval.lo) == 0:
-        endpoint_zero = True
-    if interval.closed_hi and _eval_sign(qints, interval.hi) == 0:
-        endpoint_zero = True
+    image = _interval_image(qints, interval.lo, interval.hi)
+    if _sign_variations(image) == 0:
+        if next(c for c in image if c) < 0:
+            return SignCertificate(NEGATIVE, interval)
+        if _endpoint_zero(qints, interval):
+            return SignCertificate(NONNEGATIVE, interval)
+        return SignCertificate(POSITIVE, interval)
+    return _certify_by_sturm(qints, interval)
+
+
+def _certify_by_sturm(qints: list[int], interval: Interval) -> SignCertificate:
+    """certify_sign for a nonzero integer polynomial, by Sturm root counting."""
+    endpoint_zero = _endpoint_zero(qints, interval)
 
     # p and (1-p) are positive on the open interior of any subinterval of
     # [0, 1]; stripping those factors keeps interior sign analysis intact.
@@ -592,6 +756,8 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
             break
         stripped = candidate
 
+    # Yun's factors are squarefree and pairwise coprime, so odd and even are
+    # squarefree products.
     factors = _yun_decomposition(stripped)
     odd = [1]
     even = [1]
@@ -604,7 +770,7 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     lo, hi = interval.lo, interval.hi
     odd = _strip_endpoint_roots(odd, lo, hi) if len(odd) > 1 else odd
     n_odd = _count_roots_open(odd, lo, hi) if len(odd) > 1 else 0
-    n_even = _count_roots_open(_squarefree_part(even), lo, hi) if len(even) > 1 else 0
+    n_even = _count_roots_open(even, lo, hi) if len(even) > 1 else 0
 
     if n_odd > 0:
         witness = _isolate_sign_change(qints, odd, lo, hi)

@@ -46,13 +46,17 @@ EXIT_INCONCLUSIVE = 3
 
 
 class UsageError(ValueError):
-    pass
+    """Invalid command-line input.  The code attribute names the violated rule."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _graph_from_args(args) -> Graph:
     spec = args.graph
     if spec is None:
-        raise UsageError("--graph is required")
+        raise UsageError("argument-missing", "--graph is required")
     origin = args.origin
     if os.path.exists(spec):
         with open(spec) as handle:
@@ -71,7 +75,20 @@ def _fraction(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {name} value {text!r}: {exc}")
+        raise UsageError("value-invalid", f"cannot parse {name} value {text!r}: {exc}")
+
+
+def _probability(text: str) -> Fraction:
+    p = _fraction(text, "--p")
+    if not 0 <= p <= 1:
+        raise UsageError("probability-range", f"--p must lie in [0, 1], got {p}")
+    return p
+
+
+def _layer_index(args) -> int:
+    if args.n < 0:
+        raise UsageError("layer-negative", f"--n must be nonnegative, got {args.n}")
+    return args.n
 
 
 def _emit(artifact, args, as_text: bool = False) -> None:
@@ -152,10 +169,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_connection(args) -> int:
     graph = _graph_from_args(args)
-    engine = _Engine(graph)
     if args.vertex is None or args.n is None:
-        raise UsageError("connection requires --vertex and --n")
-    poly = engine.connection(args.vertex, args.n)
+        raise UsageError("argument-missing", "connection requires --vertex and --n")
+    if args.vertex not in graph.vertices:
+        last = graph.vertex_count - 1
+        raise UsageError("vertex-out-of-range", f"--vertex {args.vertex} is outside 0..{last}")
+    n = _layer_index(args)
+    p = None if args.p is None else _probability(args.p)
+    engine = _Engine(graph)
+    poly = engine.connection(args.vertex, n)
     artifact = {
         "graph": graph.describe(),
         "vertex": args.vertex,
@@ -163,8 +185,7 @@ def _cmd_connection(args) -> int:
         "scaled_polynomial": poly.to_strings(),
         "normalizer": engine.stationary.normalizer.to_strings(),
     }
-    if args.p is not None:
-        p = _fraction(args.p, "--p")
+    if p is not None:
         scale = Fraction(engine.stationary.normalizer(p))
         artifact["p"] = str(p)
         artifact["probability"] = str(Fraction(poly(p)) / scale**2)
@@ -175,17 +196,18 @@ def _cmd_connection(args) -> int:
 def _cmd_expected(args) -> int:
     graph = _graph_from_args(args)
     if args.n is None:
-        raise UsageError("expected requires --n")
+        raise UsageError("argument-missing", "expected requires --n")
+    n = _layer_index(args)
+    p = None if args.p is None else _probability(args.p)
     engine = _Engine(graph)
-    poly = poly_sum(engine.connection(v, args.n) for v in graph.vertices)
+    poly = poly_sum(engine.connection(v, n) for v in graph.vertices)
     artifact = {
         "graph": graph.describe(),
         "n": args.n,
         "scaled_polynomial": poly.to_strings(),
         "normalizer": engine.stationary.normalizer.to_strings(),
     }
-    if args.p is not None:
-        p = _fraction(args.p, "--p")
+    if p is not None:
         scale = Fraction(engine.stationary.normalizer(p))
         artifact["p"] = str(p)
         artifact["expected_count"] = str(Fraction(poly(p)) / scale**2)
@@ -212,7 +234,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_decay(args) -> int:
     graph = _graph_from_args(args)
     if args.p is None:
-        raise UsageError("decay requires --p")
+        raise UsageError("argument-missing", "decay requires --p")
     p = _fraction(args.p, "--p")
     kernel = build_lumped_kernel(graph)
     estimate = estimate_decay_rate(kernel, p)
@@ -257,7 +279,7 @@ def _cmd_bound(args) -> int:
 def _cmd_expected_mono(args) -> int:
     graph = _graph_from_args(args)
     if args.n is None:
-        raise UsageError("expected-mono requires --n (largest step checked)")
+        raise UsageError("argument-missing", "expected-mono requires --n (largest step checked)")
     certs = verify_expected_count_monotonicity(graph, args.n, args.max_degree_override)
     _emit(
         {
@@ -274,7 +296,7 @@ def _cmd_expected_mono(args) -> int:
 def _cmd_mc(args) -> int:
     graph = _graph_from_args(args)
     if args.p is None or args.vertex is None or args.n is None:
-        raise UsageError("mc requires --p, --vertex and --n")
+        raise UsageError("argument-missing", "mc requires --p, --vertex and --n")
     p = _fraction(args.p, "--p")
     stats = estimate_connection(graph, p, args.vertex, args.n, args.samples, args.seed)
     _emit({"graph": graph.describe(), "approximate": True, **stats.to_dict()}, args)
@@ -284,7 +306,7 @@ def _cmd_mc(args) -> int:
 def _cmd_fit(args) -> int:
     graph = _graph_from_args(args)
     if args.p is None:
-        raise UsageError("fit requires --p")
+        raise UsageError("argument-missing", "fit requires --p")
     p = _fraction(args.p, "--p")
     result = initial_pattern_fit(graph, p, args.samples, args.seed)
     _emit({"graph": graph.describe(), "approximate": True, **result}, args)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import ONE, P, Polynomial, poly_sum
+from .algebra import ONE, P, Polynomial, poly_dot_table, poly_sum
 from .graphs import Graph
 from .patterns import (
     DAGGER,
@@ -145,11 +145,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.states != other.states:
             raise ValueError("state spaces differ")
-        cols = list(zip(*other.entries))
-        rows = tuple(
-            tuple(_dot(row, col) for col in cols) for row in self.entries
-        )
-        return PolyMatrix(self.states, rows)
+        table = poly_dot_table(self.entries, list(zip(*other.entries)))
+        return PolyMatrix(self.states, tuple(tuple(row) for row in table))
 
     @staticmethod
     def identity(states) -> "PolyMatrix":
@@ -179,22 +176,6 @@ class PolyMatrix:
             tuple(Polynomial.from_strings(cell) for cell in row) for row in data["entries"]
         )
         return PolyMatrix(states, entries)
-
-
-def _dot(row: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:
-    acc: list = []
-    for a, b in zip(row, col):
-        ca, cb = a.coeffs, b.coeffs
-        if not ca or not cb:
-            continue
-        need = len(ca) + len(cb) - 1
-        if need > len(acc):
-            acc.extend([0] * (need - len(acc)))
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    acc[i + j] += x * y
-    return Polynomial(acc)
 
 
 def matrix_power(kernel: PolyMatrix, exponent: int) -> PolyMatrix:

@@ -25,8 +25,10 @@ from .algebra import (
     Polynomial,
     SignCertificate,
     UNIT_OPEN,
+    _eval_sign,
     certify_sign,
     poly_dot,
+    poly_dot_table,
     poly_sum,
 )
 from .analysis import PolyVector, initial_distribution, stationary_distribution
@@ -108,7 +110,7 @@ _QUICK_PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 10)
 
 
 def _quick_negative(q: Polynomial) -> bool:
-    return any(q(point) < 0 for point in _QUICK_PROBES)
+    return any(_eval_sign(q.coeffs, point) < 0 for point in _QUICK_PROBES)
 
 
 def matrix_onset(
@@ -141,8 +143,7 @@ def matrix_onset(
 
 
 def _vector_times_matrix(vector: Sequence[Polynomial], kernel: PolyMatrix) -> list[Polynomial]:
-    columns = list(zip(*kernel.entries))
-    return [poly_dot(vector, col) for col in columns]
+    return poly_dot_table([vector], list(zip(*kernel.entries)))[0]
 
 
 @dataclass
@@ -321,6 +322,8 @@ class _Engine:
 
     def weights_at(self, n: int) -> list[Polynomial]:
         """Scaled distribution of the layer pattern after n steps."""
+        if n < 0:
+            raise ValueError("layer index must be nonnegative")
         while len(self._weights) <= n:
             self._weights.append(_vector_times_matrix(self._weights[-1], self.kernel))
         return self._weights[n]

@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# Property tests run the same examples every time and within a fixed budget.
+settings.register_profile(
+    "layerchain", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("layerchain")
 
 from layerchain.graphs import cycle
 from layerchain.kernels import build_lumped_kernel, build_reduced_kernel

@@ -169,6 +169,25 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "definitely-not-a-command")
     assert code == 1
+    cases = [
+        (["connection", "--vertex", "1", "--n", "-1", "--p", "1/2"], "layer-negative"),
+        (["connection", "--vertex", "1", "--n", "1", "--p", "3/2"], "probability-range"),
+        (["connection", "--vertex", "1", "--n", "1", "--p=-1/2"], "probability-range"),
+        (["connection", "--vertex", "7", "--n", "1"], "vertex-out-of-range"),
+        (["connection", "--vertex", "-1", "--n", "1"], "vertex-out-of-range"),
+        (["expected", "--n", "-2"], "layer-negative"),
+        (["expected", "--n", "1", "--p", "3/2"], "probability-range"),
+    ]
+    for argv, code_name in cases:
+        code, out, err = run_cli(capsys, argv[0], "--graph", "cycle:3", *argv[1:])
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: [{code_name}] "), err
+    for p in ("0", "1"):
+        data = run_json(
+            capsys, "connection", "--graph", "cycle:2", "--vertex", "1", "--n", "1", "--p", p
+        )
+        assert data["p"] == p
 
 
 def test_origin_override(capsys):

@@ -1,0 +1,244 @@
+"""Property tests: each integer fast path against a slow reference.
+
+Kronecker products are checked against schoolbook sums of Polynomial
+products, integer exact division against the Fraction division, and the
+Descartes-first sign certification against the Sturm-only classification
+and against the real roots sympy finds.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from layerchain.algebra import (
+    CHANGES_SIGN,
+    ExactDivisionError,
+    Interval,
+    NEGATIVE,
+    NONNEGATIVE,
+    POSITIVE,
+    Polynomial,
+    _certify_by_sturm,
+    _exact_div_int,
+    certify_sign,
+    poly_dot,
+    poly_dot_table,
+)
+from layerchain.kernels import PolyMatrix
+
+small = st.integers(-5, 5)
+wide = st.integers(-(2**80), 2**80)
+int_coeff = st.one_of(small, small, wide)
+int_poly = st.lists(int_coeff, max_size=8).map(Polynomial)
+rational_poly = st.lists(
+    st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=7)),
+    min_size=1,
+    max_size=6,
+).map(Polynomial)
+
+
+def schoolbook_dot(left, right) -> Polynomial:
+    acc = Polynomial()
+    for a, b in zip(left, right):
+        acc = acc + a * b
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products.
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(st.tuples(int_poly, int_poly), max_size=7))
+def test_kronecker_dot_matches_schoolbook(pairs):
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    assert poly_dot(left, right) == schoolbook_dot(left, right)
+
+
+@given(st.lists(st.tuples(int_poly, st.one_of(int_poly, rational_poly)), min_size=1, max_size=5))
+def test_rational_entries_take_the_fallback(pairs):
+    left = [a for a, _ in pairs] + [Polynomial((Fraction(1, 3), 2))]
+    right = [b for _, b in pairs] + [Polynomial((1, -1))]
+    assert poly_dot(left, right) == schoolbook_dot(left, right)
+
+
+def test_dot_unequal_lengths_truncates_like_zip():
+    left = [Polynomial((1, 2)), Polynomial((3,))]
+    right = [Polynomial((5,))]
+    assert poly_dot(left, right) == Polynomial((5, 10))
+    assert poly_dot([], right) == Polynomial()
+    assert poly_dot_table([[Polynomial()]], [[Polynomial((1,))], []]) == [
+        [Polynomial(), Polynomial()]
+    ]
+
+
+@st.composite
+def square_matrices(draw, entries=int_poly):
+    n = draw(st.integers(1, 4))
+    states = tuple(range(n))
+
+    def matrix():
+        rows = [[draw(entries) for _ in states] for _ in states]
+        return PolyMatrix(states, tuple(tuple(row) for row in rows))
+
+    return matrix(), matrix()
+
+
+def schoolbook_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    cols = list(zip(*b.entries))
+    rows = tuple(tuple(schoolbook_dot(row, col) for col in cols) for row in a.entries)
+    return PolyMatrix(a.states, rows)
+
+
+@given(square_matrices())
+def test_kronecker_matmul_matches_schoolbook(pair):
+    a, b = pair
+    assert a @ b == schoolbook_matmul(a, b)
+
+
+@given(square_matrices(st.one_of(int_poly, rational_poly)))
+def test_matmul_with_rational_entries(pair):
+    a, b = pair
+    assert a @ b == schoolbook_matmul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Integer exact division.
+# ---------------------------------------------------------------------------
+
+nonzero_int_poly = st.lists(small, min_size=1, max_size=5).map(Polynomial).filter(
+    lambda g: not g.is_zero
+)
+
+
+@given(st.lists(int_coeff, max_size=6).map(Polynomial), nonzero_int_poly)
+def test_exact_div_of_a_product(q, g):
+    assert (q * g).exact_div(g) == q == (q * g).divmod(g)[0]
+    assert _exact_div_int(list((q * g).coeffs), list(g.coeffs)) == list(q.coeffs)
+
+
+@given(st.lists(small, max_size=6).map(Polynomial), nonzero_int_poly, nonzero_int_poly)
+def test_exact_div_raises_on_remainder(q, g, r):
+    assume(g.degree >= 1)
+    r = r.divmod(g)[1]
+    assume(not r.is_zero)
+    f = q * g + r
+    assert not f.divmod(g)[1].is_zero
+    with pytest.raises(ExactDivisionError):
+        f.exact_div(g)
+    with pytest.raises(ExactDivisionError):
+        _exact_div_int(list(f.coeffs), list(g.coeffs))
+
+
+@given(
+    st.lists(small, min_size=1, max_size=6).map(Polynomial), nonzero_int_poly, st.integers(2, 9)
+)
+def test_exact_div_non_integral_quotient(q, g, d):
+    # q*g divided by d*g is q/d: rational, so the Fraction division answers
+    assume(not q.is_zero)
+    quot, rem = (q * g).divmod(g * d)
+    assert rem.is_zero
+    assert (q * g).exact_div(g * d) == quot == q * Fraction(1, d)
+    if any(c % d for c in q.coeffs):
+        with pytest.raises(ExactDivisionError):
+            _exact_div_int(list((q * g).coeffs), list((g * d).coeffs))
+
+
+@given(st.lists(int_coeff, max_size=7).map(Polynomial), nonzero_int_poly)
+def test_exact_div_agrees_with_fraction_division(f, g):
+    quot, rem = f.divmod(g)
+    if rem.is_zero:
+        assert f.exact_div(g) == quot
+    else:
+        with pytest.raises(ExactDivisionError):
+            f.exact_div(g)
+
+
+@given(rational_poly, rational_poly.filter(lambda g: not g.is_zero))
+def test_exact_div_with_rational_coefficients(q, g):
+    assert (q * g).exact_div(g) == q
+
+
+# ---------------------------------------------------------------------------
+# Descartes-first sign certification.
+# ---------------------------------------------------------------------------
+
+unit_rational = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def intervals(draw):
+    if draw(st.booleans()):
+        lo, hi = Fraction(0), Fraction(1)
+    else:
+        lo, hi = sorted(draw(st.lists(unit_rational, min_size=2, max_size=2, unique=True)))
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def certified_cases(draw):
+    """(q, interval) with q an integer polynomial of degree <= 8 whose roots
+    often sit inside the interval or on its endpoints, with odd or even
+    multiplicity."""
+    interval = draw(intervals())
+    points = st.one_of(st.sampled_from((interval.lo, interval.hi)), unit_rational)
+    q = Polynomial((draw(st.sampled_from((-2, -1, 1, 3))),))
+    for root in draw(st.lists(points, max_size=3)):
+        mult = draw(st.integers(1, 3))
+        if q.degree + mult <= 8:
+            q = q * Polynomial((-root.numerator, root.denominator)) ** mult
+    rest = Polynomial(draw(st.lists(small, min_size=1, max_size=min(3, 9 - q.degree))))
+    assume(not rest.is_zero)
+    return q * rest, interval
+
+
+random_cases = st.tuples(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(Polynomial).filter(
+        lambda q: q.degree > 0
+    ),
+    intervals(),
+)
+
+
+def sympy_verdict(q: Polynomial, interval: Interval) -> str:
+    """Classification from the real roots sympy isolates."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(q.coeffs)), x)
+    lo, hi = sympy.Rational(str(interval.lo)), sympy.Rational(str(interval.hi))
+    roots = sympy.real_roots(poly)
+    inside = {}
+    for r in roots:
+        if lo < r < hi:
+            inside[r] = inside.get(r, 0) + 1
+    if any(m % 2 for m in inside.values()):
+        return CHANGES_SIGN
+    probe = next(
+        pt
+        for k in range(1, 12)
+        for j in range(1, 2**k, 2)
+        for pt in [lo + (hi - lo) * sympy.Rational(j, 2**k)]
+        if poly.eval(pt) != 0
+    )
+    if poly.eval(probe) < 0:
+        return NEGATIVE
+    endpoint_zero = (interval.closed_lo and poly.eval(lo) == 0) or (
+        interval.closed_hi and poly.eval(hi) == 0
+    )
+    return NONNEGATIVE if inside or endpoint_zero else POSITIVE
+
+
+@settings(max_examples=150)
+@given(st.one_of(certified_cases(), random_cases))
+def test_descartes_first_matches_sturm_and_sympy(case):
+    q, interval = case
+    cert = certify_sign(q, interval)
+    assert cert == _certify_by_sturm(list(q.coeffs), interval)
+    assert cert.verdict == sympy_verdict(q, interval)
+    if cert.verdict == CHANGES_SIGN:
+        w = cert.witness
+        assert interval.lo <= w.lo < w.hi <= interval.hi
+        assert q(w.lo) * q(w.hi) < 0

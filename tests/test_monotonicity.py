@@ -154,6 +154,8 @@ def test_expected_count_endpoints(c2, pipeline_c2):
         poly = expected_infected_polynomial(c2, n)
         assert poly(0) == (scale0 if n == 0 else 0)
         assert poly(1) == 2 * scale1
+    with pytest.raises(ValueError):
+        expected_infected_polynomial(c2, -1)
 
 
 def test_conjecture_proven_for_small_cycles(verify_c2, verify_c3):
