@@ -49,6 +49,7 @@ from .analysis import (
 )
 from .monotonicity import (
     ConjectureCertificate,
+    Engine,
     OnsetCertificate,
     connection_polynomial,
     degree_bound_report,

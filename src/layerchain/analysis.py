@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import ONE, Polynomial, poly_gcd, poly_sum
-from .graphs import Graph
-from .kernels import PolyMatrix, successor_table, lumped_state_list
+from .errors import CodedError
+from .graphs import Graph, closure
+from .kernels import PolyMatrix, lumped_state_list, successor_table
 from .patterns import (
     DAGGER,
     Pattern,
@@ -32,21 +33,16 @@ from .patterns import (
 ZERO = Polynomial()
 
 
-class ChainAnalysisError(ValueError):
+class ChainAnalysisError(CodedError):
     """Structural assumption of a chain-analysis operation failed."""
 
 
 def reachable(kernel: PolyMatrix, source) -> set:
     """States reachable from source via structurally positive kernel entries."""
-    start = kernel.index(source)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for j, entry in enumerate(kernel.entries[current]):
-            if j not in seen and not entry.is_zero:
-                seen.add(j)
-                frontier.append(j)
+    rows = kernel.entries
+    seen = closure(
+        [kernel.index(source)], lambda i: [j for j, e in enumerate(rows[i]) if not e.is_zero]
+    )
     return {kernel.states[i] for i in seen}
 
 
@@ -167,7 +163,7 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
     """
     n = kernel.size
     if any(s != ONE for s in kernel.row_sums()):
-        raise ChainAnalysisError("kernel is not row-stochastic")
+        raise ChainAnalysisError("kernel-not-stochastic", "kernel is not row-stochastic")
     # left eigenvector condition, transposed: (pi^T - I) x = 0; the columns
     # of the system sum to zero, so dropping the last row loses no rank.
     rows = []
@@ -181,7 +177,7 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
         rows.append(row)
     rows, pivot_cols = _bareiss_echelon(rows)
     if len(pivot_cols) != n - 1:
-        raise ChainAnalysisError("stationary eigenspace dimension is not 1")
+        raise ChainAnalysisError("chain-reducible", "stationary eigenspace dimension is not 1")
     free_col = next(j for j in range(n) if j not in pivot_cols)
     solution: list[Optional[_RatFunc]] = [None] * n
     solution[free_col] = _RatFunc(ONE)
@@ -193,7 +189,7 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
                 continue
             term = solution[j]
             if term is None:
-                raise ChainAnalysisError("echelon back-substitution out of order")
+                raise ChainAnalysisError("echelon-order", "echelon back-substitution out of order")
             acc = acc + _RatFunc(rows[r][j]) * term
         solution[col] = (-acc).divided_by(rows[r][col])
 
@@ -236,7 +232,9 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
         entries = [-e for e in entries]
         normalizer = -normalizer
     if normalizer(half) <= 0:
-        raise ChainAnalysisError("stationary normalizer vanishes at p = 1/2")
+        raise ChainAnalysisError(
+            "normalizer-vanishes", "stationary normalizer vanishes at p = 1/2"
+        )
 
     result = PolyVector(tuple(kernel.states), tuple(entries), normalizer)
     _assert_stationary(result, kernel)
@@ -248,7 +246,9 @@ def _assert_stationary(vector: PolyVector, kernel: PolyMatrix) -> None:
     for j, col in enumerate(cols):
         image = poly_sum(e * c for e, c in zip(vector.entries, col))
         if image != vector.entries[j]:
-            raise ChainAnalysisError("stationary identity alpha * pi = alpha failed")
+            raise ChainAnalysisError(
+                "stationary-identity", "stationary identity alpha * pi = alpha failed"
+            )
 
 
 def initial_distribution(stationary: PolyVector, graph: Graph) -> PolyVector:
@@ -296,16 +296,12 @@ class ExtremalReport:
 def _infected_successors(graph: Graph, seeds: Sequence[Pattern]) -> dict[Pattern, list]:
     """Successor table rows for every infected pattern reachable from the seeds."""
     table: dict[Pattern, list] = {}
-    frontier = list(seeds)
-    while frontier:
-        current = frontier.pop()
-        if current in table:
-            continue
-        row = successor_table(graph, [current])[0]
-        table[current] = row
-        for successor in set(row):
-            if successor.infected and successor not in table:
-                frontier.append(successor)
+
+    def infected_successors(x: Pattern) -> list[Pattern]:
+        table[x] = successor_table(graph, [x])[0]
+        return [y for y in table[x] if y.infected]
+
+    closure(seeds, infected_successors)
     return table
 
 
@@ -319,26 +315,31 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
     """
     if kind not in ("open", "closed"):
         raise ValueError("kind must be 'open' or 'closed'")
+    if {source.vertex_count, target.vertex_count} != {graph.vertex_count}:
+        message = f"source and target must have the graph's {graph.vertex_count} vertices"
+        raise ChainAnalysisError("pattern-size", message)
     if not (source.infected and target.infected):
-        raise ChainAnalysisError("extremal constants require infected endpoints")
+        raise ChainAnalysisError(
+            "endpoint-uninfected", "extremal constants require infected endpoints"
+        )
+    return _extremal(graph, _infected_successors(graph, [source]), source, target, kind)
+
+
+def _extremal(
+    graph: Graph, table: dict[Pattern, list], source: Pattern, target: Pattern, kind: str
+) -> ExtremalReport:
+    """extremal_constants over the successor rows of the infected patterns
+    reachable from source (table holds exactly those)."""
     b = graph.bond_count
-    table = _infected_successors(graph, [source])
     if target not in table:
-        raise ChainAnalysisError(f"{target} is not reachable from {source}")
+        raise ChainAnalysisError("target-unreachable", f"{target} is not reachable from {source}")
 
     predecessors: dict[Pattern, set[Pattern]] = {u: set() for u in table}
     for u, row in table.items():
         for v in set(row):
             if v.infected:
                 predecessors[v].add(u)
-    co_reach = {target}
-    frontier = [target]
-    while frontier:
-        current = frontier.pop()
-        for u in predecessors[current]:
-            if u not in co_reach:
-                co_reach.add(u)
-                frontier.append(u)
+    co_reach = closure([target], predecessors.__getitem__)
 
     costs = [z.bit_count() if kind == "open" else b - z.bit_count() for z in range(1 << b)]
     minimum = None
@@ -349,7 +350,7 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
                 if minimum is None or cost < minimum:
                     minimum = cost
     if minimum is None:
-        raise ChainAnalysisError("no infected transition found")
+        raise ChainAnalysisError("no-transition", "no infected transition found")
 
     # shortest walk containing a minimal layer: BFS over (pattern, seen-flag)
     step_all: dict[Pattern, set[Pattern]] = {}
@@ -387,7 +388,7 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
                 distance[nxt] = distance[node] + 1
                 queue.append(nxt)
     if goal not in distance:
-        raise ChainAnalysisError("no walk with a minimal layer found")
+        raise ChainAnalysisError("no-walk", "no walk with a minimal layer found")
     return ExtremalReport(str(source), str(target), kind, minimum, distance[goal])
 
 
@@ -397,17 +398,10 @@ def extremal_step_bound(graph: Graph, kind: str) -> int:
     table = _infected_successors(graph, infected)
     best = 0
     for source in infected:
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            current = frontier.pop()
-            for v in set(table[current]):
-                if v.infected and v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
+        seen = closure([source], lambda x: [y for y in table[x] if y.infected])
+        rows = {x: table[x] for x in seen}
         for target in seen:
-            report = extremal_constants(graph, source, target, kind)
-            best = max(best, report.min_steps)
+            best = max(best, _extremal(graph, rows, source, target, kind).min_steps)
     return best
 
 
@@ -429,7 +423,9 @@ def estimate_decay_rate(
     """
     p = Fraction(p)
     if not 0 < p < 1:
-        raise ChainAnalysisError("decay estimate requires p strictly inside (0, 1)")
+        raise ChainAnalysisError(
+            "probability-range", "decay estimate requires p strictly inside (0, 1)"
+        )
     indices = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
     block = np.array(
         [[float(Fraction(kernel.entries[i][j](p))) for j in indices] for i in indices],
@@ -446,4 +442,4 @@ def estimate_decay_rate(
         if abs(norm - previous) <= tolerance * norm:
             return float(norm)
         previous = norm
-    raise ChainAnalysisError("power iteration did not converge within the cap")
+    raise ChainAnalysisError("no-convergence", "power iteration did not converge within the cap")

@@ -14,30 +14,25 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import poly_sum
 from .analysis import (
-    ChainAnalysisError,
     estimate_decay_rate,
     extremal_constants,
     extremal_step_bound,
-    initial_distribution,
-    stationary_distribution,
 )
+from .errors import CodedError
 from .graphs import Graph, GraphError, load_graph, make_builtin
 from .kernels import build_full_kernel, build_lumped_kernel, build_reduced_kernel
 from .monotonicity import (
     COUNTEREXAMPLE,
+    Engine,
     OnsetCapExceeded,
     PROVEN,
-    _Engine,
     degree_bound_report,
-    matrix_onset,
-    vector_onset,
     verify_conjecture,
     verify_expected_count_monotonicity,
 )
-from .montecarlo import SamplingError, estimate_connection, initial_pattern_fit
-from .patterns import Pattern, PatternSpaceError, enumerate_patterns
+from .montecarlo import estimate_connection, initial_pattern_fit
+from .patterns import Pattern, enumerate_patterns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,12 +40,8 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class UsageError(ValueError):
-    """Invalid command-line input.  The code attribute names the violated rule."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class UsageError(CodedError):
+    """Invalid command-line input."""
 
 
 def _graph_from_args(args) -> Graph:
@@ -85,10 +76,14 @@ def _probability(text: str) -> Fraction:
     return p
 
 
+def _nonnegative(value: int, flag: str, code: str) -> int:
+    if value < 0:
+        raise UsageError(code, f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _layer_index(args) -> int:
-    if args.n < 0:
-        raise UsageError("layer-negative", f"--n must be nonnegative, got {args.n}")
-    return args.n
+    return _nonnegative(args.n, "--n", "layer-negative")
 
 
 def _emit(artifact, args, as_text: bool = False) -> None:
@@ -134,31 +129,27 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    graph = _graph_from_args(args)
-    stationary = stationary_distribution(build_reduced_kernel(graph))
-    initial = initial_distribution(stationary, graph)
-    _emit({"stationary": stationary.to_dict(), "initial": initial.to_dict()}, args)
+    engine = Engine(_graph_from_args(args))
+    _emit({"stationary": engine.stationary.to_dict(), "initial": engine.initial.to_dict()}, args)
     return EXIT_OK
 
 
 def _cmd_onset(args) -> int:
     graph = _graph_from_args(args)
-    engine = _Engine(graph)
+    cap = _nonnegative(args.cap, "--cap", "cap-negative")
     try:
-        step, certs = matrix_onset(engine.kernel, args.cap, args.threads)
+        certificate = Engine(graph).onset(cap, args.threads)
     except OnsetCapExceeded as exc:
         _emit({"graph": graph.describe(), "error": "onset-cap-exceeded", "cap": exc.cap}, args)
         return EXIT_INCONCLUSIVE
-    certificate = vector_onset(
-        engine.initial, engine.kernel, step, certs, graph.describe(), args.threads
-    )
     _emit(certificate.to_dict(), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     graph = _graph_from_args(args)
-    certificate = verify_conjecture(graph, args.cap, workers=args.threads)
+    cap = _nonnegative(args.cap, "--cap", "cap-negative")
+    certificate = verify_conjecture(graph, cap, workers=args.threads)
     _emit(certificate.to_dict(), args)
     if certificate.verdict == PROVEN:
         return EXIT_OK
@@ -176,7 +167,7 @@ def _cmd_connection(args) -> int:
         raise UsageError("vertex-out-of-range", f"--vertex {args.vertex} is outside 0..{last}")
     n = _layer_index(args)
     p = None if args.p is None else _probability(args.p)
-    engine = _Engine(graph)
+    engine = Engine(graph)
     poly = engine.connection(args.vertex, n)
     artifact = {
         "graph": graph.describe(),
@@ -199,8 +190,8 @@ def _cmd_expected(args) -> int:
         raise UsageError("argument-missing", "expected requires --n")
     n = _layer_index(args)
     p = None if args.p is None else _probability(args.p)
-    engine = _Engine(graph)
-    poly = poly_sum(engine.connection(v, n) for v in graph.vertices)
+    engine = Engine(graph)
+    poly = engine.expected(n)
     artifact = {
         "graph": graph.describe(),
         "n": args.n,
@@ -252,7 +243,7 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    rows = degree_bound_report(args.max_degree)
+    rows = degree_bound_report(_nonnegative(args.max_degree, "--max-degree", "degree-negative"))
     table = [
         {
             "delta": row["delta"],
@@ -280,7 +271,11 @@ def _cmd_expected_mono(args) -> int:
     graph = _graph_from_args(args)
     if args.n is None:
         raise UsageError("argument-missing", "expected-mono requires --n (largest step checked)")
-    certs = verify_expected_count_monotonicity(graph, args.n, args.max_degree_override)
+    n = _layer_index(args)
+    delta = args.max_degree_override
+    if delta is not None:
+        _nonnegative(delta, "--max-degree", "degree-negative")
+    certs = verify_expected_count_monotonicity(graph, n, delta)
     _emit(
         {
             "graph": graph.describe(),
@@ -393,15 +388,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.format == "csv" and args.command != "bound":
-        print("error: --format csv is only supported by the bound command", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if args.format == "csv" and args.command != "bound":
+            raise UsageError("format-invalid", "--format csv is only supported by bound")
         return _COMMANDS[args.command](args)
-    except (UsageError, GraphError, PatternSpaceError, SamplingError, ChainAnalysisError) as exc:
-        code = getattr(exc, "code", None)
-        prefix = f"[{code}] " if code else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+    except CodedError as exc:
+        print(f"error: [{exc.code}] {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,17 +9,33 @@ error code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from typing import Any, Callable, Iterable
 
-from .unionfind import UnionFind
+from .errors import CodedError
 
 
-class GraphError(ValueError):
-    """Invalid graph input.  The code attribute names the violated rule."""
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (bool is a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+
+class GraphError(CodedError):
+    """Invalid graph input."""
+
+
+def closure(starts: Iterable, successors: Callable[[Any], Iterable]) -> set:
+    """Every node reachable from the starts, the starts included, by repeated successors.
+
+    successors is called once for each node reached.
+    """
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for node in successors(frontier.pop()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -29,7 +45,7 @@ class Graph:
     origin: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.vertex_count, int) or self.vertex_count < 1:
+        if not _is_int(self.vertex_count) or self.vertex_count < 1:
             raise GraphError("vertices-invalid", "vertex count must be a positive integer")
         seen = set()
         canon = []
@@ -37,7 +53,7 @@ class Graph:
             if len(edge) != 2:
                 raise GraphError("edge-invalid", f"edge {edge!r} is not a vertex pair")
             u, v = edge
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphError("edge-invalid", f"edge {edge!r} has non-integer endpoints")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise GraphError("edge-invalid", f"edge {edge!r} leaves the vertex range")
@@ -49,17 +65,17 @@ class Graph:
             seen.add(key)
             canon.append(key)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if not (0 <= self.origin < self.vertex_count):
+        if not (_is_int(self.origin) and 0 <= self.origin < self.vertex_count):
             raise GraphError("origin-out-of-range", f"origin {self.origin} is not a vertex")
         if not self._connected():
             raise GraphError("disconnected", "graph is not connected")
 
     def _connected(self) -> bool:
-        uf = UnionFind(self.vertex_count)
+        neighbours: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
-            uf.union(u, v)
-        root = uf.find(0)
-        return all(uf.find(v) == root for v in range(self.vertex_count))
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        return len(closure([0], neighbours.__getitem__)) == self.vertex_count
 
     # -- queries -------------------------------------------------------------
 
@@ -146,27 +162,5 @@ def load_graph(document) -> Graph:
         edges = [tuple(e) for e in document["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphError("document-invalid", f"malformed graph document: {exc}") from exc
-    origin = document.get("origin", 0)
-    if not isinstance(origin, int):
-        raise GraphError("origin-out-of-range", "origin must be an integer vertex label")
-    return Graph(vertices, tuple(edges), origin)
+    return Graph(vertices, tuple(edges), document.get("origin", 0))
 
-
-def canonical_adjacency(graph: Graph) -> tuple:
-    """Canonical adjacency-matrix form under vertex relabeling (small graphs only).
-
-    Brute-forces all vertex permutations, so it is limited to at most 8
-    vertices; used to compare graphs up to isomorphism (origin ignored).
-    """
-    k = graph.vertex_count
-    if k > 8:
-        raise ValueError("canonical form via permutations is limited to 8 vertices")
-    adj = [[0] * k for _ in range(k)]
-    for u, v in graph.edges:
-        adj[u][v] = adj[v][u] = 1
-    best = None
-    for perm in permutations(range(k)):
-        rows = tuple(tuple(adj[perm[i]][perm[j]] for j in range(k)) for i in range(k))
-        if best is None or rows < best:
-            best = rows
-    return best

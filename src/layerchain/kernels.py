@@ -8,7 +8,10 @@ pattern, so rows sum to the constant 1 exactly.
 
 Three chains are built: the full chain on all patterns, the connectivity
 chain on the uninfected partitions reachable from the all-singletons state,
-and the lumped chain on infected states plus one absorbing class.
+and the lumped chain on infected states plus one absorbing class.  Every
+transition is one layer step: _join_layers joins the lower layer's blocks
+to the upper layer through the open vertical bonds, and step_pattern,
+successor_table and bridge_reach read their answers off that union-find.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import ONE, P, Polynomial, poly_dot_table, poly_sum
-from .graphs import Graph
+from .graphs import Graph, closure
 from .patterns import (
     DAGGER,
     Pattern,
@@ -30,7 +33,6 @@ from .patterns import (
     state_from_string,
     state_to_string,
 )
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -70,44 +72,74 @@ def config_weights(width: int) -> list[Polynomial]:
     return [P**k * one_minus ** (width - k) for k in range(width + 1)]
 
 
-def step_pattern(graph: Graph, source: Pattern, config) -> Pattern:
-    """Deterministic successor pattern of a source pattern under one layer's bonds.
+def _block_ids(pattern: Pattern) -> list[int]:
+    """Index of the block holding each vertex; block 0 holds the marker."""
+    ids = [0] * pattern.vertex_count
+    for bid, block in enumerate(pattern.blocks):
+        for element in block:
+            if element != STAR:
+                ids[element] = bid
+    return ids
 
-    Builds a union-find over both layer copies plus the marker: the source
-    blocks connect the lower copy, open horizontal bonds connect the upper
-    copy, open vertical bonds connect the copies, and the result is the
-    induced partition of the upper copy plus the marker.
+
+def _join_layers(k: int, block_id: Sequence[int], links, verticals: int):
+    """Join a lower layer, given as block ids, to an upper layer through the
+    open vertical bonds; returns the find function of the joined union-find.
+
+    Nodes 0..k-1 are the upper layer's vertices and node k + i is block i of
+    the lower layer (at most k + 1 blocks), collapsed to one node.  links are the pairs of upper
+    vertices joined within the upper layer; bit v of verticals joins upper
+    vertex v to the lower block holding v.
     """
-    bits = config.bits if isinstance(config, BondConfig) else config
-    k = graph.vertex_count
-    star_node = 2 * k
-    uf = UnionFind(2 * k + 1)
-    for block in source.blocks:
-        anchor = star_node if block[0] == STAR else block[0]
-        for element in block[1:]:
-            uf.union(anchor, element)
-    for index, (u, v) in enumerate(graph.edges):
-        if bits >> index & 1:
-            uf.union(k + u, k + v)
-    offset = graph.edge_count
+    parent = list(range(2 * k + 1))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
     for v in range(k):
-        if bits >> (offset + v) & 1:
-            uf.union(v, k + v)
+        if verticals >> v & 1:
+            ru, rv = find(v), find(k + block_id[v])
+            if ru != rv:
+                parent[rv] = ru
+    return find
+
+
+def _open_edges(graph: Graph, bits: int) -> list[tuple[int, int]]:
+    return [edge for index, edge in enumerate(graph.edges) if bits >> index & 1]
+
+
+def _step_blocks(k: int, block_id: Sequence[int], links, verticals: int) -> tuple:
+    """Canonical blocks of the successor of a lower layer: the upper layer's
+    vertices grouped by connection, the marker joining the group linked to
+    the lower layer's marker block or standing alone.
+    """
+    find = _join_layers(k, block_id, links, verticals)
+    star_root = find(k)
     groups: dict[int, list[int]] = {}
     for v in range(k):
-        groups.setdefault(uf.find(k + v), []).append(v)
-    star_root = uf.find(star_node)
-    blocks = []
-    star_used = False
-    for root, members in groups.items():
-        if root == star_root:
-            blocks.append([STAR] + members)
-            star_used = True
-        else:
-            blocks.append(members)
-    if not star_used:
-        blocks.append([STAR])
-    return Pattern(blocks)
+        groups.setdefault(find(v), []).append(v)
+    blocks = [
+        (STAR, *members) if root == star_root else tuple(members)
+        for root, members in groups.items()
+    ]
+    if star_root not in groups:
+        blocks.append((STAR,))
+    return tuple(sorted(blocks))
+
+
+def step_pattern(graph: Graph, source: Pattern, config) -> Pattern:
+    """Deterministic successor pattern of a source pattern under one layer's bonds."""
+    bits = config.bits if isinstance(config, BondConfig) else config
+    links = _open_edges(graph, bits)
+    verticals = bits >> graph.edge_count
+    return Pattern(_step_blocks(graph.vertex_count, _block_ids(source), links, verticals))
 
 
 @dataclass(frozen=True)
@@ -178,80 +210,27 @@ class PolyMatrix:
         return PolyMatrix(states, entries)
 
 
-def matrix_power(kernel: PolyMatrix, exponent: int) -> PolyMatrix:
-    result = PolyMatrix.identity(kernel.states)
-    base = kernel
-    e = exponent
-    while e:
-        if e & 1:
-            result = result @ base
-        base = base @ base if e > 1 else base
-        e >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Kernel construction.
 # ---------------------------------------------------------------------------
 
 
 def successor_table(graph: Graph, sources: Sequence[Pattern]) -> list[list[Pattern]]:
-    """table[i][z] = successor pattern of sources[i] under config bitmask z.
-
-    Collapses the lower layer to block identifiers before running the
-    per-config union-find, which matches step_pattern exactly.
-    """
+    """table[i][z] = successor pattern of sources[i] under config bitmask z."""
     k = graph.vertex_count
-    b = graph.bond_count
-    edges = graph.edges
-    offset = graph.edge_count
+    e = graph.edge_count
+    horizontal = (1 << e) - 1
+    links = [_open_edges(graph, bits) for bits in range(horizontal + 1)]
     table: list[list[Pattern]] = []
     pattern_cache: dict[tuple, Pattern] = {}
     for source in sources:
-        block_id = {}
-        for bid, block in enumerate(source.blocks):
-            for element in block:
-                block_id[element] = bid
-        star_bid = block_id[STAR]
-        nodes = k + len(source.blocks)
+        block_id = _block_ids(source)
         row = []
-        for z in range(1 << b):
-            parent = list(range(nodes))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for index, (u, v) in enumerate(edges):
-                if z >> index & 1:
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        parent[rv] = ru
-            for v in range(k):
-                if z >> (offset + v) & 1:
-                    ru, rv = find(v), find(k + block_id[v])
-                    if ru != rv:
-                        parent[rv] = ru
-            star_root = find(k + star_bid)
-            groups: dict[int, list[int]] = {}
-            for v in range(k):
-                groups.setdefault(find(v), []).append(v)
-            blocks = []
-            star_used = False
-            for root, members in groups.items():
-                if root == star_root:
-                    blocks.append((STAR,) + tuple(members))
-                    star_used = True
-                else:
-                    blocks.append(tuple(members))
-            if not star_used:
-                blocks.append((STAR,))
-            key = tuple(sorted(blocks))
+        for z in range(1 << graph.bond_count):
+            key = _step_blocks(k, block_id, links[z & horizontal], z >> e)
             cached = pattern_cache.get(key)
             if cached is None:
-                cached = Pattern(blocks)
+                cached = Pattern(key)
                 pattern_cache[key] = cached
             row.append(cached)
         table.append(row)
@@ -299,26 +278,10 @@ def build_full_kernel(graph: Graph) -> PolyMatrix:
     return PolyMatrix(tuple(states), tuple(tuple(r) for r in rows))
 
 
-def _reachable_indices(rows: Sequence[Sequence[Polynomial]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for j, entry in enumerate(rows[current]):
-            if j not in seen and not entry.is_zero:
-                seen.add(j)
-                frontier.append(j)
-    return seen
-
-
 def core_partitions(graph: Graph) -> list[Pattern]:
-    """Uninfected partitions reachable from the all-singletons pattern."""
-    uninfected = [x for x in enumerate_patterns(graph) if not x.infected]
-    columns = {s: i for i, s in enumerate(uninfected)}
-    rows = _rows_from_counts(graph, uninfected, columns)
-    start = columns[all_singletons_pattern(graph.vertex_count)]
-    keep = _reachable_indices(rows, start)
-    return [s for i, s in enumerate(uninfected) if i in keep]
+    """Uninfected partitions reachable from the all-singletons pattern, in canonical order."""
+    start = all_singletons_pattern(graph.vertex_count)
+    return sorted(closure([start], lambda x: successor_table(graph, [x])[0]))
 
 
 def build_reduced_kernel(graph: Graph) -> PolyMatrix:
@@ -367,23 +330,16 @@ def bridge_reach(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits:
     infected block through this two-layer structure.
     """
     k = graph.vertex_count
-    star_node = 2 * k
-    uf = UnionFind(2 * k + 1)
-    for block in infected.blocks:
-        anchor = star_node if block[0] == STAR else block[0]
-        for element in block[1:]:
-            uf.union(anchor, element)
+    block_id = _block_ids(infected)
+    links = []
     for block in upper.blocks:
         members = [e for e in block if e != STAR]
-        for a, b in zip(members, members[1:]):
-            uf.union(k + a, k + b)
-    for v in range(k):
-        if vertical_bits >> v & 1:
-            uf.union(v, k + v)
-    star_root = uf.find(star_node)
+        links += zip(members, members[1:])
+    find = _join_layers(k, block_id, links, vertical_bits)
+    star_root = find(k)
     mask = 0
     for v in range(k):
-        if uf.find(v) == star_root:
+        if find(k + block_id[v]) == star_root:
             mask |= 1 << v
     return mask
 

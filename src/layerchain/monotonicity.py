@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ from .analysis import PolyVector, initial_distribution, stationary_distribution
 from .graphs import Graph
 from .kernels import (
     PolyMatrix,
-    bridge_reach,
+    bridge_reach_table,
     build_lumped_kernel,
     build_reduced_kernel,
     config_weights,
@@ -220,7 +221,7 @@ def vector_onset(
     initial: PolyVector,
     kernel: PolyMatrix,
     matrix_step: int,
-    matrix_certificates: Optional[list[list[SignCertificate]]] = None,
+    matrix_certificates: list[list[SignCertificate]],
     graph_label: str = "",
     workers: int = 1,
 ) -> OnsetCertificate:
@@ -234,18 +235,6 @@ def vector_onset(
         raise ValueError("initial distribution and kernel have different state spaces")
     infected = _infected_indices(kernel)
     cache = _CertCache(UNIT_OPEN, workers)
-    if matrix_certificates is None:
-        power = PolyMatrix.identity(kernel.states)
-        for _ in range(matrix_step):
-            power = power @ kernel
-        following = power @ kernel
-        matrix_certificates = [
-            [
-                cache.certify(power.entries[y][x] - following.entries[y][x])
-                for x in infected
-            ]
-            for y in infected
-        ]
     weights = list(initial.entries)
     step_certs: list[list[SignCertificate]] = []
     for _ in range(matrix_step):
@@ -285,59 +274,109 @@ def _bridge_weight_table(
     products = [
         [entry * w for w in vertical_weights] for entry in stationary.entries
     ]
+    reach = bridge_reach_table(graph, infected_states, stationary.states)
     acc: list[list[list[Polynomial]]] = [
         [[] for _ in infected_states] for _ in range(k)
     ]
-    for i, state in enumerate(infected_states):
-        for yi, upper in enumerate(stationary.states):
-            row = products[yi]
-            for z in range(1 << k):
-                mask = bridge_reach(graph, state, upper, z)
-                if mask:
-                    weight = row[z.bit_count()]
-                    v = 0
-                    while mask:
-                        if mask & 1:
-                            acc[v][i].append(weight)
-                        mask >>= 1
-                        v += 1
+    for i, masks_by_upper in enumerate(reach):
+        for row, masks in zip(products, masks_by_upper):
+            for z, mask in enumerate(masks):
+                weight = row[z.bit_count()]
+                v = 0
+                while mask:
+                    if mask & 1:
+                        acc[v][i].append(weight)
+                    mask >>= 1
+                    v += 1
     return [[poly_sum(cell) for cell in row] for row in acc]
 
 
-class _Engine:
-    """Shared pipeline: kernels, distributions, and the bridge weight table."""
+class Engine:
+    """The exact pipeline of one graph.
 
-    def __init__(self, graph: Graph):
+    Each stage (reduced kernel, stationary vector, lumped kernel, initial
+    vector, bridge weight table) is built once, when first needed, so a
+    command pays only for the stages it uses.  Distributions and connection
+    polynomials are scaled by powers of the stationary normalizer.
+    """
+
+    def __init__(self, graph: Graph, label: str = ""):
         self.graph = graph
-        self.reduced = build_reduced_kernel(graph)
-        self.stationary = stationary_distribution(self.reduced)
-        self.kernel = build_lumped_kernel(graph)
-        self.initial = initial_distribution(self.stationary, graph)
+        self.label = label or graph.describe()
+
+    @cached_property
+    def reduced(self) -> PolyMatrix:
+        return build_reduced_kernel(self.graph)
+
+    @cached_property
+    def stationary(self) -> PolyVector:
+        return stationary_distribution(self.reduced)
+
+    @cached_property
+    def kernel(self) -> PolyMatrix:
+        return build_lumped_kernel(self.graph)
+
+    @cached_property
+    def initial(self) -> PolyVector:
+        return initial_distribution(self.stationary, self.graph)
+
+    @cached_property
+    def infected_indices(self) -> list[int]:
+        return _infected_indices(self.kernel)
+
+    @cached_property
+    def bridge(self) -> list[list[Polynomial]]:
+        states = [self.kernel.states[i] for i in self.infected_indices]
+        return _bridge_weight_table(self.graph, states, self.stationary)
+
+    @cached_property
+    def _weights(self) -> list[list[Polynomial]]:
         if tuple(self.initial.states) != tuple(self.kernel.states):
             raise AssertionError("lumped state spaces disagree")
-        self.infected_indices = _infected_indices(self.kernel)
-        self.infected_states = [self.kernel.states[i] for i in self.infected_indices]
-        self.bridge = _bridge_weight_table(graph, self.infected_states, self.stationary)
-        self._weights: list[list[Polynomial]] = [list(self.initial.entries)]
+        return [list(self.initial.entries)]
+
+    def onset(self, cap: int = 64, workers: int = 1) -> OnsetCertificate:
+        """Matrix-level onset, refined along the initial distribution.
+
+        Raises OnsetCapExceeded if no step up to the cap passes.
+        """
+        matrix_step, matrix_certs = matrix_onset(self.kernel, cap, workers)
+        return vector_onset(
+            self.initial, self.kernel, matrix_step, matrix_certs, self.label, workers
+        )
 
     def weights_at(self, n: int) -> list[Polynomial]:
         """Scaled distribution of the layer pattern after n steps."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
-        while len(self._weights) <= n:
-            self._weights.append(_vector_times_matrix(self._weights[-1], self.kernel))
-        return self._weights[n]
+        weights = self._weights
+        while len(weights) <= n:
+            weights.append(_vector_times_matrix(weights[-1], self.kernel))
+        return weights[n]
+
+    def _bridge_row(self, vertex: int) -> list[Polynomial]:
+        if vertex not in self.graph.vertices:
+            raise ValueError(f"vertex {vertex} not in graph")
+        return self.bridge[vertex]
 
     def connection(self, vertex: int, n: int) -> Polynomial:
+        """Connection probability from the origin to (vertex, n), scaled by
+        the squared normalizer."""
+        bridge = self._bridge_row(vertex)
         weights = self.weights_at(n)
-        infected_weights = [weights[i] for i in self.infected_indices]
-        return poly_dot(infected_weights, self.bridge[vertex])
+        return poly_dot([weights[i] for i in self.infected_indices], bridge)
 
     def connection_drop(self, vertex: int, n: int) -> Polynomial:
+        """connection(vertex, n) - connection(vertex, n + 1)."""
+        bridge = self._bridge_row(vertex)
         now = self.weights_at(n)
         later = self.weights_at(n + 1)
-        drop = [now[i] - later[i] for i in self.infected_indices]
-        return poly_dot(drop, self.bridge[vertex])
+        return poly_dot([now[i] - later[i] for i in self.infected_indices], bridge)
+
+    def expected(self, n: int) -> Polynomial:
+        """Expected number of infected vertices at layer n, scaled by the
+        squared normalizer; the sum of the connection polynomials."""
+        return poly_sum(self.connection(v, n) for v in self.graph.vertices)
 
 
 def connection_polynomial(
@@ -351,25 +390,16 @@ def connection_polynomial(
     """Connection probability from the origin to (vertex, n), scaled by the
     squared normalizer: the sum over layer state, upper-layer partition and
     vertical bonds of the weight of every triple linking the infection to the
-    vertex."""
-    if vertex not in graph.vertices:
-        raise ValueError(f"vertex {vertex} not in graph")
-    if n < 0:
-        raise ValueError("layer index must be nonnegative")
-    infected = _infected_indices(kernel)
-    states = [kernel.states[i] for i in infected]
-    bridge = _bridge_weight_table(graph, states, stationary)
-    weights = list(initial.entries)
-    for _ in range(n):
-        weights = _vector_times_matrix(weights, kernel)
-    return poly_dot([weights[i] for i in infected], bridge[vertex])
+    vertex.  The given stages stand in for the engine's own."""
+    engine = Engine(graph)
+    engine.initial, engine.kernel, engine.stationary = initial, kernel, stationary
+    return engine.connection(vertex, n)
 
 
 def expected_infected_polynomial(graph: Graph, n: int) -> Polynomial:
     """Expected number of infected vertices at layer n, scaled by the squared
     normalizer; the sum of the connection polynomials over all vertices."""
-    engine = _Engine(graph)
-    return poly_sum(engine.connection(v, n) for v in graph.vertices)
+    return Engine(graph).expected(n)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +483,11 @@ def verify_conjecture(
     with direct certification of the connection-probability drop for every
     vertex at each step below the onset.
     """
-    label = label or graph.describe()
-    engine = _Engine(graph)
+    engine = Engine(graph, label)
     try:
-        matrix_step, matrix_certs = matrix_onset(engine.kernel, cap, workers)
+        onset_cert = engine.onset(cap, workers)
     except OnsetCapExceeded:
-        return ConjectureCertificate(label, INCONCLUSIVE, None)
-    onset_cert = vector_onset(
-        engine.initial, engine.kernel, matrix_step, matrix_certs, label, workers
-    )
+        return ConjectureCertificate(engine.label, INCONCLUSIVE, None)
     cache = _CertCache(UNIT_OPEN, workers)
     connection_certs: list[list[SignCertificate]] = []
     witness = None
@@ -479,7 +505,7 @@ def verify_conjecture(
         connection_certs.append(row)
     verdict = PROVEN if witness is None else COUNTEREXAMPLE
     certificate = ConjectureCertificate(
-        graph=label,
+        graph=engine.label,
         verdict=verdict,
         onset_certificate=onset_cert,
         vertices=list(graph.vertices),
@@ -539,15 +565,16 @@ def verify_expected_count_monotonicity(
     delta defaults to the maximum degree of the graph; passing it explicitly
     checks the criterion at a different degree threshold.
     """
+    if n_max < 0:
+        raise ValueError("largest layer index must be nonnegative")
     if delta is None:
         delta = graph.max_degree
+    if delta < 0:
+        raise ValueError("degree threshold must be nonnegative")
     threshold = Fraction(10, 10 * delta + 14)
     interval = Interval(0, threshold, closed_hi=True)
-    engine = _Engine(graph)
-    expected = [
-        poly_sum(engine.connection(v, n) for v in graph.vertices)
-        for n in range(n_max + 2)
-    ]
+    engine = Engine(graph)
+    expected = [engine.expected(n) for n in range(n_max + 2)]
     return [
         certify_sign(expected[n] - expected[n + 1], interval) for n in range(n_max + 1)
     ]

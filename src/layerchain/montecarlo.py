@@ -22,16 +22,16 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
-from .analysis import initial_distribution, stationary_distribution
+from .errors import CodedError
 from .graphs import Graph
 from .kernels import (
     bridge_reach_table,
-    build_reduced_kernel,
     core_partitions,
     lumped_state_list,
     step_pattern,
     successor_table,
 )
+from .monotonicity import Engine
 from .patterns import (
     Pattern,
     all_singletons_pattern,
@@ -42,7 +42,7 @@ from .patterns import (
 GENERATOR_NAME = "numpy-pcg64"
 
 
-class SamplingError(ValueError):
+class SamplingError(CodedError):
     """Invalid Monte Carlo parameters."""
 
 
@@ -79,8 +79,15 @@ class SampleStats:
 def _check_p(p) -> Fraction:
     p = Fraction(p)
     if not 0 < p < 1:
-        raise SamplingError("sampling requires p strictly inside (0, 1)")
+        raise SamplingError("probability-range", "sampling requires p strictly inside (0, 1)")
     return p
+
+
+def _check_run(samples: int, seed: int) -> None:
+    if samples < 1:
+        raise SamplingError("samples-invalid", f"sample count must be positive, got {samples}")
+    if seed < 0:
+        raise SamplingError("seed-invalid", f"seed must be nonnegative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +233,10 @@ def connection_estimates(
     """
     p = _check_p(p)
     pf = float(p)
+    _check_run(samples, seed)
     for vertex, n in targets:
         if vertex not in graph.vertices or n < 0:
-            raise SamplingError(f"invalid target ({vertex}, {n})")
+            raise SamplingError("target-invalid", f"invalid target ({vertex}, {n})")
     tables = _Tables(graph)
     chain_seq, upper_seq, vertical_seq = np.random.SeedSequence(seed).spawn(3)
     rng_chain = np.random.default_rng(chain_seq)
@@ -284,15 +292,14 @@ def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
     exact initial distribution; also reports the mean downward scan depth."""
     p = _check_p(p)
     pf = float(p)
+    _check_run(samples, seed)
     tables = _Tables(graph)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     core0, depths = _stationary_core_batch(tables, pf, samples, rng)
     states = tables.core_to_initial[core0]
     counts = np.bincount(states, minlength=len(tables.lumped))
 
-    reduced = build_reduced_kernel(graph)
-    stationary = stationary_distribution(reduced)
-    initial = initial_distribution(stationary, graph)
+    initial = Engine(graph).initial
     if tuple(initial.states) != tuple(tables.lumped):
         raise AssertionError("state order mismatch between sampler and engine")
     probabilities = [float(value) for value in initial.evaluate(p)]

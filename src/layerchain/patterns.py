@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
+from .errors import CodedError
+
 STAR = -1
 
 _GUARD_VERTICES = 12
 
 
-class PatternSpaceError(ValueError):
+class PatternSpaceError(CodedError):
     """Pattern input invalid or enumeration guard exceeded."""
 
 
@@ -30,14 +32,18 @@ class Pattern:
         canon = tuple(sorted(tuple(sorted(set(block))) for block in blocks))
         elements = [e for block in canon for e in block]
         if len(elements) != len(set(elements)):
-            raise PatternSpaceError("pattern blocks are not disjoint")
+            raise PatternSpaceError("pattern-invalid", "pattern blocks are not disjoint")
         if not elements or min(elements) != STAR:
-            raise PatternSpaceError("pattern must contain the marker '*' exactly once")
+            raise PatternSpaceError(
+                "pattern-invalid", "pattern must contain the marker '*' exactly once"
+            )
         vertices = sorted(e for e in elements if e != STAR)
         if vertices != list(range(len(vertices))):
-            raise PatternSpaceError("pattern must cover vertex labels 0..k-1 exactly")
+            raise PatternSpaceError(
+                "pattern-invalid", "pattern must cover vertex labels 0..k-1 exactly"
+            )
         if any(not block for block in canon):
-            raise PatternSpaceError("pattern blocks must be nonempty")
+            raise PatternSpaceError("pattern-invalid", "pattern blocks must be nonempty")
         self.blocks = canon
 
     # -- queries -------------------------------------------------------------
@@ -92,7 +98,11 @@ class Pattern:
     def from_string(text: str) -> "Pattern":
         blocks = []
         for chunk in text.split("|"):
-            items = [STAR if part == "*" else int(part) for part in chunk.split(",") if part]
+            try:
+                items = [STAR if part == "*" else int(part) for part in chunk.split(",") if part]
+            except ValueError:
+                message = f"cannot parse pattern {text!r}"
+                raise PatternSpaceError("pattern-invalid", message) from None
             blocks.append(items)
         return Pattern(blocks)
 
@@ -153,7 +163,9 @@ def enumerate_patterns(graph_or_count) -> list[Pattern]:
     """
     k = _vertex_count(graph_or_count)
     if k > _GUARD_VERTICES:
-        raise PatternSpaceError(f"pattern enumeration guard: {k} > {_GUARD_VERTICES} vertices")
+        raise PatternSpaceError(
+            "enumeration-guard", f"pattern enumeration guard: {k} > {_GUARD_VERTICES} vertices"
+        )
     ground = [STAR] + list(range(k))
     out: list[Pattern] = []
     assignment = [0] * len(ground)
@@ -199,12 +211,14 @@ def lump(x: Pattern) -> PatternClass:
 def attach_infection(uninfected: Pattern, vertex: int) -> Pattern:
     """Add '*' to the block containing the given vertex."""
     if uninfected.infected:
-        raise PatternSpaceError("attach_infection expects an uninfected pattern")
+        raise PatternSpaceError(
+            "pattern-infected", "attach_infection expects an uninfected pattern"
+        )
     blocks = []
     for block in uninfected.blocks:
         if block == (STAR,):
             continue
         blocks.append((STAR,) + block if vertex in block else block)
     if not any(STAR in b for b in blocks):
-        raise PatternSpaceError(f"vertex {vertex} not present in pattern")
+        raise PatternSpaceError("vertex-out-of-range", f"vertex {vertex} not present in pattern")
     return Pattern(blocks)

@@ -8,8 +8,13 @@ settings.register_profile(
 settings.load_profile("layerchain")
 
 from layerchain.graphs import cycle
-from layerchain.kernels import build_lumped_kernel, build_reduced_kernel
-from layerchain.analysis import initial_distribution, stationary_distribution
+from layerchain.monotonicity import Engine
+
+
+def _pipeline(graph):
+    """Reduced kernel, stationary, lumped kernel, initial distribution."""
+    engine = Engine(graph)
+    return engine.reduced, engine.stationary, engine.kernel, engine.initial
 
 
 @pytest.fixture(scope="session")
@@ -29,18 +34,9 @@ def c4():
 
 @pytest.fixture(scope="session")
 def pipeline_c2(c2):
-    """Reduced kernel, stationary, lumped kernel, initial distribution for C2."""
-    reduced = build_reduced_kernel(c2)
-    stationary = stationary_distribution(reduced)
-    lumped = build_lumped_kernel(c2)
-    initial = initial_distribution(stationary, c2)
-    return reduced, stationary, lumped, initial
+    return _pipeline(c2)
 
 
 @pytest.fixture(scope="session")
 def pipeline_c3(c3):
-    reduced = build_reduced_kernel(c3)
-    stationary = stationary_distribution(reduced)
-    lumped = build_lumped_kernel(c3)
-    initial = initial_distribution(stationary, c3)
-    return reduced, stationary, lumped, initial
+    return _pipeline(c3)

@@ -305,25 +305,18 @@ def test_criterion_08_degree_bound_arithmetic(c2):
 
 
 def test_criterion_09_oracle_agreement():
-    from layerchain.analysis import initial_distribution
-    from layerchain.monotonicity import connection_polynomial
+    from layerchain.monotonicity import Engine
 
     start = time.perf_counter()
     ok = True
     worst = 0.0
     for k in (2, 3):
         graph = cycle(k)
-        reduced = build_reduced_kernel(graph)
-        stationary = stationary_distribution(reduced)
-        lumped = build_lumped_kernel(graph)
-        initial = initial_distribution(stationary, graph)
+        engine = Engine(graph)
         targets = [(v, n) for v in graph.vertices for n in range(4)]
-        exact = {}
-        for v, n in targets:
-            poly = connection_polynomial(graph, v, n, initial, lumped, stationary)
-            exact[(v, n)] = poly
+        exact = {(v, n): engine.connection(v, n) for v, n in targets}
         for p in (Fraction(3, 10), HALF, Fraction(7, 10)):
-            scale = Fraction(stationary.normalizer(p)) ** 2
+            scale = Fraction(engine.stationary.normalizer(p)) ** 2
             stats = connection_estimates(graph, p, targets, 100_000, seed=1000 + k)
             for s in stats:
                 v, n = s.meta["vertex"], s.meta["layer"]

@@ -166,7 +166,7 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "decay", "--graph", "cycle:2", "--p", "zebra")
     assert code == 1
     code, _, err = run_cli(capsys, "states", "--graph", "cycle:2", "--format", "csv")
-    assert code == 1
+    assert code == 1 and err.startswith("error: [format-invalid] ")
     code, _, _ = run_cli(capsys, "definitely-not-a-command")
     assert code == 1
     cases = [
@@ -177,6 +177,18 @@ def test_usage_errors(capsys):
         (["connection", "--vertex", "-1", "--n", "1"], "vertex-out-of-range"),
         (["expected", "--n", "-2"], "layer-negative"),
         (["expected", "--n", "1", "--p", "3/2"], "probability-range"),
+        (["expected-mono", "--n", "-2"], "layer-negative"),
+        (["expected-mono", "--n", "1", "--max-degree", "-2"], "degree-negative"),
+        (["verify", "--cap", "-1"], "cap-negative"),
+        (["onset", "--cap", "-1"], "cap-negative"),
+        (["fit", "--p", "1/2", "--samples", "0"], "samples-invalid"),
+        (["mc", "--p", "1/2", "--vertex", "1", "--n", "1", "--samples", "0"], "samples-invalid"),
+        (["mc", "--p", "1/2", "--vertex", "1", "--n", "1", "--seed", "-1"], "seed-invalid"),
+        (["mc", "--p", "3/2", "--vertex", "1", "--n", "1"], "probability-range"),
+        (["mc", "--p", "1/2", "--vertex", "5", "--n", "1"], "target-invalid"),
+        (["extremal", "--source", "garbage", "--target", "*,0,1,2"], "pattern-invalid"),
+        (["extremal", "--source", "*,1|0", "--target", "*,1|0,2"], "pattern-size"),
+        (["bound", "--max-degree", "-1"], "degree-negative"),
     ]
     for argv, code_name in cases:
         code, out, err = run_cli(capsys, argv[0], "--graph", "cycle:3", *argv[1:])

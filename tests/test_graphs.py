@@ -1,15 +1,36 @@
+from itertools import permutations
+
 import pytest
 
 from layerchain.graphs import (
+    Graph,
     GraphError,
-    canonical_adjacency,
     cartesian_product,
     cycle,
     load_graph,
     make_builtin,
     path,
 )
-from layerchain.unionfind import UnionFind
+
+
+def canonical_adjacency(graph: Graph) -> tuple:
+    """Canonical adjacency-matrix form under vertex relabeling (small graphs only).
+
+    Brute-forces all vertex permutations, so it is limited to at most 8
+    vertices; used to compare graphs up to isomorphism (origin ignored).
+    """
+    k = graph.vertex_count
+    if k > 8:
+        raise ValueError("canonical form via permutations is limited to 8 vertices")
+    adj = [[0] * k for _ in range(k)]
+    for u, v in graph.edges:
+        adj[u][v] = adj[v][u] = 1
+    best = None
+    for perm in permutations(range(k)):
+        rows = tuple(tuple(adj[perm[i]][perm[j]] for j in range(k)) for i in range(k))
+        if best is None or rows < best:
+            best = rows
+    return best
 
 
 def test_cycle_three_is_triangle():
@@ -86,6 +107,23 @@ def test_load_error_codes():
         ({"vertices": 2, "edges": [[0, 1]], "origin": 5}, "origin-out-of-range"),
         ({"vertices": 2, "edges": [[0, 3]], "origin": 0}, "edge-invalid"),
         ({"vertices": 2, "edges": [[0, 1]], "weights": [1]}, "document-invalid"),
+        ({"vertices": 2, "edges": [[0, 1]], "origin": "0"}, "origin-out-of-range"),
+    ]
+    for document, code in cases:
+        with pytest.raises(GraphError) as err:
+            load_graph(document)
+        assert err.value.code == code, document
+
+
+def test_load_rejects_booleans():
+    """bool is a subclass of int, so true/false must be rejected explicitly."""
+    cases = [
+        ({"vertices": True, "edges": []}, "vertices-invalid"),
+        ({"vertices": False, "edges": []}, "vertices-invalid"),
+        ({"vertices": 2, "edges": [[0, True]]}, "edge-invalid"),
+        ({"vertices": 2, "edges": [[False, 1]]}, "edge-invalid"),
+        ({"vertices": 2, "edges": [[0, 1]], "origin": True}, "origin-out-of-range"),
+        ({"vertices": 2, "edges": [[0, 1]], "origin": False}, "origin-out-of-range"),
     ]
     for document, code in cases:
         with pytest.raises(GraphError) as err:
@@ -100,10 +138,10 @@ def test_load_accepts_descriptor_shorthand():
 def test_every_vertex_reached_from_origin():
     for g in (cycle(2), cycle(5), path(4), cartesian_product(path(2), path(3))):
         assert all(g.degree(v) >= 1 for v in g.vertices)
-        uf = UnionFind(g.vertex_count)
-        for u, v in g.edges:
-            uf.union(u, v)
-        assert all(uf.same(g.origin, v) for v in g.vertices)
+        reached = {g.origin}
+        for _ in g.vertices:
+            reached |= {v for e in g.edges if reached & set(e) for v in e}
+        assert reached == set(g.vertices)
 
 
 def test_max_degree_of_families():

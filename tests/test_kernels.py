@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerchain.algebra import ONE, P, Polynomial
-from layerchain.graphs import cycle, path
+from layerchain.graphs import Graph, cycle, path
 from layerchain.kernels import (
     BondConfig,
     PolyMatrix,
@@ -32,6 +34,100 @@ from layerchain.patterns import (
 OMP = Polynomial((1, -1))  # 1 - p
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference: a plain search over the explicit two-layer graph.
+# ---------------------------------------------------------------------------
+
+
+def _components(nodes, edges) -> dict:
+    """Component label of every node, by breadth-first search."""
+    neighbours = {node: [] for node in nodes}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    label = {}
+    for node in nodes:
+        if node in label:
+            continue
+        label[node] = node
+        queue = [node]
+        while queue:
+            for other in neighbours[queue.pop()]:
+                if other not in label:
+                    label[other] = node
+                    queue.append(other)
+    return label
+
+
+def _lower_layer(pattern: Pattern) -> list:
+    """Nodes ("lo", v) and the marker "*", joined along each block of the pattern."""
+    edges = []
+    for block in pattern.blocks:
+        nodes = ["*" if e == STAR else ("lo", e) for e in block]
+        edges += zip(nodes, nodes[1:])
+    return edges
+
+
+def reference_step(graph: Graph, source: Pattern, bits: int) -> Pattern:
+    """Successor pattern: the components of the upper layer's vertices in the
+    two-layer graph, the marker joining the component that holds it."""
+    k = graph.vertex_count
+    nodes = ["*"] + [(side, v) for side in ("lo", "up") for v in range(k)]
+    edges = _lower_layer(source)
+    edges += [(("up", u), ("up", v)) for i, (u, v) in enumerate(graph.edges) if bits >> i & 1]
+    edges += [(("lo", v), ("up", v)) for v in range(k) if bits >> (graph.edge_count + v) & 1]
+    label = _components(nodes, edges)
+    blocks = {"*": [STAR]}
+    for v in range(k):
+        root = label[("up", v)]
+        blocks.setdefault("*" if root == label["*"] else root, []).append(v)
+    return Pattern(blocks.values())
+
+
+def reference_bridge(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits: int) -> int:
+    """Lower vertices in the marker's component when the lower layer carries
+    the infected pattern, the upper layer the partition, joined by verticals."""
+    k = graph.vertex_count
+    nodes = ["*"] + [(side, v) for side in ("lo", "up") for v in range(k)]
+    edges = _lower_layer(infected)
+    for block in upper.blocks:
+        members = [("up", e) for e in block if e != STAR]
+        edges += zip(members, members[1:])
+    edges += [(("lo", v), ("up", v)) for v in range(k) if vertical_bits >> v & 1]
+    label = _components(nodes, edges)
+    return sum(1 << v for v in range(k) if label[("lo", v)] == label["*"])
+
+
+def search(start, successors) -> set:
+    seen = {start}
+    queue = [start]
+    while queue:
+        for node in successors(queue.pop()):
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    return seen
+
+
+@st.composite
+def small_graphs(draw, max_vertices: int = 4) -> Graph:
+    """A random connected graph: a random spanning tree plus random chords."""
+    k = draw(st.integers(1, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return Graph(k, tuple(edges), draw(st.integers(0, k - 1)))
+
+
+@st.composite
+def stepping_cases(draw):
+    """A graph, a pattern on its vertices, and a layer config bitmask."""
+    graph = draw(small_graphs())
+    pattern = draw(st.sampled_from(enumerate_patterns(graph)))
+    return graph, pattern, draw(st.integers(0, (1 << graph.bond_count) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +189,52 @@ def test_successor_table_matches_step_pattern():
         for row, source in zip(table, sample):
             for _ in range(40):
                 z = rng.randrange(1 << g.bond_count)
-                assert row[z] == step_pattern(g, source, z)
+                assert row[z] == step_pattern(g, source, z) == reference_step(g, source, z)
+
+
+@given(stepping_cases())
+def test_step_pattern_matches_two_layer_search(case):
+    graph, source, bits = case
+    assert step_pattern(graph, source, bits) == reference_step(graph, source, bits)
+
+
+@given(small_graphs(), st.data())
+def test_successor_table_rows_match_two_layer_search(graph, data):
+    source = data.draw(st.sampled_from(enumerate_patterns(graph)))
+    [row] = successor_table(graph, [source])
+    assert row == [reference_step(graph, source, z) for z in range(1 << graph.bond_count)]
+
+
+@given(small_graphs(), st.data())
+def test_bridge_reach_matches_two_layer_search(graph, data):
+    patterns = enumerate_patterns(graph)
+    infected = data.draw(st.sampled_from([x for x in patterns if x.infected]))
+    upper = data.draw(st.sampled_from([x for x in patterns if not x.infected]))
+    vertical_bits = data.draw(st.integers(0, (1 << graph.vertex_count) - 1))
+    expected = reference_bridge(graph, infected, upper, vertical_bits)
+    assert bridge_reach(graph, infected, upper, vertical_bits) == expected
+
+
+@settings(max_examples=30)  # each example runs up to 15 * 1024 reference steps
+@given(small_graphs())
+def test_core_partitions_match_two_layer_search(graph):
+    configs = range(1 << graph.bond_count)
+    start = all_singletons_pattern(graph.vertex_count)
+    reached = search(start, lambda x: {reference_step(graph, x, z) for z in configs})
+    assert core_partitions(graph) == sorted(reached)
+
+
+def test_core_partitions_match_kernel_reachability():
+    """The uninfected patterns reached from the all-singletons state along
+    nonzero entries of the full kernel, the construction core_partitions
+    used before it searched successor patterns directly."""
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    for g in (cycle(2), cycle(3), cycle(4), path(3), path(4), star):
+        kernel = build_full_kernel(g)
+        rows = kernel.entries
+        start = kernel.index(all_singletons_pattern(g.vertex_count))
+        reached = search(start, lambda i: [j for j, e in enumerate(rows[i]) if not e.is_zero])
+        assert core_partitions(g) == sorted(kernel.states[i] for i in reached)
 
 
 # ---------------------------------------------------------------------------

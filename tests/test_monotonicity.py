@@ -94,7 +94,7 @@ def test_onset_step_below_has_failure(verify_c2):
 
 def test_vector_onset_rejects_mismatched_states(pipeline_c2, pipeline_c3):
     with pytest.raises(ValueError):
-        vector_onset(pipeline_c3[3], pipeline_c2[2], 1)
+        vector_onset(pipeline_c3[3], pipeline_c2[2], 1, [])
 
 
 def test_probability_drop_sums_to_zero(pipeline_c2, pipeline_c3):
