@@ -87,9 +87,9 @@ def _join_layers(k: int, block_id: Sequence[int], links, verticals: int):
     open vertical bonds; returns the find function of the joined union-find.
 
     Nodes 0..k-1 are the upper layer's vertices and node k + i is block i of
-    the lower layer (at most k + 1 blocks), collapsed to one node.  links are the pairs of upper
-    vertices joined within the upper layer; bit v of verticals joins upper
-    vertex v to the lower block holding v.
+    the lower layer (at most k + 1 blocks), collapsed to one node.  links
+    are the pairs of upper vertices joined within the upper layer; bit v of
+    verticals joins upper vertex v to the lower block holding v.
     """
     parent = list(range(2 * k + 1))
 

@@ -264,33 +264,6 @@ def vector_onset(
 # ---------------------------------------------------------------------------
 
 
-def _bridge_weight_table(
-    graph: Graph, infected_states: Sequence[Pattern], stationary: PolyVector
-) -> list[list[Polynomial]]:
-    """table[v][i]: scaled probability that vertex v links to the infection of
-    state i through one stationary layer above and its vertical bonds."""
-    k = graph.vertex_count
-    vertical_weights = config_weights(k)
-    products = [
-        [entry * w for w in vertical_weights] for entry in stationary.entries
-    ]
-    reach = bridge_reach_table(graph, infected_states, stationary.states)
-    acc: list[list[list[Polynomial]]] = [
-        [[] for _ in infected_states] for _ in range(k)
-    ]
-    for i, masks_by_upper in enumerate(reach):
-        for row, masks in zip(products, masks_by_upper):
-            for z, mask in enumerate(masks):
-                weight = row[z.bit_count()]
-                v = 0
-                while mask:
-                    if mask & 1:
-                        acc[v][i].append(weight)
-                    mask >>= 1
-                    v += 1
-    return [[poly_sum(cell) for cell in row] for row in acc]
-
-
 class Engine:
     """The exact pipeline of one graph.
 
@@ -326,8 +299,26 @@ class Engine:
 
     @cached_property
     def bridge(self) -> list[list[Polynomial]]:
+        """bridge[v][i]: scaled probability that vertex v links to the infection
+        of infected state i through one stationary layer above and its
+        vertical bonds."""
+        k = self.graph.vertex_count
+        vertical_weights = config_weights(k)
+        products = [[entry * w for w in vertical_weights] for entry in self.stationary.entries]
         states = [self.kernel.states[i] for i in self.infected_indices]
-        return _bridge_weight_table(self.graph, states, self.stationary)
+        reach = bridge_reach_table(self.graph, states, self.stationary.states)
+        acc: list[list[list[Polynomial]]] = [[[] for _ in states] for _ in range(k)]
+        for i, masks_by_upper in enumerate(reach):
+            for row, masks in zip(products, masks_by_upper):
+                for z, mask in enumerate(masks):
+                    weight = row[z.bit_count()]
+                    v = 0
+                    while mask:
+                        if mask & 1:
+                            acc[v][i].append(weight)
+                        mask >>= 1
+                        v += 1
+        return [[poly_sum(cell) for cell in row] for row in acc]
 
     @cached_property
     def _weights(self) -> list[list[Polynomial]]:
