@@ -340,10 +340,9 @@ class Engine:
         """Scaled distribution of the layer pattern after n steps."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
-        weights = self._weights
-        while len(weights) <= n:
-            weights.append(_vector_times_matrix(weights[-1], self.kernel))
-        return weights[n]
+        while len(self._weights) <= n:
+            self._weights.append(_vector_times_matrix(self._weights[-1], self.kernel))
+        return self._weights[n]
 
     def _bridge_row(self, vertex: int) -> list[Polynomial]:
         if vertex not in self.graph.vertices:
