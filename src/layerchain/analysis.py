@@ -127,7 +127,7 @@ class _RatFunc:
 def _bareiss_echelon(rows: list[list[Polynomial]]) -> tuple[list[list[Polynomial]], list[int]]:
     """Fraction-free row echelon form; returns reduced rows and pivot columns."""
     n_rows = len(rows)
-    n_cols = len(rows[0])
+    n_cols = len(rows[0]) if rows else 0
     previous = ONE
     pivot_cols: list[int] = []
     rank = 0

@@ -1,11 +1,13 @@
 """Independent Monte Carlo verification of the exact engine.
 
 Sampling is perfect (unbiased): scanning layers downward from layer 0,
-some layer a.s. has all bonds closed, which disconnects everything below
-it; replaying the generated layers upward from the all-singletons state
-therefore yields an exact draw of the stationary layer partition, with no
-truncation bias.  The infection is attached at the origin's block and the
-chain continued upward with fresh layers.
+some layer a.s. has all its |V| vertical bonds closed.  That vertical cut
+disconnects everything below it, so the cut layer's pattern is fixed by its
+own horizontal bonds alone, a renewal point as in coupling from the past.
+Replaying the generated layers upward from the cut therefore yields an
+exact draw of the stationary layer partition, with no truncation bias; the
+mean scan depth is 1/(1-p)^|V|.  The infection is attached at the origin's
+block and the chain continued upward with fresh layers.
 
 The batch path drives the same construction through precomputed successor
 tables and inverse-CDF draws of whole layer configurations, which keeps
@@ -107,9 +109,10 @@ def _draw_config(rng: np.random.Generator, width: int, p: float) -> int:
 def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
     """One exact draw of the layer patterns X_0..X_n.
 
-    Layers below 0 are generated until an all-closed layer appears, then
-    replayed upward from the all-singletons state; the result at layer 0 is
-    an unbiased stationary sample, infected at the origin's block.
+    Layers from 0 downward are generated until one has all its vertical
+    bonds closed, then replayed upward from the all-singletons state (the
+    cut layer's own bonds first); the result at layer 0 is an unbiased
+    stationary sample, infected at the origin's block.
     """
     p = _check_p(p)
     pf = float(p)
@@ -118,9 +121,9 @@ def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
     descent = []
     while True:
         config = _draw_config(rng, width, pf)
-        if config == 0:
-            break
         descent.append(config)
+        if config >> graph.edge_count == 0:
+            break
     state = all_singletons_pattern(graph.vertex_count)
     for config in reversed(descent):
         state = step_pattern(graph, state, config)
@@ -165,26 +168,39 @@ class _Tables:
         self.isolated_core = core_index[all_singletons_pattern(graph.vertex_count)]
 
 
-def _config_cdf(width: int, p: float, skip_all_closed: bool) -> np.ndarray:
+def _config_cdf(width: int, p: float, skip: int = 0) -> np.ndarray:
+    """Inverse-CDF table of width-bit configs for searchsorted(side="right");
+    the first skip configs get probability zero and the rest are rescaled."""
     sizes = np.array([z.bit_count() for z in range(1 << width)], dtype=float)
     probs = p**sizes * (1.0 - p) ** (width - sizes)
-    if skip_all_closed:
-        probs[0] = 0.0
+    if skip:
+        probs[:skip] = 0.0
         probs /= probs.sum()
-    return np.cumsum(probs)
+    cdf = np.cumsum(probs)
+    # rounding can leave the total just below 1; no uniform draw in [0, 1)
+    # may fall past the last config
+    cdf[-1] = max(cdf[-1], 1.0)
+    return cdf
 
 
 def _stationary_core_batch(
     tables: _Tables, p: float, samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of exact stationary partition samples; returns (core indices, depths)."""
-    width = tables.graph.bond_count
-    all_closed_probability = (1.0 - p) ** width
-    depths = rng.geometric(all_closed_probability, size=samples) - 1
-    cdf = _config_cdf(width, p, skip_all_closed=True)
+    """Batch of exact stationary partition samples; returns (core indices, depths).
+
+    depths[i] is the number of layers above the first one, scanning down from
+    layer 0, whose vertical bonds are all closed.  The cut layer's state is
+    its horizontal bonds applied to any source; the layers above it are
+    replayed with configs conditioned on some vertical bond being open.
+    """
+    graph = tables.graph
+    depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
+    draws = rng.random(samples)
+    horizontal = np.searchsorted(_config_cdf(graph.edge_count, p), draws, side="right")
+    cdf = _config_cdf(graph.bond_count, p, skip=1 << graph.edge_count)
     order = np.argsort(-depths, kind="stable")
     sorted_depths = depths[order]
-    states = np.full(samples, tables.isolated_core, dtype=np.int64)
+    states = tables.core_step[tables.isolated_core, horizontal[order]]
     max_depth = int(sorted_depths[0]) if samples else 0
     for countdown in range(max_depth, 0, -1):
         active = np.searchsorted(-sorted_depths, -countdown, side="right")
@@ -206,7 +222,7 @@ def _advance_lumped(
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Advance lumped-state indices; returns the trajectory [X_0, ..., X_steps]."""
-    cdf = _config_cdf(tables.graph.bond_count, p, skip_all_closed=False)
+    cdf = _config_cdf(tables.graph.bond_count, p)
     trajectory = [start]
     current = start
     for _ in range(steps):
@@ -249,7 +265,7 @@ def connection_estimates(
     trajectory = _advance_lumped(tables, pf, start, max_n, rng_chain)
 
     upper, _ = _stationary_core_batch(tables, pf, samples, rng_upper)
-    vertical_cdf = _config_cdf(graph.vertex_count, pf, skip_all_closed=False)
+    vertical_cdf = _config_cdf(graph.vertex_count, pf)
     vertical_by_n: dict[int, np.ndarray] = {}
     for _, n in sorted(set(targets), key=lambda t: t[1]):
         if n not in vertical_by_n:
@@ -289,7 +305,9 @@ def estimate_connection(
 
 def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
     """Chi-square goodness of fit of sampled initial patterns against the
-    exact initial distribution; also reports the mean downward scan depth."""
+    exact initial distribution; also reports the mean downward scan depth,
+    the layers scanned down to and including the first vertical cut, whose
+    expectation is 1/(1-p)^|V|."""
     p = _check_p(p)
     pf = float(p)
     _check_run(samples, seed)
@@ -314,7 +332,8 @@ def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
         expected = samples * probability
         statistic += (observed - expected) ** 2 / expected
         dof += 1
-    pvalue = float(_chi2.sf(statistic, dof))
+    # with one possible state (a one-vertex graph) the fit cannot reject
+    pvalue = float(_chi2.sf(statistic, dof)) if dof else 1.0
     return {
         "chi2": statistic,
         "dof": dof,

@@ -160,6 +160,21 @@ def test_graph_file_loading(tmp_path, capsys):
     assert "disconnected" in err
 
 
+def test_one_vertex_graph(capsys):
+    graph = ("--graph", "path:1")
+    data = run_json(capsys, "stationary", *graph)
+    assert data["stationary"]["entries"] == [["1"]]
+    data = run_json(capsys, "verify", *graph, "--threads", "1")
+    assert data["verdict"] == "proven"
+    data = run_json(capsys, "fit", *graph, "--p", "1/2", "--samples", "500", "--seed", "1")
+    assert data["counts"] == [0, 500] and data["pvalue"] == 1.0
+    data = run_json(
+        capsys, "mc", *graph, "--p", "1/2", "--vertex", "0", "--n", "2",
+        "--samples", "500", "--seed", "1",
+    )
+    assert 0 < data["estimate"] < 1
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "mc", "--graph", "cycle:2")
     assert code == 1 and "requires" in err

@@ -1,17 +1,24 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from layerchain.graphs import cycle, path
 from layerchain.montecarlo import (
     SamplingError,
+    _config_cdf,
     connection_estimates,
     estimate_connection,
     initial_pattern_fit,
     sample_layer_chain,
 )
 from layerchain.patterns import Pattern, STAR
+from test_kernels import small_graphs
 
 HALF = Fraction(1, 2)
+FIT_PROBABILITIES = (Fraction(3, 10), HALF, Fraction(7, 10))
 
 
 def test_chain_starts_infected_at_origin(c2, c3):
@@ -55,29 +62,55 @@ def test_chi_square_fit_does_not_reject(c2):
     assert sum(fit["counts"]) == 20000
 
 
-def test_scalar_and_batch_samplers_agree(c2):
+def test_scalar_and_batch_samplers_agree(c2, c3):
     """Two independent sampler implementations: frequencies of the initial
     pattern from the scalar bond-level path stay within Monte Carlo error of
     the exact probabilities used to validate the batch path."""
     samples = 1500
-    counts = {}
-    for seed in range(samples):
-        first = sample_layer_chain(c2, HALF, 0, seed=10_000 + seed)[0]
-        counts[str(first)] = counts.get(str(first), 0) + 1
-    fit = initial_pattern_fit(c2, HALF, 50_000, seed=23)
-    for state, probability in zip(fit["states"], fit["probabilities"]):
-        observed = counts.get(state, 0) / samples
-        if probability > 0:
-            margin = 5 * (probability * (1 - probability) / samples) ** 0.5
-            assert abs(observed - probability) < margin, state
-        else:
-            assert observed == 0
+    for graph, p in ((c2, HALF), (c3, Fraction(7, 10))):
+        counts = {}
+        for seed in range(samples):
+            first = sample_layer_chain(graph, p, 0, seed=10_000 + seed)[0]
+            counts[str(first)] = counts.get(str(first), 0) + 1
+        fit = initial_pattern_fit(graph, p, 50_000, seed=23)
+        for state, probability in zip(fit["states"], fit["probabilities"]):
+            observed = counts.get(state, 0) / samples
+            if probability > 0:
+                margin = 5 * (probability * (1 - probability) / samples) ** 0.5
+                assert abs(observed - probability) < margin, (graph.describe(), state)
+            else:
+                assert observed == 0
+
+
+@settings(max_examples=24)  # each example solves the exact initial distribution
+@given(small_graphs(), st.sampled_from(FIT_PROBABILITIES))
+@example(cycle(4), FIT_PROBABILITIES[0])
+@example(cycle(4), FIT_PROBABILITIES[1])
+@example(cycle(4), FIT_PROBABILITIES[2])
+@example(path(3), FIT_PROBABILITIES[0])
+@example(path(3), FIT_PROBABILITIES[1])
+@example(path(3), FIT_PROBABILITIES[2])
+def test_initial_patterns_fit_exact_distribution(graph, p):
+    fit = initial_pattern_fit(graph, p, 20_000, seed=41)
+    assert fit["pvalue"] > 1e-4, (graph.describe(), p, fit["chi2"])
+
+
+def test_config_cdf_takes_every_draw_below_one():
+    # at width 3 and p = 0.3 the summed probabilities round to 0.9999999999999997
+    below_one = np.nextafter(1.0, 0)
+    for width in range(5):
+        for p in (0.3, 0.5, 0.7):
+            for skip in {0, (1 << width) // 2}:
+                cdf = _config_cdf(width, p, skip)
+                assert np.all(np.diff(cdf) >= 0)
+                assert np.searchsorted(cdf, below_one, side="right") == len(cdf) - 1
+                assert np.searchsorted(cdf, 0.0, side="right") == skip
 
 
 def test_scan_depth_matches_geometric_mean(c2):
     p = Fraction(7, 10)
     fit = initial_pattern_fit(c2, p, 30000, seed=29)
-    expected = 1.0 / (1.0 - float(p)) ** c2.bond_count
+    expected = 1.0 / (1.0 - float(p)) ** c2.vertex_count
     assert expected / 1.2 < fit["mean_layers_scanned"] < expected * 1.2
 
 
