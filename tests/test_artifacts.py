@@ -34,12 +34,16 @@ COMMANDS = (
     ("expected", "--n", "2", "--p", "1/3"),
     ("expected-mono", "--n", "2"),
     ("extremal", "--kind", "open"),
+    ("extremal", "--kind", "closed"),
     ("decay", "--p", "1/2"),
     ("mc", "--p", "7/10", "--vertex", "1", "--n", "2", "--samples", "2000", "--seed", "7"),
     ("fit", "--p", "1/2", "--samples", "2000", "--seed", "3"),
 )
 
-CASES = [(graph, command) for graph in GRAPHS for command in COMMANDS]
+# the stationary solve on graphs whose vectors have higher degree
+CASES = [(graph, command) for graph in GRAPHS for command in COMMANDS] + [
+    (graph, ("stationary",)) for graph in ("cycle:4", "path:4")
+]
 
 
 def _key(graph: str, command: tuple) -> str:
