@@ -2,22 +2,35 @@
 extremal per-layer bond counts, and a numeric decay-rate estimator.
 
 The stationary distribution of the connectivity chain is solved exactly
-over the rational-function field: fraction-free (Bareiss) elimination with
-lowest-degree pivoting keeps intermediate degrees down, and one rational
-back-substitution pass recovers the eigenvector, which is then cleared to
-a primitive polynomial vector over a positive polynomial normalizer.
+in Z[p]: fraction-free (Bareiss) elimination with lowest-degree pivoting
+keeps intermediate degrees down, and back-substitution with the free entry
+set to the last pivot gives, by Cramer's rule, a vector of minors, so every
+division is exact.  The vector is then cleared to a primitive polynomial
+vector whose entries and normalizer are certified positive on (0, 1).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ONE, Polynomial, poly_gcd, poly_sum
+from .algebra import (
+    NEGATIVE,
+    ONE,
+    POSITIVE,
+    UNIT_OPEN,
+    Polynomial,
+    certify_sign,
+    poly_dot,
+    poly_dot_table,
+    poly_gcd,
+    poly_sum,
+)
 from .errors import CodedError
 from .graphs import Graph, closure
 from .kernels import PolyMatrix, lumped_state_list, successor_table
@@ -93,39 +106,12 @@ class PolyVector:
         )
 
 
-class _RatFunc:
-    """Ratio of polynomials, reduced by polynomial gcd after every operation."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = ONE):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: "_RatFunc") -> "_RatFunc":
-        return _RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "_RatFunc") -> "_RatFunc":
-        return _RatFunc(self.num * other.num, self.den * other.den)
-
-    def __neg__(self) -> "_RatFunc":
-        return _RatFunc(-self.num, self.den)
-
-    def divided_by(self, poly: Polynomial) -> "_RatFunc":
-        return _RatFunc(self.num, self.den * poly)
-
-
 def _bareiss_echelon(rows: list[list[Polynomial]]) -> tuple[list[list[Polynomial]], list[int]]:
-    """Fraction-free row echelon form; returns reduced rows and pivot columns."""
+    """Fraction-free row echelon form; returns reduced rows and pivot columns.
+
+    Each new entry is the cross-product pivot * a - factor * b divided
+    exactly by the previous pivot; rows are zero to the left of their pivot.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     previous = ONE
@@ -141,14 +127,11 @@ def _bareiss_echelon(rows: list[list[Polynomial]]) -> tuple[list[list[Polynomial
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
         pivot = rows[rank][col]
+        pivot_tail = rows[rank][col + 1 :]
         for i in range(rank + 1, n_rows):
-            factor = rows[i][col]
-            new_row = []
-            for j in range(n_cols):
-                value = pivot * rows[i][j] - factor * rows[rank][j]
-                new_row.append(value.exact_div(previous))
-            new_row[col] = ZERO
-            rows[i] = new_row
+            pairs = list(zip(rows[i][col + 1 :], pivot_tail))
+            cross = poly_dot_table([[pivot, -rows[i][col]]], pairs)[0]
+            rows[i] = [ZERO] * (col + 1) + [value.exact_div(previous) for value in cross]
         previous = pivot
         pivot_cols.append(col)
         rank += 1
@@ -159,7 +142,7 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
     """Unique stationary row vector of an irreducible row-stochastic kernel.
 
     Entries and the normalizer are polynomials with cleared common gcd and
-    integer content, signed so that everything is positive at p = 1/2.
+    integer content, each certified positive on (0, 1).
     """
     n = kernel.size
     if any(s != ONE for s in kernel.row_sums()):
@@ -179,26 +162,15 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
     if len(pivot_cols) != n - 1:
         raise ChainAnalysisError("chain-reducible", "stationary eigenspace dimension is not 1")
     free_col = next(j for j in range(n) if j not in pivot_cols)
-    solution: list[Optional[_RatFunc]] = [None] * n
-    solution[free_col] = _RatFunc(ONE)
-    for r in reversed(range(len(pivot_cols))):
+    # With the free entry equal to the last pivot, the minor of the pivot
+    # columns, Cramer's rule makes every entry a minor of the system, so
+    # each division below is exact.
+    entries = [ZERO] * n
+    entries[free_col] = rows[-1][pivot_cols[-1]] if rows else ONE
+    for r in reversed(range(n - 1)):
         col = pivot_cols[r]
-        acc = _RatFunc(ZERO)
-        for j in range(n):
-            if j == col or rows[r][j].is_zero:
-                continue
-            term = solution[j]
-            if term is None:
-                raise ChainAnalysisError("echelon-order", "echelon back-substitution out of order")
-            acc = acc + _RatFunc(rows[r][j]) * term
-        solution[col] = (-acc).divided_by(rows[r][col])
-
-    # clear to a common polynomial denominator
-    common_den = ONE
-    for ratio in solution:
-        g = poly_gcd(common_den, ratio.den)
-        common_den = common_den * ratio.den.exact_div(g) if g.degree > 0 else common_den * ratio.den
-    entries = [ratio.num * common_den.exact_div(ratio.den) for ratio in solution]
+        acc = poly_dot(rows[r][col + 1 :], entries[col + 1 :])
+        entries[col] = (-acc).exact_div(rows[r][col])
 
     # strip the common polynomial factor (this also divides the normalizer)
     g = ZERO
@@ -227,13 +199,12 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
     entries = [Polynomial(ints) for ints in int_entries]
 
     normalizer = poly_sum(entries)
-    half = Fraction(1, 2)
-    if normalizer(half) < 0:
+    if certify_sign(normalizer, UNIT_OPEN).verdict == NEGATIVE:
         entries = [-e for e in entries]
         normalizer = -normalizer
-    if normalizer(half) <= 0:
+    if any(certify_sign(q, UNIT_OPEN).verdict != POSITIVE for q in (normalizer, *entries)):
         raise ChainAnalysisError(
-            "normalizer-vanishes", "stationary normalizer vanishes at p = 1/2"
+            "stationary-not-positive", "stationary vector is not positive on (0, 1)"
         )
 
     result = PolyVector(tuple(kernel.states), tuple(entries), normalizer)
@@ -242,13 +213,10 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
 
 
 def _assert_stationary(vector: PolyVector, kernel: PolyMatrix) -> None:
-    cols = list(zip(*kernel.entries))
-    for j, col in enumerate(cols):
-        image = poly_sum(e * c for e, c in zip(vector.entries, col))
-        if image != vector.entries[j]:
-            raise ChainAnalysisError(
-                "stationary-identity", "stationary identity alpha * pi = alpha failed"
-            )
+    if kernel.vecmat(vector.entries) != list(vector.entries):
+        raise ChainAnalysisError(
+            "stationary-identity", "stationary identity alpha * pi = alpha failed"
+        )
 
 
 def initial_distribution(stationary: PolyVector, graph: Graph) -> PolyVector:
@@ -322,68 +290,61 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
         raise ChainAnalysisError(
             "endpoint-uninfected", "extremal constants require infected endpoints"
         )
-    return _extremal(graph, _infected_successors(graph, [source]), source, target, kind)
+    moves = _cheapest_moves(graph, _infected_successors(graph, [source]), kind)
+    return _extremal(moves, source, target, kind)
+
+
+def _cheapest_moves(
+    graph: Graph, table: dict[Pattern, list], kind: str
+) -> dict[Pattern, dict[Pattern, int]]:
+    """moves[u][v]: the fewest open (kind "open") or closed bonds of any
+    layer taking u to the infected pattern v."""
+    b = graph.bond_count
+    costs = [z.bit_count() if kind == "open" else b - z.bit_count() for z in range(1 << b)]
+    moves: dict[Pattern, dict[Pattern, int]] = {}
+    for u, row in table.items():
+        cheapest = moves[u] = {}
+        for cost, v in zip(costs, row):
+            if v.infected and cost < cheapest.get(v, b + 1):
+                cheapest[v] = cost
+    return moves
 
 
 def _extremal(
-    graph: Graph, table: dict[Pattern, list], source: Pattern, target: Pattern, kind: str
+    moves: dict[Pattern, dict[Pattern, int]], source: Pattern, target: Pattern, kind: str
 ) -> ExtremalReport:
-    """extremal_constants over the successor rows of the infected patterns
-    reachable from source (table holds exactly those)."""
-    b = graph.bond_count
-    if target not in table:
+    """extremal_constants over the cheapest moves of the infected patterns
+    reachable from source (moves holds exactly those)."""
+    if target not in moves:
         raise ChainAnalysisError("target-unreachable", f"{target} is not reachable from {source}")
 
-    predecessors: dict[Pattern, set[Pattern]] = {u: set() for u in table}
-    for u, row in table.items():
-        for v in set(row):
-            if v.infected:
-                predecessors[v].add(u)
+    predecessors: dict[Pattern, set[Pattern]] = {u: set() for u in moves}
+    for u, row in moves.items():
+        for v in row:
+            predecessors[v].add(u)
     co_reach = closure([target], predecessors.__getitem__)
-
-    costs = [z.bit_count() if kind == "open" else b - z.bit_count() for z in range(1 << b)]
-    minimum = None
-    for u, row in table.items():
-        for z, v in enumerate(row):
-            if v.infected and v in co_reach:
-                cost = costs[z]
-                if minimum is None or cost < minimum:
-                    minimum = cost
+    minimum = min(
+        (cost for row in moves.values() for v, cost in row.items() if v in co_reach),
+        default=None,
+    )
     if minimum is None:
         raise ChainAnalysisError("no-transition", "no infected transition found")
 
-    # shortest walk containing a minimal layer: BFS over (pattern, seen-flag)
-    step_all: dict[Pattern, set[Pattern]] = {}
-    step_min: dict[Pattern, set[Pattern]] = {}
-    step_other: dict[Pattern, set[Pattern]] = {}
-    for u, row in table.items():
-        step_all[u] = set()
-        step_min[u] = set()
-        step_other[u] = set()
-        for z, v in enumerate(row):
-            if not v.infected:
-                continue
-            step_all[u].add(v)
-            if costs[z] == minimum:
-                step_min[u].add(v)
-            else:
-                step_other[u].add(v)
-
+    # shortest walk containing a minimal layer: BFS over (pattern, seen-flag).
+    # A move flags the walk iff its cost is the minimum; a cheaper move
+    # leaves the co-reach set, and a dearer move to the same pattern is
+    # dominated by the flagged one.
     start = (source, False)
-    distance = {start: 0}
-    queue = [start]
     goal = (target, True)
+    distance = {start: 0}
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node == goal:
             break
         u, flag = node
-        moves = (
-            [(v, True) for v in step_all[u]]
-            if flag
-            else [(v, True) for v in step_min[u]] + [(v, False) for v in step_other[u]]
-        )
-        for nxt in moves:
+        for v, cost in moves[u].items():
+            nxt = (v, flag or cost == minimum)
             if nxt not in distance:
                 distance[nxt] = distance[node] + 1
                 queue.append(nxt)
@@ -395,13 +356,13 @@ def _extremal(
 def extremal_step_bound(graph: Graph, kind: str) -> int:
     """Maximum, over reachable infected pattern pairs, of the minimal walk length."""
     infected = [x for x in enumerate_patterns(graph) if x.infected]
-    table = _infected_successors(graph, infected)
+    moves = _cheapest_moves(graph, _infected_successors(graph, infected), kind)
     best = 0
     for source in infected:
-        seen = closure([source], lambda x: [y for y in table[x] if y.infected])
-        rows = {x: table[x] for x in seen}
+        seen = closure([source], moves.__getitem__)
+        rows = {x: moves[x] for x in seen}
         for target in seen:
-            best = max(best, _extremal(graph, rows, source, target, kind).min_steps)
+            best = max(best, _extremal(rows, source, target, kind).min_steps)
     return best
 
 

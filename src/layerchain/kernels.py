@@ -180,6 +180,10 @@ class PolyMatrix:
         table = poly_dot_table(self.entries, list(zip(*other.entries)))
         return PolyMatrix(self.states, tuple(tuple(row) for row in table))
 
+    def vecmat(self, vector: Sequence[Polynomial]) -> list[Polynomial]:
+        """The row vector times this matrix, as one Kronecker product table."""
+        return poly_dot_table([vector], list(zip(*self.entries)))[0]
+
     @staticmethod
     def identity(states) -> "PolyMatrix":
         n = len(states)

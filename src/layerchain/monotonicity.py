@@ -29,7 +29,6 @@ from .algebra import (
     _eval_sign,
     certify_sign,
     poly_dot,
-    poly_dot_table,
     poly_sum,
 )
 from .analysis import PolyVector, initial_distribution, stationary_distribution
@@ -143,10 +142,6 @@ def matrix_onset(
     raise OnsetCapExceeded(cap)
 
 
-def _vector_times_matrix(vector: Sequence[Polynomial], kernel: PolyMatrix) -> list[Polynomial]:
-    return poly_dot_table([vector], list(zip(*kernel.entries)))[0]
-
-
 @dataclass
 class OnsetCertificate:
     """Certified onset of pattern-probability monotonicity for one graph.
@@ -238,7 +233,7 @@ def vector_onset(
     weights = list(initial.entries)
     step_certs: list[list[SignCertificate]] = []
     for _ in range(matrix_step):
-        advanced = _vector_times_matrix(weights, kernel)
+        advanced = kernel.vecmat(weights)
         certs = cache.certify_many([weights[i] - advanced[i] for i in infected])
         step_certs.append(certs)
         weights = advanced
@@ -341,7 +336,7 @@ class Engine:
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         while len(self._weights) <= n:
-            self._weights.append(_vector_times_matrix(self._weights[-1], self.kernel))
+            self._weights.append(self.kernel.vecmat(self._weights[-1]))
         return self._weights[n]
 
     def _bridge_row(self, vertex: int) -> list[Polynomial]:

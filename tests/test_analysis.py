@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from layerchain.algebra import (
     Interval,
@@ -11,6 +12,7 @@ from layerchain.algebra import (
     POSITIVE,
     Polynomial,
     certify_sign,
+    poly_gcd,
     poly_sum,
 )
 from layerchain.analysis import (
@@ -33,6 +35,7 @@ from layerchain.patterns import (
     all_singletons_pattern,
     enumerate_patterns,
 )
+from test_kernels import small_graphs
 
 OMP = Polynomial((1, -1))
 HALF = Fraction(1, 2)
@@ -112,6 +115,37 @@ def test_stationary_rejects_non_stochastic():
     bad = PolyMatrix(states, ((ONE, P), (ONE, Polynomial())))
     with pytest.raises(ChainAnalysisError):
         stationary_distribution(bad)
+
+
+def test_stationary_rejects_sign_changing_vector():
+    # rows sum to 1, but the left null vector (2p - 1, 2p) over 4p - 1
+    # changes sign on (0, 1)
+    half = Fraction(1, 2)
+    kernel = PolyMatrix(
+        ("a", "b"),
+        ((OMP, P), (Polynomial((-half, 1)), Polynomial((3 * half, -1)))),
+    )
+    with pytest.raises(ChainAnalysisError) as error:
+        stationary_distribution(kernel)
+    assert error.value.code == "stationary-not-positive"
+
+
+@given(small_graphs())
+def test_stationary_vector_properties(graph):
+    reduced = build_reduced_kernel(graph)
+    stationary = stationary_distribution(reduced)
+    columns = list(zip(*reduced.entries))
+    for j, col in enumerate(columns):
+        image = poly_sum(e * c for e, c in zip(stationary.entries, col))
+        assert image == stationary.entries[j]
+    assert poly_sum(stationary.entries) == stationary.normalizer
+    g = stationary.entries[0]
+    for e in stationary.entries[1:]:
+        g = poly_gcd(g, e)
+    assert g == ONE
+    assert math.gcd(*(c for e in stationary.entries for c in e.coeffs)) == 1
+    for entry in stationary.entries:
+        assert certify_sign(entry, Interval(0, 1)).verdict == POSITIVE
 
 
 def test_stationary_rejects_reducible_chain():
@@ -247,6 +281,16 @@ def test_extremal_step_bound(c2):
     assert extremal_step_bound(c2, "closed") >= 1
 
 
+@pytest.mark.parametrize(
+    "graph,open_steps,closed_steps",
+    [(cycle(3), 3, 2), (path(3), 3, 2), (path(4), 4, 5)],
+    ids=["cycle:3", "path:3", "path:4"],
+)
+def test_extremal_step_bound_values(graph, open_steps, closed_steps):
+    assert extremal_step_bound(graph, "open") == open_steps
+    assert extremal_step_bound(graph, "closed") == closed_steps
+
+
 # ---------------------------------------------------------------------------
 # Decay rate.
 # ---------------------------------------------------------------------------
@@ -312,14 +356,7 @@ def test_stationary_matches_sympy_nullspace(pipeline_c3):
     reduced, stationary = pipeline_c3[0], pipeline_c3[1]
     p = sympy.Symbol("p")
     n = reduced.size
-    matrix = sympy.Matrix(
-        n,
-        n,
-        lambda i, j: sympy.Poly(
-            list(reversed(list(reduced.entries[i][j].coeffs))), p
-        ).as_expr(),
-    )
-    null = (matrix.T - sympy.eye(n)).nullspace()
+    null = (_sympy_matrix(reduced, p).T - sympy.eye(n)).nullspace()
     assert len(null) == 1
     direction = [sympy.together(value) for value in null[0]]
     # both vectors span the same line: cross-ratios must cancel exactly
@@ -329,3 +366,39 @@ def test_stationary_matches_sympy_nullspace(pipeline_c3):
     for i in range(1, n):
         cross = sympy.simplify(mine[0] * direction[i] - mine[i] * direction[0])
         assert cross == 0
+
+
+def _sympy_matrix(kernel: PolyMatrix, p):
+    import sympy
+
+    n = kernel.size
+    return sympy.Matrix(
+        n,
+        n,
+        lambda i, j: sympy.Poly(list(reversed(list(kernel.entries[i][j].coeffs))), p).as_expr(),
+    )
+
+
+def test_stationary_rational_kernel_matches_sympy_nullspace():
+    """A kernel with Fraction coefficients goes through the rational
+    fallback of exact division and still gives a primitive integer vector."""
+    import sympy
+
+    third, half, quarter = Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)
+    kernel = PolyMatrix(
+        ("a", "b", "c"),
+        (
+            (Polynomial((third,)), Polynomial((third, -third)), Polynomial((third, third))),
+            (Polynomial((0, half)), Polynomial((half,)), Polynomial((half, -half))),
+            (Polynomial((quarter,)), Polynomial((0, quarter)), Polynomial((3 * quarter, -quarter))),
+        ),
+    )
+    stationary = stationary_distribution(kernel)
+    assert all(type(c) is int for e in stationary.entries for c in e.coeffs)
+    assert math.gcd(*(c for e in stationary.entries for c in e.coeffs)) == 1
+    p = sympy.Symbol("p")
+    null = (_sympy_matrix(kernel, p).T - sympy.eye(3)).nullspace()
+    assert len(null) == 1
+    mine = [sympy.Poly(list(reversed(list(e.coeffs))), p).as_expr() for e in stationary.entries]
+    for i in range(1, 3):
+        assert sympy.simplify(mine[0] * null[0][i] - mine[i] * null[0][0]) == 0

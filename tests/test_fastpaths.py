@@ -98,12 +98,14 @@ def schoolbook_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def test_kronecker_matmul_matches_schoolbook(pair):
     a, b = pair
     assert a @ b == schoolbook_matmul(a, b)
+    assert b.vecmat(a.entries[0]) == list(schoolbook_matmul(a, b).entries[0])
 
 
 @given(square_matrices(st.one_of(int_poly, rational_poly)))
 def test_matmul_with_rational_entries(pair):
     a, b = pair
     assert a @ b == schoolbook_matmul(a, b)
+    assert b.vecmat(a.entries[0]) == list(schoolbook_matmul(a, b).entries[0])
 
 
 # ---------------------------------------------------------------------------
