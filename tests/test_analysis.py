@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from layerchain.algebra import (
     Interval,
@@ -130,6 +130,7 @@ def test_stationary_rejects_sign_changing_vector():
     assert error.value.code == "stationary-not-positive"
 
 
+@settings(max_examples=30)  # each example is one exact stationary solve
 @given(small_graphs())
 def test_stationary_vector_properties(graph):
     reduced = build_reduced_kernel(graph)
