@@ -9,11 +9,12 @@ products use Kronecker substitution (each polynomial packed into one big
 integer, at a slot width proven from the coefficient sizes).  Rational
 coefficients take the Fraction fallback.
 
-Sign questions on subintervals of [0, 1] are answered in two stages.  A
-Descartes rule-of-signs test on the interval mapped onto (0, oo) proves
-most polynomials root-free inside the interval; the rest go to Sturm's
-method, where root counting uses the squarefree part and a primitive
-pseudo-remainder sequence.  Certificates classify a polynomial as positive,
+Sign questions on subintervals of [0, 1] rest on one root counter:
+Descartes' rule of signs on the interval mapped onto (0, oo).  With no
+sign variation the polynomial is root-free inside the interval, which
+settles most polynomials at once; the rest are split by Yun's squarefree
+decomposition and their roots counted by Descartes bisection
+(Vincent-Collins-Akritas).  Certificates classify a polynomial as positive,
 nonnegative with interior zeros, identically zero, sign-changing (with an
 isolating witness interval), or negative.
 """
@@ -482,55 +483,6 @@ def _yun_decomposition(cs: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-class _SturmChain:
-    """Sturm chain of a squarefree integer polynomial, reused across endpoints."""
-
-    def __init__(self, squarefree: list[int]):
-        chain = [_primitive(list(squarefree))]
-        deriv = _primitive(_derivative_int(squarefree))
-        if deriv:
-            chain.append(deriv)
-            while True:
-                rem = _prem_positive(chain[-2], chain[-1])
-                if not rem:
-                    break
-                chain.append(_primitive([-c for c in rem]))
-        self.chain = chain
-
-    def variations(self, point: Fraction) -> int:
-        signs = [s for s in (_eval_sign(cs, point) for cs in self.chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def count_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in the open interval; endpoints must not be roots."""
-        return self.variations(lo) - self.variations(hi)
-
-
-def _exact_div_rational(cs: list[int], root: Fraction) -> list[int]:
-    """Divide an integer polynomial by (den*p - num) at a rational root num/den.
-
-    (den*p - num) is primitive, so by Gauss's lemma the quotient is integral.
-    """
-    return _primitive(_exact_div_int(cs, [-root.numerator, root.denominator]))
-
-
-def _strip_endpoint_roots(cs: list[int], lo: Fraction, hi: Fraction) -> list[int]:
-    """Divide out roots sitting exactly at the interval endpoints."""
-    while len(cs) > 1 and _eval_sign(cs, lo) == 0:
-        cs = _exact_div_rational(cs, lo)
-    while len(cs) > 1 and _eval_sign(cs, hi) == 0:
-        cs = _exact_div_rational(cs, hi)
-    return cs
-
-
-def _count_roots_open(squarefree: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of a squarefree integer polynomial strictly inside (lo, hi)."""
-    stripped = _strip_endpoint_roots(squarefree, lo, hi)
-    if len(stripped) <= 1:
-        return 0
-    return _SturmChain(stripped).count_open(lo, hi)
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor up to scale: primitive, positive leading coefficient."""
     ia, _ = a.integer_scaled()
@@ -539,17 +491,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def sturm_root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
-    """Number of distinct real roots of q strictly inside (lo, hi)."""
+    """Number of distinct real roots of q strictly inside (lo, hi).
+
+    The roots of the squarefree part of q are counted by Descartes
+    bisection (_count_roots), the counter behind certify_sign.
+    """
     if q.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("empty interval")
     ints, _ = q.integer_scaled()
-    sqf = _squarefree_part(ints)
-    if len(sqf) <= 1:
-        return 0
-    return _count_roots_open(sqf, lo, hi)
+    return _count_roots(_squarefree_part(ints), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +583,14 @@ class SignCertificate:
         return SignCertificate(data["verdict"], Interval.from_dict(data["interval"]), witness)
 
 
-def _nonroot_point(avoid: list[list[int]], lo: Fraction, hi: Fraction) -> Fraction:
-    """Deterministic rational in (lo, hi) that is a root of none of the given polys."""
+def _nonroot_point(cs: list[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """Deterministic rational in (lo, hi) that is not a root of cs."""
     width = hi - lo
     level = 2
     while True:
         for j in range(1, level, 2):
             point = lo + width * Fraction(j, level)
-            if all(_eval_sign(cs, point) != 0 for cs in avoid):
+            if _eval_sign(cs, point) != 0:
                 return point
         level *= 2
 
@@ -647,20 +600,14 @@ def _isolate_sign_change(
 ) -> Interval:
     """Shrink (lo, hi) to an interval where q provably changes sign.
 
-    odd must have its endpoint roots stripped and at least one root inside.
+    odd, a squarefree divisor of q, must have at least one root inside.
     """
-    chain = _SturmChain(odd)
     a, b = lo, hi
-
-    def ok_endpoint(pt: Fraction) -> bool:
-        return _eval_sign(qints, pt) != 0 and _eval_sign(odd, pt) != 0
-
     while True:
-        if ok_endpoint(a) and ok_endpoint(b) and chain.count_open(a, b) == 1:
-            if _eval_sign(qints, a) * _eval_sign(qints, b) < 0:
-                return Interval(a, b)
-        mid = _nonroot_point([qints, odd], a, b)
-        if chain.count_open(a, mid) >= 1:
+        if _eval_sign(qints, a) * _eval_sign(qints, b) < 0 and _count_roots(odd, a, b) == 1:
+            return Interval(a, b)
+        mid = _nonroot_point(qints, a, b)
+        if _count_roots(odd, a, mid) >= 1:
             b = mid
         else:
             a = mid
@@ -704,6 +651,29 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _count_roots(squarefree: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of a squarefree integer polynomial strictly inside (lo, hi).
+
+    Vincent-Collins-Akritas bisection: by Descartes' rule an image with no
+    sign variation has no positive root and one with a single variation has
+    exactly one; any other interval is halved, and a root at its midpoint is
+    counted there.  Roots at lo or hi map to 0 or oo, never to a positive
+    root of the image, so they are excluded.
+    """
+    count = 0
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        variations = _sign_variations(_interval_image(squarefree, a, b))
+        if variations <= 1:
+            count += variations
+            continue
+        mid = (a + b) / 2
+        count += _eval_sign(squarefree, mid) == 0
+        pending += [(a, mid), (mid, b)]
+    return count
+
+
 def _endpoint_zero(qints: list[int], interval: Interval) -> bool:
     """Whether q vanishes at an endpoint the interval includes."""
     return (interval.closed_lo and _eval_sign(qints, interval.lo) == 0) or (
@@ -718,10 +688,13 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     at an included endpoint demotes "positive" to the nonnegative verdict;
     "negative" likewise covers nonpositive polynomials with isolated zeros.
 
-    Descartes' rule of signs settles q first: when the image of q on
+    Descartes' rule of signs settles most q at once: when the image of q on
     (0, oo) has no sign variation, q has no root inside the interval and
     the sign of any coefficient of the image is the sign of q there.
-    Every other polynomial goes to the Sturm classification.
+    Otherwise Yun's decomposition splits q into the product of its factors
+    of odd multiplicity and that of its factors of even multiplicity, and
+    the one root counter, _count_roots, decides whether either has a root
+    inside: an odd root is a sign change, isolated in a witness interval.
     """
     if interval.lo < 0 or interval.hi > 1:
         raise ValueError("certification interval must lie within [0, 1]")
@@ -729,19 +702,14 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
         return SignCertificate(IDENTICALLY_ZERO, interval)
 
     qints, _ = q.integer_scaled()
-    image = _interval_image(qints, interval.lo, interval.hi)
+    lo, hi = interval.lo, interval.hi
+    image = _interval_image(qints, lo, hi)
     if _sign_variations(image) == 0:
         if next(c for c in image if c) < 0:
             return SignCertificate(NEGATIVE, interval)
         if _endpoint_zero(qints, interval):
             return SignCertificate(NONNEGATIVE, interval)
         return SignCertificate(POSITIVE, interval)
-    return _certify_by_sturm(qints, interval)
-
-
-def _certify_by_sturm(qints: list[int], interval: Interval) -> SignCertificate:
-    """certify_sign for a nonzero integer polynomial, by Sturm root counting."""
-    endpoint_zero = _endpoint_zero(qints, interval)
 
     # p and (1-p) are positive on the open interior of any subinterval of
     # [0, 1]; stripping those factors keeps interior sign analysis intact.
@@ -758,28 +726,19 @@ def _certify_by_sturm(qints: list[int], interval: Interval) -> SignCertificate:
 
     # Yun's factors are squarefree and pairwise coprime, so odd and even are
     # squarefree products.
-    factors = _yun_decomposition(stripped)
-    odd = [1]
-    even = [1]
-    for factor, mult in factors:
+    odd, even = ONE, ONE
+    for factor, mult in _yun_decomposition(stripped):
         if mult % 2:
-            odd = _trim([c for c in (Polynomial(odd) * Polynomial(factor)).coeffs])
+            odd = odd * Polynomial(factor)
         else:
-            even = _trim([c for c in (Polynomial(even) * Polynomial(factor)).coeffs])
+            even = even * Polynomial(factor)
+    odd, even = list(odd.coeffs), list(even.coeffs)
 
-    lo, hi = interval.lo, interval.hi
-    odd = _strip_endpoint_roots(odd, lo, hi) if len(odd) > 1 else odd
-    n_odd = _count_roots_open(odd, lo, hi) if len(odd) > 1 else 0
-    n_even = _count_roots_open(even, lo, hi) if len(even) > 1 else 0
-
-    if n_odd > 0:
+    if _count_roots(odd, lo, hi):
         witness = _isolate_sign_change(qints, odd, lo, hi)
         return SignCertificate(CHANGES_SIGN, interval, witness)
-
-    probe = _nonroot_point([qints], lo, hi)
-    sign = _eval_sign(qints, probe)
-    if sign > 0:
-        if n_even > 0 or endpoint_zero:
-            return SignCertificate(NONNEGATIVE, interval)
-        return SignCertificate(POSITIVE, interval)
-    return SignCertificate(NEGATIVE, interval)
+    if _eval_sign(qints, _nonroot_point(qints, lo, hi)) < 0:
+        return SignCertificate(NEGATIVE, interval)
+    if _endpoint_zero(qints, interval) or _count_roots(even, lo, hi):
+        return SignCertificate(NONNEGATIVE, interval)
+    return SignCertificate(POSITIVE, interval)

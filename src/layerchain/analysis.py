@@ -291,7 +291,7 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
             "endpoint-uninfected", "extremal constants require infected endpoints"
         )
     moves = _cheapest_moves(graph, _infected_successors(graph, [source]), kind)
-    return _extremal(moves, source, target, kind)
+    return _extremal(moves, _predecessors(moves), source, target, kind)
 
 
 def _cheapest_moves(
@@ -310,21 +310,30 @@ def _cheapest_moves(
     return moves
 
 
+def _predecessors(moves: dict[Pattern, dict[Pattern, int]]) -> dict[Pattern, dict[Pattern, int]]:
+    """predecessors[v][u]: the cost of the cheapest move from u to v."""
+    predecessors: dict[Pattern, dict[Pattern, int]] = {u: {} for u in moves}
+    for u, row in moves.items():
+        for v, cost in row.items():
+            predecessors[v][u] = cost
+    return predecessors
+
+
 def _extremal(
-    moves: dict[Pattern, dict[Pattern, int]], source: Pattern, target: Pattern, kind: str
+    moves: dict[Pattern, dict[Pattern, int]],
+    predecessors: dict[Pattern, dict[Pattern, int]],
+    source: Pattern,
+    target: Pattern,
+    kind: str,
 ) -> ExtremalReport:
     """extremal_constants over the cheapest moves of the infected patterns
-    reachable from source (moves holds exactly those)."""
+    reachable from source (moves holds exactly those) and their predecessors."""
     if target not in moves:
         raise ChainAnalysisError("target-unreachable", f"{target} is not reachable from {source}")
 
-    predecessors: dict[Pattern, set[Pattern]] = {u: set() for u in moves}
-    for u, row in moves.items():
-        for v in row:
-            predecessors[v].add(u)
     co_reach = closure([target], predecessors.__getitem__)
     minimum = min(
-        (cost for row in moves.values() for v, cost in row.items() if v in co_reach),
+        (cost for v in co_reach for cost in predecessors[v].values()),
         default=None,
     )
     if minimum is None:
@@ -361,8 +370,9 @@ def extremal_step_bound(graph: Graph, kind: str) -> int:
     for source in infected:
         seen = closure([source], moves.__getitem__)
         rows = {x: moves[x] for x in seen}
+        predecessors = _predecessors(rows)
         for target in seen:
-            best = max(best, _extremal(rows, source, target, kind).min_steps)
+            best = max(best, _extremal(rows, predecessors, source, target, kind).min_steps)
     return best
 
 
@@ -371,16 +381,11 @@ def extremal_step_bound(graph: Graph, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def estimate_decay_rate(
-    kernel: PolyMatrix,
-    p,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10**6,
-) -> float:
-    """Spectral radius of the infected-states block at a fixed p, by power iteration.
+def estimate_decay_rate(kernel: PolyMatrix, p) -> float:
+    """Spectral radius of the infected-states block at a fixed p.
 
     The block is substochastic with absorption, so the result lies in (0, 1).
-    Starts from the uniform vector; raises if the iteration cap is reached.
+    It is the largest eigenvalue modulus of the block, periodic or not.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -392,15 +397,4 @@ def estimate_decay_rate(
         [[float(Fraction(kernel.entries[i][j](p))) for j in indices] for i in indices],
         dtype=float,
     )
-    vector = np.full(len(indices), 1.0 / len(indices))
-    previous = 0.0
-    for _ in range(max_iterations):
-        image = vector @ block
-        norm = image.sum()
-        if norm == 0.0:
-            return 0.0
-        vector = image / norm
-        if abs(norm - previous) <= tolerance * norm:
-            return float(norm)
-        previous = norm
-    raise ChainAnalysisError("no-convergence", "power iteration did not converge within the cap")
+    return float(max(abs(np.linalg.eigvals(block))))

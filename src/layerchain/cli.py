@@ -234,7 +234,7 @@ def _cmd_decay(args) -> int:
             "graph": graph.describe(),
             "p": str(p),
             "estimate": estimate,
-            "method": "power-iteration",
+            "method": "eigenvalues",
             "approximate": True,
         },
         args,

@@ -332,6 +332,19 @@ def test_decay_monotone_under_state_removal(pipeline_c2, pipeline_c3):
             assert estimate_decay_rate(sub, HALF) <= full + 1e-9
 
 
+def test_decay_of_a_periodic_block():
+    # x -> y with p, x -> dagger with 1-p, y -> x with 1: the infected block
+    # [[0, p], [1, 0]] has eigenvalues +-sqrt(p) and period 2
+    x, y = [s for s in enumerate_patterns(cycle(2)) if s.infected][:2]
+    zero = Polynomial()
+    kernel = PolyMatrix(
+        (x, y, DAGGER),
+        ((zero, P, OMP), (ONE, zero, zero), (zero, zero, ONE)),
+    )
+    assert abs(estimate_decay_rate(kernel, HALF) - math.sqrt(0.5)) < 1e-12
+    assert abs(estimate_decay_rate(kernel, Fraction(9, 100)) - 0.3) < 1e-12
+
+
 def test_decay_rejects_bad_p(pipeline_c2):
     lumped = pipeline_c2[2]
     for p in (0, 1, Fraction(3, 2)):
@@ -353,19 +366,22 @@ def test_stationary_matches_sympy_nullspace(pipeline_c3):
     """Independent oracle: the stationary vector from fraction-free
     elimination equals the symbolic left-nullspace direction."""
     import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
 
     reduced, stationary = pipeline_c3[0], pipeline_c3[1]
     p = sympy.Symbol("p")
     n = reduced.size
-    null = (_sympy_matrix(reduced, p).T - sympy.eye(n)).nullspace()
-    assert len(null) == 1
-    direction = [sympy.together(value) for value in null[0]]
+    system = DomainMatrix.from_Matrix(_sympy_matrix(reduced, p).T - sympy.eye(n))
+    null = system.convert_to(QQ.frac_field(p)).nullspace()
+    assert null.shape == (1, n)
+    direction = null.to_Matrix().row(0)
     # both vectors span the same line: cross-ratios must cancel exactly
     mine = [
         sympy.Poly(list(reversed(list(e.coeffs))), p).as_expr() for e in stationary.entries
     ]
     for i in range(1, n):
-        cross = sympy.simplify(mine[0] * direction[i] - mine[i] * direction[0])
+        cross = sympy.cancel(mine[0] * direction[i] - mine[i] * direction[0])
         assert cross == 0
 
 

@@ -1,16 +1,16 @@
 """Property tests: each integer fast path against a slow reference.
 
 Kronecker products are checked against schoolbook sums of Polynomial
-products, integer exact division against the Fraction division, and the
-Descartes-first sign certification against the Sturm-only classification
-and against the real roots sympy finds.
+products, integer exact division against the Fraction division, and the one root
+counter (Descartes bisection) and the sign certification built on it
+against the real roots sympy finds.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerchain.algebra import (
@@ -21,11 +21,13 @@ from layerchain.algebra import (
     NONNEGATIVE,
     POSITIVE,
     Polynomial,
-    _certify_by_sturm,
+    UNIT_OPEN,
+    _count_roots,
     _exact_div_int,
     certify_sign,
     poly_dot,
     poly_dot_table,
+    sturm_root_count,
 )
 from layerchain.kernels import PolyMatrix
 
@@ -166,7 +168,49 @@ def test_exact_div_with_rational_coefficients(q, g):
 
 
 # ---------------------------------------------------------------------------
-# Descartes-first sign certification.
+# Root counting by Descartes bisection.
+# ---------------------------------------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(q: Polynomial) -> sympy.Poly:
+    return sympy.Poly(list(reversed([sympy.Rational(str(c)) for c in q.coeffs])), X)
+
+
+@st.composite
+def root_count_cases(draw):
+    """(q, lo, hi): an integer polynomial of degree <= 8 whose roots often
+    sit at lo, at hi, at the midpoint or at other rationals near the
+    interval, with multiplicity up to 2, and a rational interval."""
+    ends = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    points = st.one_of(st.sampled_from((lo, hi, (lo + hi) / 2)), ends)
+    q = Polynomial((draw(st.sampled_from((-3, -1, 1, 2))),))
+    for root in draw(st.lists(points, max_size=3)):
+        mult = draw(st.integers(1, 2))
+        if q.degree + mult <= 8:
+            q = q * Polynomial((-root.numerator, root.denominator)) ** mult
+    rest = Polynomial(draw(st.lists(small, min_size=1, max_size=min(4, 9 - q.degree))))
+    assume(not rest.is_zero)
+    return q * rest, lo, hi
+
+
+@settings(max_examples=150)
+@given(root_count_cases())
+def test_root_counts_match_sympy(case):
+    q, lo, hi = case
+    poly = to_sympy(q)
+    a, b = sympy.Rational(str(lo)), sympy.Rational(str(hi))
+    # count_roots counts the distinct roots in the closed interval
+    expected = poly.count_roots(a, b) - (poly.eval(a) == 0) - (poly.eval(b) == 0)
+    assert sturm_root_count(q, lo, hi) == expected
+    squarefree = [int(c) for c in reversed(sympy.sqf_part(poly).all_coeffs())]
+    assert _count_roots(squarefree, lo, hi) == expected
+
+
+# ---------------------------------------------------------------------------
+# Sign certification.
 # ---------------------------------------------------------------------------
 
 unit_rational = st.fractions(min_value=0, max_value=1, max_denominator=6)
@@ -206,17 +250,22 @@ random_cases = st.tuples(
 )
 
 
+def odd_roots_inside(q: Polynomial, lo: Fraction, hi: Fraction) -> int:
+    """The distinct real roots of odd multiplicity strictly inside (lo, hi),
+    from the roots sympy isolates."""
+    a, b = sympy.Rational(str(lo)), sympy.Rational(str(hi))
+    inside: dict = {}
+    for r in sympy.real_roots(to_sympy(q)):
+        if a < r < b:
+            inside[r] = inside.get(r, 0) + 1
+    return sum(m % 2 for m in inside.values())
+
+
 def sympy_verdict(q: Polynomial, interval: Interval) -> str:
     """Classification from the real roots sympy isolates."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(q.coeffs)), x)
+    poly = to_sympy(q)
     lo, hi = sympy.Rational(str(interval.lo)), sympy.Rational(str(interval.hi))
-    roots = sympy.real_roots(poly)
-    inside = {}
-    for r in roots:
-        if lo < r < hi:
-            inside[r] = inside.get(r, 0) + 1
-    if any(m % 2 for m in inside.values()):
+    if odd_roots_inside(q, interval.lo, interval.hi):
         return CHANGES_SIGN
     probe = next(
         pt
@@ -230,17 +279,21 @@ def sympy_verdict(q: Polynomial, interval: Interval) -> str:
     endpoint_zero = (interval.closed_lo and poly.eval(lo) == 0) or (
         interval.closed_hi and poly.eval(hi) == 0
     )
+    inside = poly.count_roots(lo, hi) - (poly.eval(lo) == 0) - (poly.eval(hi) == 0)
     return NONNEGATIVE if inside or endpoint_zero else POSITIVE
 
 
 @settings(max_examples=150)
 @given(st.one_of(certified_cases(), random_cases))
-def test_descartes_first_matches_sturm_and_sympy(case):
+# three simple roots: q changes sign on (0, 1) as a whole, but the witness
+# must hold one of them
+@example((Polynomial((-1, 3)) * Polynomial((-1, 2)) * Polynomial((-2, 3)), UNIT_OPEN))
+def test_sign_certificates_match_sympy(case):
     q, interval = case
     cert = certify_sign(q, interval)
-    assert cert == _certify_by_sturm(list(q.coeffs), interval)
     assert cert.verdict == sympy_verdict(q, interval)
     if cert.verdict == CHANGES_SIGN:
         w = cert.witness
         assert interval.lo <= w.lo < w.hi <= interval.hi
         assert q(w.lo) * q(w.hi) < 0
+        assert odd_roots_inside(q, w.lo, w.hi) == 1
