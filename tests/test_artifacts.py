@@ -40,10 +40,16 @@ COMMANDS = (
     ("fit", "--p", "1/2", "--samples", "2000", "--seed", "3"),
 )
 
-# the stationary solve on graphs whose vectors have higher degree
-CASES = [(graph, command) for graph in GRAPHS for command in COMMANDS] + [
-    (graph, ("stationary",)) for graph in ("cycle:4", "path:4")
-]
+# the stationary solve on graphs whose vectors have higher degree, and the
+# bridge and layer weights on a graph whose origin has a nontrivial stabilizer
+CASES = (
+    [(graph, command) for graph in GRAPHS for command in COMMANDS]
+    + [(graph, ("stationary",)) for graph in ("cycle:4", "path:4")]
+    + [
+        ("cycle:4", ("connection", "--vertex", "1", "--n", "2", "--p", "1/3")),
+        ("cycle:4", ("expected-mono", "--n", "2")),
+    ]
+)
 
 
 def _key(graph: str, command: tuple) -> str:
