@@ -18,7 +18,7 @@ from .algebra import (
     certify_sign,
     sturm_root_count,
 )
-from .graphs import Graph, cartesian_product, load_graph, make_builtin
+from .graphs import Graph, automorphisms, cartesian_product, load_graph, make_builtin
 from .patterns import (
     DAGGER,
     Pattern,
@@ -31,6 +31,7 @@ from .patterns import (
 )
 from .kernels import (
     BondConfig,
+    Orbits,
     PolyMatrix,
     build_full_kernel,
     build_lumped_kernel,

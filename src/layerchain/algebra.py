@@ -461,6 +461,34 @@ def _squarefree_part(cs: list[int]) -> list[int]:
     return _primitive(_exact_div_int(cs, g))
 
 
+_SQUAREFREE_PRIME = 2**31 - 1
+
+
+def _squarefree_mod_prime(cs: list[int]) -> bool:
+    """Whether gcd(f mod q, f' mod q) = 1 for the fixed prime q, which then
+    proves f squarefree over Q; False decides nothing.
+
+    A repeated factor h of f divides f and f' in Z[p]; when q does not
+    divide lc(f) it does not divide lc(h) either, so h mod q has positive
+    degree and divides both reductions.
+    """
+    q = _SQUAREFREE_PRIME
+    if len(cs) < 2 or cs[-1] % q == 0:
+        return False
+    a = _trim([c % q for c in cs])
+    b = _trim([c % q for c in _derivative_int(cs)])
+    while b:
+        inverse = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            factor = a[-1] * inverse % q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * c) % q
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def _yun_decomposition(cs: list[int]) -> list[tuple[list[int], int]]:
     """Squarefree decomposition: [(factor_i, i)] with f = const * prod factor_i^i."""
     f = Polynomial(_primitive(_trim(list(cs))))
@@ -725,14 +753,18 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
         stripped = candidate
 
     # Yun's factors are squarefree and pairwise coprime, so odd and even are
-    # squarefree products.
-    odd, even = ONE, ONE
-    for factor, mult in _yun_decomposition(stripped):
-        if mult % 2:
-            odd = odd * Polynomial(factor)
-        else:
-            even = even * Polynomial(factor)
-    odd, even = list(odd.coeffs), list(even.coeffs)
+    # squarefree products.  A squarefree polynomial is its own odd part,
+    # primitive with a positive leading coefficient, as Yun would return it.
+    if _squarefree_mod_prime(stripped):
+        odd, even = stripped if stripped[-1] > 0 else [-c for c in stripped], [1]
+    else:
+        odd_part, even_part = ONE, ONE
+        for factor, mult in _yun_decomposition(stripped):
+            if mult % 2:
+                odd_part = odd_part * Polynomial(factor)
+            else:
+                even_part = even_part * Polynomial(factor)
+        odd, even = list(odd_part.coeffs), list(even_part.coeffs)
 
     if _count_roots(odd, lo, hi):
         witness = _isolate_sign_change(qints, odd, lo, hi)

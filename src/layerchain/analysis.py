@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .errors import CodedError
 from .graphs import Graph, closure
-from .kernels import PolyMatrix, lumped_state_list, successor_table
+from .kernels import Orbits, PolyMatrix, lumped_state_list, successor_table
 from .patterns import (
     DAGGER,
     Pattern,
@@ -172,7 +172,21 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
         acc = poly_dot(rows[r][col + 1 :], entries[col + 1 :])
         entries[col] = (-acc).exact_div(rows[r][col])
 
-    # strip the common polynomial factor (this also divides the normalizer)
+    entries, normalizer = _primitive_vector(entries)
+    if any(certify_sign(q, UNIT_OPEN).verdict != POSITIVE for q in (normalizer, *entries)):
+        raise ChainAnalysisError(
+            "stationary-not-positive", "stationary vector is not positive on (0, 1)"
+        )
+
+    result = PolyVector(tuple(kernel.states), tuple(entries), normalizer)
+    _assert_stationary(result, kernel)
+    return result
+
+
+def _primitive_vector(entries: list[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
+    """The entries with their common polynomial factor, denominators and
+    integer content cleared, oriented so that their sum, returned with
+    them, is positive on (0, 1) when it has a constant sign there."""
     g = ZERO
     for e in entries:
         g = e if g.is_zero else poly_gcd(g, e)
@@ -202,14 +216,29 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
     if certify_sign(normalizer, UNIT_OPEN).verdict == NEGATIVE:
         entries = [-e for e in entries]
         normalizer = -normalizer
-    if any(certify_sign(q, UNIT_OPEN).verdict != POSITIVE for q in (normalizer, *entries)):
-        raise ChainAnalysisError(
-            "stationary-not-positive", "stationary vector is not positive on (0, 1)"
-        )
+    return entries, normalizer
 
-    result = PolyVector(tuple(kernel.states), tuple(entries), normalizer)
-    _assert_stationary(result, kernel)
-    return result
+
+def expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
+    """Per-state form of an invariant vector given by its orbit sums.
+
+    vector is indexed by the orbit representatives.  Each state gets its
+    orbit's entry over the orbit size, and the entries are cleared to a
+    primitive integer vector again, over their sum.  Applied to the
+    stationary vector of a chain lumped onto automorphism orbits this is
+    the stationary vector of the chain itself: that vector is unique, so
+    invariant under every automorphism, and orbit-mates share its orbit sum
+    equally.
+    """
+    if tuple(vector.states) != orbits.representatives:
+        raise ValueError("vector is not indexed by the orbit representatives")
+    entries = [ZERO] * len(orbits.states)
+    for entry, members in zip(vector.entries, orbits.members):
+        share = entry * Fraction(1, len(members))
+        for i in members:
+            entries[i] = share
+    entries, normalizer = _primitive_vector(entries)
+    return PolyVector(orbits.states, tuple(entries), normalizer)
 
 
 def _assert_stationary(vector: PolyVector, kernel: PolyMatrix) -> None:

@@ -103,6 +103,48 @@ class Graph:
         return f"vertices={self.vertex_count} edges={list(self.edges)} origin={self.origin}"
 
 
+def automorphisms(graph: Graph, fix_origin: bool) -> tuple[tuple[int, ...], ...]:
+    """Every vertex permutation mapping the edge set onto itself, in
+    lexicographic order (the identity first); with fix_origin, only those
+    that also fix the origin.
+
+    perm[v] is the image of vertex v.  The search assigns images to the
+    vertices in order and prunes a partial assignment as soon as a degree or
+    an adjacency among the assigned vertices is not preserved; a complete
+    assignment is kept only after its image of E is checked to be E.
+    """
+    k = graph.vertex_count
+    edges = set(graph.edges)
+    adjacent = [[False] * k for _ in range(k)]
+    for u, v in edges:
+        adjacent[u][v] = adjacent[v][u] = True
+    degrees = [graph.degree(v) for v in graph.vertices]
+    found = []
+    image: list[int] = []
+    used = [False] * k
+
+    def extend(v: int) -> None:
+        if v == k:
+            if {(min(image[a], image[b]), max(image[a], image[b])) for a, b in edges} == edges:
+                found.append(tuple(image))
+            return
+        for w in range(k):
+            if used[w] or degrees[w] != degrees[v]:
+                continue
+            if fix_origin and (v == graph.origin) != (w == graph.origin):
+                continue
+            if any(adjacent[u][v] != adjacent[image[u]][w] for u in range(v)):
+                continue
+            used[w] = True
+            image.append(w)
+            extend(v + 1)
+            image.pop()
+            used[w] = False
+
+    extend(0)
+    return tuple(found)
+
+
 def cycle(k: int, origin: int = 0) -> Graph:
     """Cycle on k vertices; k = 2 degenerates to a single edge (no multi-edge)."""
     if k < 2:

@@ -12,13 +12,21 @@ and the lumped chain on infected states plus one absorbing class.  Every
 transition is one layer step: _join_layers joins the lower layer's blocks
 to the upper layer through the open vertical bonds, and step_pattern,
 successor_table and bridge_reach read their answers off that union-find.
+
+An automorphism of G commutes with the layer step, so the connectivity and
+lumped chains are strongly lumpable onto the orbits of a group of
+automorphisms (Kemeny & Snell, Finite Markov Chains, 1960, section 6.3).
+The connectivity and lumped kernels are built on Orbits: only each orbit's
+representative, its smallest pattern, is stepped, and its row is summed
+over the states of each target orbit.  The trivial group, every state its
+own orbit, gives the per-state kernels through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import ONE, P, Polynomial, poly_dot_table, poly_sum
 from .graphs import Graph, closure
@@ -30,6 +38,7 @@ from .patterns import (
     all_singletons_pattern,
     attach_infection,
     enumerate_patterns,
+    relabel,
     state_from_string,
     state_to_string,
 )
@@ -241,17 +250,70 @@ def successor_table(graph: Graph, sources: Sequence[Pattern]) -> list[list[Patte
     return table
 
 
-def _rows_from_counts(
+class Orbits:
+    """States split into the orbits of a group of vertex permutations.
+
+    The states, closed under the group, keep their given order, which is
+    canonical (DAGGER first if present, then patterns sorted).  members[i]
+    lists the indices of orbit i in ascending order, so its first state,
+    the smallest pattern, is the orbit's representative, and orbits are
+    ordered by representative.  carriers[i][j] is a permutation of the
+    group taking the representative to the state members[i][j].  The group
+    must contain the identity.
+    """
+
+    def __init__(self, states: Sequence[PatternClass], group: Sequence[tuple[int, ...]]):
+        self.states = tuple(states)
+        index = {state: i for i, state in enumerate(self.states)}
+        orbit_of: list[Optional[int]] = [None] * len(self.states)
+        members, carriers = [], []
+        for i, state in enumerate(self.states):
+            if orbit_of[i] is not None:
+                continue
+            carry: dict[int, tuple[int, ...]] = {}
+            for perm in group:
+                carry.setdefault(index[relabel(state, perm)], perm)
+            order = sorted(carry)
+            for j in order:
+                orbit_of[j] = len(members)
+            members.append(tuple(order))
+            carriers.append(tuple(carry[j] for j in order))
+        self.members: tuple[tuple[int, ...], ...] = tuple(members)
+        self.carriers: tuple[tuple[tuple[int, ...], ...], ...] = tuple(carriers)
+        self.orbit_of: tuple[int, ...] = tuple(orbit_of)
+
+    @staticmethod
+    def trivial(states: Sequence[PatternClass]) -> "Orbits":
+        """Every state its own orbit: the orbits of the identity alone."""
+        k = next(s.vertex_count for s in states if isinstance(s, Pattern))
+        return Orbits(states, (tuple(range(k)),))
+
+    @property
+    def representatives(self) -> tuple:
+        return tuple(self.states[m[0]] for m in self.members)
+
+    @property
+    def sizes(self) -> list[int]:
+        return [len(m) for m in self.members]
+
+    def columns(self) -> dict:
+        """The orbit index of every state."""
+        return dict(zip(self.states, self.orbit_of))
+
+
+def _rows_from_table(
     graph: Graph,
-    sources: Sequence[Pattern],
+    table: Sequence[Sequence[Pattern]],
     columns: dict,
     collapse_uninfected: bool = False,
 ) -> list[list[Polynomial]]:
-    """Accumulate per-row count vectors over open-bond multiplicity, then weight."""
+    """Kernel rows from successor table rows: count the configurations
+    reaching each column by open-bond multiplicity, then weight.  Several
+    states may share a column, whose entry is then their sum."""
     b = graph.bond_count
     weights = config_weights(b)
     popcounts = [z.bit_count() for z in range(1 << b)]
-    table = successor_table(graph, sources)
+    width = 1 + max(columns.values())
     rows = []
     for row_targets in table:
         counts: dict[int, list[int]] = {}
@@ -265,7 +327,7 @@ def _rows_from_counts(
                 per = [0] * (b + 1)
                 counts[col] = per
             per[popcounts[z]] += 1
-        row = [Polynomial() for _ in range(len(columns))]
+        row = [Polynomial() for _ in range(width)]
         for col, per in counts.items():
             row[col] = poly_sum(
                 count * weights[k] for k, count in enumerate(per) if count
@@ -278,22 +340,64 @@ def build_full_kernel(graph: Graph) -> PolyMatrix:
     """Transition matrix of the pattern chain on all partitions of V plus {*}."""
     states = enumerate_patterns(graph)
     columns = {s: i for i, s in enumerate(states)}
-    rows = _rows_from_counts(graph, states, columns)
+    rows = _rows_from_table(graph, successor_table(graph, states), columns)
     return PolyMatrix(tuple(states), tuple(tuple(r) for r in rows))
+
+
+@dataclass(frozen=True)
+class Core:
+    """The connectivity chain's reachable partitions in the orbits of a
+    group, with the successor table rows of the orbit representatives."""
+
+    orbits: Orbits
+    rows: tuple[list[Pattern], ...]
+
+
+def build_core(graph: Graph, group: Optional[Sequence[tuple[int, ...]]] = None) -> Core:
+    """The core of the connectivity chain, reached by stepping orbit
+    representatives only; group defaults to the identity alone.
+
+    The successors of a relabelled partition are the relabelled successors,
+    so the core is the union of the orbits of the representatives reached.
+    """
+    if group is None:
+        group = (tuple(graph.vertices),)
+    representative: dict[Pattern, Pattern] = {}
+
+    def canonical(x: Pattern) -> Pattern:
+        rep = representative.get(x)
+        if rep is None:
+            orbit = {relabel(x, perm) for perm in group}
+            rep = min(orbit)
+            representative.update(dict.fromkeys(orbit, rep))
+        return rep
+
+    rows: dict[Pattern, list[Pattern]] = {}
+
+    def successors(rep: Pattern) -> set[Pattern]:
+        [rows[rep]] = successor_table(graph, [rep])
+        return {canonical(y) for y in set(rows[rep])}
+
+    closure([canonical(all_singletons_pattern(graph.vertex_count))], successors)
+    orbits = Orbits(sorted(representative), group)
+    return Core(orbits, tuple(rows[rep] for rep in orbits.representatives))
 
 
 def core_partitions(graph: Graph) -> list[Pattern]:
     """Uninfected partitions reachable from the all-singletons pattern, in canonical order."""
-    start = all_singletons_pattern(graph.vertex_count)
-    return sorted(closure([start], lambda x: successor_table(graph, [x])[0]))
+    return list(build_core(graph).orbits.states)
 
 
-def build_reduced_kernel(graph: Graph) -> PolyMatrix:
-    """Transition matrix of the connectivity chain on its reachable partitions."""
-    core = core_partitions(graph)
-    columns = {s: i for i, s in enumerate(core)}
-    rows = _rows_from_counts(graph, core, columns)
-    return PolyMatrix(tuple(core), tuple(tuple(r) for r in rows))
+def build_reduced_kernel(graph: Graph, core: Optional[Core] = None) -> PolyMatrix:
+    """Transition matrix of the connectivity chain on its reachable partitions.
+
+    Given a core, the matrix is indexed by its orbit representatives and
+    entry (i, j) is the probability that representative i steps into orbit
+    j; the default core has every partition as its own orbit.
+    """
+    core = core or build_core(graph)
+    rows = _rows_from_table(graph, core.rows, core.orbits.columns())
+    return PolyMatrix(core.orbits.representatives, tuple(tuple(r) for r in rows))
 
 
 def lumped_state_list(core: Sequence[Pattern]) -> list[PatternClass]:
@@ -308,16 +412,23 @@ def lumped_state_list(core: Sequence[Pattern]) -> list[PatternClass]:
     return [DAGGER] + infected
 
 
-def build_lumped_kernel(graph: Graph) -> PolyMatrix:
-    """Transition matrix on infected states plus the absorbing class."""
-    core = core_partitions(graph)
-    states = lumped_state_list(core)
-    columns: dict[PatternClass, int] = {s: i for i, s in enumerate(states)}
-    infected = states[1:]
-    rows = _rows_from_counts(graph, infected, columns, collapse_uninfected=True)
+def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMatrix:
+    """Transition matrix on infected states plus the absorbing class.
+
+    Given orbits of the lumped states (which must fix the origin's role, so
+    the absorbing class is its own orbit, the first), the matrix is indexed
+    by their representatives and entry (i, j) is the probability that
+    representative i steps into orbit j; by default every state is its own
+    orbit.
+    """
+    if orbits is None:
+        orbits = Orbits.trivial(lumped_state_list(core_partitions(graph)))
+    states = orbits.representatives
+    table = successor_table(graph, states[1:])
+    rows = _rows_from_table(graph, table, orbits.columns(), collapse_uninfected=True)
     dagger_row = [ONE] + [Polynomial()] * (len(states) - 1)
     all_rows = [dagger_row] + rows
-    return PolyMatrix(tuple(states), tuple(tuple(r) for r in all_rows))
+    return PolyMatrix(states, tuple(tuple(r) for r in all_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,23 @@ from .algebra import (
     poly_dot,
     poly_sum,
 )
-from .analysis import PolyVector, initial_distribution, stationary_distribution
-from .graphs import Graph
+from .analysis import (
+    PolyVector,
+    expand_orbits,
+    initial_distribution,
+    stationary_distribution,
+)
+from .graphs import Graph, automorphisms
 from .kernels import (
+    Core,
+    Orbits,
     PolyMatrix,
     bridge_reach_table,
+    build_core,
     build_lumped_kernel,
     build_reduced_kernel,
     config_weights,
+    lumped_state_list,
 )
 from .patterns import Pattern
 
@@ -119,23 +128,29 @@ def matrix_onset(
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
     Returns the step and the grid of certificates for the entry differences
-    at that step.  Steps are first screened by exact evaluation at a few
+    at that step.  The absorbing class only gains mass, so the infected
+    block of a power is the power of the infected block, and only the block
+    is multiplied.  Steps are first screened by exact evaluation at a few
     rationals, which refutes most failing steps cheaply.  Raises
     OnsetCapExceeded if no step up to the cap passes.
     """
     infected = _infected_indices(kernel)
+    block = PolyMatrix(
+        tuple(kernel.states[i] for i in infected),
+        tuple(tuple(kernel.entries[y][x] for x in infected) for y in infected),
+    )
     cache = _CertCache(UNIT_OPEN, workers)
-    current = PolyMatrix.identity(kernel.states)
+    current = PolyMatrix.identity(block.states)
     for step in range(cap + 1):
-        following = current @ kernel
+        following = current @ block
         diffs = [
-            [current.entries[y][x] - following.entries[y][x] for x in infected]
-            for y in infected
+            [a - b for a, b in zip(now, later)]
+            for now, later in zip(current.entries, following.entries)
         ]
         if not any(_quick_negative(d) for row in diffs for d in row):
             flat = cache.certify_many([d for row in diffs for d in row])
             if all(c.verdict in NONNEGATIVE_VERDICTS for c in flat):
-                n = len(infected)
+                n = block.size
                 certs = [flat[i * n : (i + 1) * n] for i in range(n)]
                 return step, certs
         current = following
@@ -150,6 +165,13 @@ class OnsetCertificate:
     certificates refine the onset below it along the initial distribution.
     Only infected states are checked: the absorbing class gains mass every
     step by construction, so its coordinate is excluded by convention.
+
+    The step certificates have one entry per state.  The matrix
+    certificates are indexed by matrix_orbits, the orbits of the infected
+    states (lists of indices into states) under the automorphisms fixing
+    the origin: entry (i, j) certifies the drop of the probability, from
+    any state of orbit i, of being in orbit j.  Orbit-mates carry equal
+    probability, so this covers every state.
     """
 
     graph: str
@@ -157,10 +179,20 @@ class OnsetCertificate:
     matrix_step: int
     onset: int
     step_certificates: list[list[SignCertificate]]
+    matrix_orbits: list[list[int]]
     matrix_certificates: list[list[SignCertificate]]
     coordinate_convention: str = "infected-states-only"
 
     def validate(self) -> None:
+        if sorted(i for orbit in self.matrix_orbits for i in orbit) != list(
+            range(len(self.states))
+        ):
+            raise ValueError("matrix orbits do not partition the states")
+        size = len(self.matrix_orbits)
+        if len(self.matrix_certificates) != size or any(
+            len(row) != size for row in self.matrix_certificates
+        ):
+            raise ValueError("matrix certificates are not square over the orbits")
         if not 0 <= self.onset <= self.matrix_step:
             raise ValueError("onset exceeds the matrix-level step")
         if len(self.step_certificates) != self.matrix_step:
@@ -187,6 +219,7 @@ class OnsetCertificate:
             "step_certificates": [
                 [c.to_dict() for c in row] for row in self.step_certificates
             ],
+            "matrix_orbits": [list(orbit) for orbit in self.matrix_orbits],
             "matrix_certificates": [
                 [c.to_dict() for c in row] for row in self.matrix_certificates
             ],
@@ -204,12 +237,23 @@ class OnsetCertificate:
                 [SignCertificate.from_dict(c) for c in row]
                 for row in data["step_certificates"]
             ],
+            matrix_orbits=[list(orbit) for orbit in data["matrix_orbits"]],
             matrix_certificates=[
                 [SignCertificate.from_dict(c) for c in row]
                 for row in data["matrix_certificates"]
             ],
             coordinate_convention=data["coordinate_convention"],
         )
+
+
+def _advance(
+    kernel: PolyMatrix, weights: Sequence[Polynomial], sizes: Sequence[int]
+) -> list[Polynomial]:
+    """One layer step of per-state weights held on orbit representatives:
+    the orbit sums step through the orbit kernel, and orbit-mates share
+    their orbit's sum equally."""
+    sums = kernel.vecmat([w * size for w, size in zip(weights, sizes)])
+    return [s.exact_div(Polynomial((size,))) for s, size in zip(sums, sizes)]
 
 
 def vector_onset(
@@ -219,24 +263,36 @@ def vector_onset(
     matrix_certificates: list[list[SignCertificate]],
     graph_label: str = "",
     workers: int = 1,
+    orbits: Optional[Orbits] = None,
 ) -> OnsetCertificate:
     """Refine the matrix-level onset along the initial distribution.
 
     Certifies the scaled one-step probability drop of every infected state
     for each step below the matrix-level step; the reported onset is the
     smallest index from which all of those certificates are nonnegative.
+
+    The initial distribution is per state.  orbits splits its states into
+    the orbits the kernel is indexed by (default: every state its own
+    orbit); the states of an orbit carry equal weight, so one certificate
+    per orbit covers them all.
     """
-    if tuple(initial.states) != tuple(kernel.states):
+    if orbits is None:
+        orbits = Orbits.trivial(initial.states)
+    if tuple(initial.states) != orbits.states or tuple(kernel.states) != orbits.representatives:
         raise ValueError("initial distribution and kernel have different state spaces")
     infected = _infected_indices(kernel)
+    sizes = orbits.sizes
     cache = _CertCache(UNIT_OPEN, workers)
-    weights = list(initial.entries)
-    step_certs: list[list[SignCertificate]] = []
+    weights = [initial.entries[members[0]] for members in orbits.members]
+    orbit_certs: list[dict[int, SignCertificate]] = []
     for _ in range(matrix_step):
-        advanced = kernel.vecmat(weights)
+        advanced = _advance(kernel, weights, sizes)
         certs = cache.certify_many([weights[i] - advanced[i] for i in infected])
-        step_certs.append(certs)
+        orbit_certs.append(dict(zip(infected, certs)))
         weights = advanced
+    states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
+    position = {i: j for j, i in enumerate(states)}
+    step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
     onset = 0
     for n in reversed(range(matrix_step)):
         if any(c.verdict not in NONNEGATIVE_VERDICTS for c in step_certs[n]):
@@ -244,10 +300,11 @@ def vector_onset(
             break
     certificate = OnsetCertificate(
         graph=graph_label,
-        states=[str(kernel.states[i]) for i in infected],
+        states=[str(orbits.states[i]) for i in states],
         matrix_step=matrix_step,
         onset=onset,
         step_certificates=step_certs,
+        matrix_orbits=[[position[i] for i in orbits.members[o]] for o in infected],
         matrix_certificates=matrix_certificates,
     )
     certificate.validate()
@@ -260,12 +317,26 @@ def vector_onset(
 
 
 class Engine:
-    """The exact pipeline of one graph.
+    """The exact pipeline of one graph, run on automorphism orbits.
 
-    Each stage (reduced kernel, stationary vector, lumped kernel, initial
-    vector, bridge weight table) is built once, when first needed, so a
-    command pays only for the stages it uses.  Distributions and connection
-    polynomials are scaled by powers of the stationary normalizer.
+    Each stage is built once, when first needed, so a command pays only
+    for the stages it uses:
+
+    - core: the connectivity chain's partitions in the orbits of Aut(G),
+      the automorphisms of G, with the successor rows of the
+      representatives;
+    - reduced: the connectivity chain on those orbits;
+    - stationary: solved on the orbits, then expanded to one entry per
+      partition;
+    - orbits: the lumped states in the orbits of Aut_o, the automorphisms
+      fixing the origin, under which the initial vector is invariant;
+    - kernel: the lumped chain on those orbits;
+    - initial: one entry per lumped state;
+    - bridge: one column per infected orbit.
+
+    Layer weights are held per orbit: every state of an orbit carries its
+    representative's weight.  Distributions and connection polynomials are
+    scaled by powers of the stationary normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
@@ -273,16 +344,25 @@ class Engine:
         self.label = label or graph.describe()
 
     @cached_property
+    def core(self) -> Core:
+        return build_core(self.graph, automorphisms(self.graph, fix_origin=False))
+
+    @cached_property
     def reduced(self) -> PolyMatrix:
-        return build_reduced_kernel(self.graph)
+        return build_reduced_kernel(self.graph, self.core)
 
     @cached_property
     def stationary(self) -> PolyVector:
-        return stationary_distribution(self.reduced)
+        return expand_orbits(stationary_distribution(self.reduced), self.core.orbits)
+
+    @cached_property
+    def orbits(self) -> Orbits:
+        states = lumped_state_list(self.core.orbits.states)
+        return Orbits(states, automorphisms(self.graph, fix_origin=True))
 
     @cached_property
     def kernel(self) -> PolyMatrix:
-        return build_lumped_kernel(self.graph)
+        return build_lumped_kernel(self.graph, self.orbits)
 
     @cached_property
     def initial(self) -> PolyVector:
@@ -294,9 +374,13 @@ class Engine:
 
     @cached_property
     def bridge(self) -> list[list[Polynomial]]:
-        """bridge[v][i]: scaled probability that vertex v links to the infection
-        of infected state i through one stationary layer above and its
-        vertical bonds."""
+        """bridge[v][i]: scaled probability, summed over the states of
+        infected orbit i, that vertex v links to the state's infection
+        through one stationary layer above and its vertical bonds.
+
+        Only representatives are joined to the layer above: the state
+        g(r) links vertex v exactly when r links g^-1(v).
+        """
         k = self.graph.vertex_count
         vertical_weights = config_weights(k)
         products = [[entry * w for w in vertical_weights] for entry in self.stationary.entries]
@@ -313,30 +397,43 @@ class Engine:
                             acc[v][i].append(weight)
                         mask >>= 1
                         v += 1
-        return [[poly_sum(cell) for cell in row] for row in acc]
+        linked = [[poly_sum(cell) for cell in row] for row in acc]
+        carriers = [self.orbits.carriers[i] for i in self.infected_indices]
+        return [
+            [poly_sum(linked[perm.index(v)][i] for perm in perms) for i, perms in enumerate(carriers)]
+            for v in range(k)
+        ]
 
     @cached_property
     def _weights(self) -> list[list[Polynomial]]:
-        if tuple(self.initial.states) != tuple(self.kernel.states):
+        if tuple(self.initial.states) != self.orbits.states:
             raise AssertionError("lumped state spaces disagree")
-        return [list(self.initial.entries)]
+        return [[self.initial.entries[members[0]] for members in self.orbits.members]]
 
     def onset(self, cap: int = 64, workers: int = 1) -> OnsetCertificate:
-        """Matrix-level onset, refined along the initial distribution.
+        """Matrix-level onset on the orbit kernel, refined along the initial
+        distribution.
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
         matrix_step, matrix_certs = matrix_onset(self.kernel, cap, workers)
         return vector_onset(
-            self.initial, self.kernel, matrix_step, matrix_certs, self.label, workers
+            self.initial,
+            self.kernel,
+            matrix_step,
+            matrix_certs,
+            self.label,
+            workers,
+            self.orbits,
         )
 
     def weights_at(self, n: int) -> list[Polynomial]:
-        """Scaled distribution of the layer pattern after n steps."""
+        """Scaled distribution of the layer pattern after n steps: the
+        weight of each state of each orbit, in orbit order."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         while len(self._weights) <= n:
-            self._weights.append(self.kernel.vecmat(self._weights[-1]))
+            self._weights.append(_advance(self.kernel, self._weights[-1], self.orbits.sizes))
         return self._weights[n]
 
     def _bridge_row(self, vertex: int) -> list[Polynomial]:
@@ -375,9 +472,11 @@ def connection_polynomial(
     """Connection probability from the origin to (vertex, n), scaled by the
     squared normalizer: the sum over layer state, upper-layer partition and
     vertical bonds of the weight of every triple linking the infection to the
-    vertex.  The given stages stand in for the engine's own."""
+    vertex.  The given per-state stages stand in for the engine's own, with
+    every lumped state its own orbit."""
     engine = Engine(graph)
     engine.initial, engine.kernel, engine.stationary = initial, kernel, stationary
+    engine.orbits = Orbits.trivial(kernel.states)
     return engine.connection(vertex, n)
 
 

@@ -138,6 +138,13 @@ def state_from_string(text: str) -> PatternClass:
     return DAGGER if text == "dagger" else Pattern.from_string(text)
 
 
+def relabel(state: PatternClass, perm) -> PatternClass:
+    """The state with vertex v renamed perm[v]; the marker and DAGGER stay."""
+    if state is DAGGER:
+        return state
+    return Pattern([[e if e == STAR else perm[e] for e in block] for block in state.blocks])
+
+
 def all_singletons_pattern(vertex_count: int) -> Pattern:
     """The pattern with no infection and no connections."""
     return Pattern([(STAR,)] + [(v,) for v in range(vertex_count)])

@@ -43,6 +43,7 @@ ONSET_CERTIFICATE_SCHEMA = {
         "matrix_step",
         "onset",
         "step_certificates",
+        "matrix_orbits",
         "matrix_certificates",
         "coordinate_convention",
     ],
@@ -55,6 +56,10 @@ ONSET_CERTIFICATE_SCHEMA = {
         "step_certificates": {
             "type": "array",
             "items": {"type": "array", "items": SIGN_CERTIFICATE_SCHEMA},
+        },
+        "matrix_orbits": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         },
         "matrix_certificates": {
             "type": "array",

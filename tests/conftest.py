@@ -7,14 +7,16 @@ settings.register_profile(
 )
 settings.load_profile("layerchain")
 
+from layerchain.analysis import initial_distribution, stationary_distribution
 from layerchain.graphs import cycle
-from layerchain.monotonicity import Engine
+from layerchain.kernels import build_lumped_kernel, build_reduced_kernel
 
 
 def _pipeline(graph):
-    """Reduced kernel, stationary, lumped kernel, initial distribution."""
-    engine = Engine(graph)
-    return engine.reduced, engine.stationary, engine.kernel, engine.initial
+    """Per-state reduced kernel, stationary, lumped kernel, initial distribution."""
+    reduced = build_reduced_kernel(graph)
+    stationary = stationary_distribution(reduced)
+    return reduced, stationary, build_lumped_kernel(graph), initial_distribution(stationary, graph)
 
 
 @pytest.fixture(scope="session")

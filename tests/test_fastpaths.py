@@ -22,8 +22,12 @@ from layerchain.algebra import (
     POSITIVE,
     Polynomial,
     UNIT_OPEN,
+    _SQUAREFREE_PRIME,
     _count_roots,
     _exact_div_int,
+    _primitive,
+    _squarefree_mod_prime,
+    _yun_decomposition,
     certify_sign,
     poly_dot,
     poly_dot_table,
@@ -207,6 +211,34 @@ def test_root_counts_match_sympy(case):
     assert sturm_root_count(q, lo, hi) == expected
     squarefree = [int(c) for c in reversed(sympy.sqf_part(poly).all_coeffs())]
     assert _count_roots(squarefree, lo, hi) == expected
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        root_count_cases().map(lambda case: case[0]),
+        st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(Polynomial),
+    ).filter(lambda q: q.degree > 0)
+)
+# squarefree over Q, but a square modulo the prime: the test decides nothing
+@example(Polynomial((-_SQUAREFREE_PRIME, 0, 1)))
+def test_squarefree_test_is_sound_and_matches_yun(q):
+    ints = _primitive([int(c) for c in q.coeffs])
+    multiplicities = [m for _, m in sympy.sqf_list(to_sympy(q))[1]]
+    if _squarefree_mod_prime(ints):
+        assert set(multiplicities) <= {1}
+        odd = ints if ints[-1] > 0 else [-c for c in ints]
+        assert _yun_decomposition(ints) == [(odd, 1)]
+    if q.coeffs[-1] % _SQUAREFREE_PRIME == 0 or any(m > 1 for m in multiplicities):
+        assert not _squarefree_mod_prime(ints)
+
+
+def test_squarefree_test_on_known_cases():
+    square = Polynomial((-1, 3)) ** 2 * Polynomial((1, 1))
+    assert not _squarefree_mod_prime(list(square.coeffs))
+    assert _squarefree_mod_prime([-1, 3, 0, 5])
+    assert not _squarefree_mod_prime([-_SQUAREFREE_PRIME, 0, 1])
+    assert not _squarefree_mod_prime([1, 1, _SQUAREFREE_PRIME])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given
 
 from layerchain.graphs import (
     Graph,
     GraphError,
+    automorphisms,
     cartesian_product,
     cycle,
     load_graph,
     make_builtin,
     path,
 )
+from test_kernels import small_graphs
 
 
 def canonical_adjacency(graph: Graph) -> tuple:
@@ -160,3 +164,32 @@ def test_graph_is_immutable():
     g = cycle(3)
     with pytest.raises(AttributeError):
         g.origin = 1
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms.
+# ---------------------------------------------------------------------------
+
+
+@given(small_graphs(max_vertices=6))
+def test_automorphisms_match_networkx(graph):
+    reference = nx.Graph(graph.edges)
+    reference.add_nodes_from(graph.vertices)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
+    expected = sorted(tuple(m[v] for v in graph.vertices) for m in matcher.isomorphisms_iter())
+    assert list(automorphisms(graph, fix_origin=False)) == expected
+    fixed = [perm for perm in expected if perm[graph.origin] == graph.origin]
+    assert list(automorphisms(graph, fix_origin=True)) == fixed
+
+
+def test_automorphism_counts_of_builtins():
+    for k in range(3, 8):
+        assert len(automorphisms(cycle(k), fix_origin=False)) == 2 * k
+        assert len(automorphisms(cycle(k), fix_origin=True)) == 2
+    assert automorphisms(cycle(2), fix_origin=True) == ((0, 1),)
+    assert automorphisms(path(4), fix_origin=False) == ((0, 1, 2, 3), (3, 2, 1, 0))
+    assert automorphisms(path(4), fix_origin=True) == ((0, 1, 2, 3),)
+    assert automorphisms(path(1), fix_origin=True) == ((0,),)
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    assert len(automorphisms(star, fix_origin=True)) == 6
+    assert len(automorphisms(Graph(4, star.edges, 1), fix_origin=True)) == 2

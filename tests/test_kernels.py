@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerchain.algebra import ONE, P, Polynomial
-from layerchain.graphs import Graph, cycle, path
+from layerchain.algebra import poly_sum
+from layerchain.graphs import Graph, automorphisms, cycle, path
 from layerchain.kernels import (
     BondConfig,
+    Orbits,
     PolyMatrix,
     bridge_reach,
+    build_core,
     build_full_kernel,
     build_lumped_kernel,
     build_reduced_kernel,
     config_weights,
     core_partitions,
+    lumped_state_list,
     step_pattern,
     successor_table,
 )
@@ -29,6 +33,7 @@ from layerchain.patterns import (
     delete_infection,
     enumerate_patterns,
     is_infected,
+    relabel,
 )
 
 OMP = Polynomial((1, -1))  # 1 - p
@@ -363,6 +368,60 @@ def test_core_partitions_context():
 def test_lumped_states_of_four_cycle():
     kernel = build_lumped_kernel(cycle(4))
     assert kernel.size == 36
+
+
+# ---------------------------------------------------------------------------
+# Orbit kernels.
+# ---------------------------------------------------------------------------
+
+
+def _lumped_orbits(graph: Graph) -> Orbits:
+    return Orbits(lumped_state_list(core_partitions(graph)), automorphisms(graph, True))
+
+
+def _assert_lumps(per_state: PolyMatrix, orbits: Orbits, quotient: PolyMatrix) -> None:
+    """B S = S Q: every state's row, summed over each orbit of targets, is
+    the row of its orbit's representative in the orbit kernel."""
+    assert quotient.states == orbits.representatives
+    for i, row in enumerate(per_state.entries):
+        summed = [poly_sum(row[j] for j in members) for members in orbits.members]
+        assert summed == list(quotient.entries[orbits.orbit_of[i]])
+
+
+@given(small_graphs())
+def test_orbits_partition_the_states(graph):
+    orbits = _lumped_orbits(graph)
+    assert sorted(i for members in orbits.members for i in members) == list(
+        range(len(orbits.states))
+    )
+    assert orbits.members[0] == (0,) and orbits.states[0] is DAGGER
+    for members, carriers in zip(orbits.members[1:], orbits.carriers[1:]):
+        rep = orbits.states[members[0]]
+        assert members == tuple(sorted(members))
+        for i, perm in zip(members, carriers):
+            assert orbits.orbit_of[i] == orbits.orbit_of[members[0]]
+            assert relabel(rep, perm) == orbits.states[i]
+            assert not orbits.states[i] < rep
+
+
+@settings(max_examples=20)  # a complete graph K4 builds its kernels in about 1 s
+@given(small_graphs())
+def test_orbit_kernels_lump_the_per_state_kernels(graph):
+    core = build_core(graph, automorphisms(graph, False))
+    assert core.orbits.states == tuple(core_partitions(graph))
+    _assert_lumps(build_reduced_kernel(graph), core.orbits, build_reduced_kernel(graph, core))
+    orbits = _lumped_orbits(graph)
+    _assert_lumps(build_lumped_kernel(graph), orbits, build_lumped_kernel(graph, orbits))
+
+
+def test_orbit_counts_of_the_four_cycle():
+    g = cycle(4)
+    core = build_core(g, automorphisms(g, False))
+    assert len(core.orbits.members) == 6
+    assert build_reduced_kernel(g, core).size == 6
+    assert build_lumped_kernel(g, _lumped_orbits(g)).size == 24
+    # the origin at the end of a path has no nontrivial symmetry
+    assert build_lumped_kernel(path(4), _lumped_orbits(path(4))).size == 36
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from layerchain.algebra import (
     Interval,
@@ -11,8 +12,12 @@ from layerchain.algebra import (
     certify_sign,
     poly_sum,
 )
+from layerchain.analysis import initial_distribution, stationary_distribution
+from layerchain.graphs import Graph, cycle, path
+from layerchain.kernels import Orbits, build_lumped_kernel, build_reduced_kernel
 from layerchain.monotonicity import (
     ConjectureCertificate,
+    Engine,
     OnsetCertificate,
     PROVEN,
     connection_polynomial,
@@ -25,6 +30,7 @@ from layerchain.monotonicity import (
 )
 from layerchain.patterns import Pattern, STAR
 from layerchain.schemas import CONJECTURE_CERTIFICATE_SCHEMA, ONSET_CERTIFICATE_SCHEMA
+from test_kernels import small_graphs
 
 HALF = Fraction(1, 2)
 
@@ -179,6 +185,23 @@ def test_onset_certificate_round_trip(verify_c3):
     assert again.to_dict() == onset.to_dict()
 
 
+def test_onset_certificate_rejects_bad_matrix_orbits(verify_c3):
+    onset = verify_c3.onset_certificate
+    n = len(onset.matrix_orbits)
+    assert 0 < n < len(onset.states)  # the origin's stabilizer swaps 1 and 2
+    for orbits, grid in (
+        (onset.matrix_orbits[1:], onset.matrix_certificates),  # misses states
+        (onset.matrix_orbits + [[0]], onset.matrix_certificates),  # repeats a state
+        (onset.matrix_orbits, onset.matrix_certificates[1:]),  # not square
+        (onset.matrix_orbits, [row[1:] for row in onset.matrix_certificates]),
+    ):
+        data = onset.to_dict()
+        data["matrix_orbits"] = orbits
+        data["matrix_certificates"] = [[c.to_dict() for c in row] for row in grid]
+        with pytest.raises(ValueError):
+            OnsetCertificate.from_dict(data).validate()
+
+
 def test_workers_do_not_change_output(pipeline_c2):
     _, _, lumped, initial = pipeline_c2
     step_serial, certs_serial = matrix_onset(lumped, workers=1)
@@ -222,3 +245,86 @@ def test_expected_count_monotone_first_step_full_interval(c3):
     first = expected_infected_polynomial(c3, 0)
     second = expected_infected_polynomial(c3, 1)
     assert certify_sign(first - second, Interval(0, 1)).verdict in NONNEGATIVE_VERDICTS
+
+
+# ---------------------------------------------------------------------------
+# The orbit pipeline against the per-state builders.
+# ---------------------------------------------------------------------------
+
+CAP = 24
+
+
+def _per_state_engine(graph, initial, lumped, stationary):
+    """The engine connection_polynomial builds from per-state stages, kept
+    so that its bridge table is built once for every vertex and step."""
+    engine = Engine(graph)
+    engine.initial, engine.kernel, engine.stationary = initial, lumped, stationary
+    engine.orbits = Orbits.trivial(lumped.states)
+    return engine
+
+
+@settings(max_examples=12)  # each example runs the onset twice, on orbits and per state
+@given(small_graphs())
+def test_orbit_pipeline_matches_per_state_builders(graph):
+    """The engine lumps both chains onto automorphism orbits; the trivial
+    group, through the public per-state builders, must give the same
+    stationary vector, onset, step certificates and connection drops.  The
+    matrix step can only fall on orbits (it does on a star with the origin
+    at its centre), and the step certificates it keeps are the same."""
+    engine = Engine(graph)
+    reduced = build_reduced_kernel(graph)
+    stationary = stationary_distribution(reduced)
+    assert engine.stationary == stationary
+    lumped = build_lumped_kernel(graph)
+    initial = initial_distribution(stationary, graph)
+    assert engine.initial == initial
+    step, certs = matrix_onset(lumped, CAP)
+    per_state = vector_onset(initial, lumped, step, certs)
+    on_orbits = engine.onset(CAP)
+    assert on_orbits.matrix_step <= per_state.matrix_step
+    assert on_orbits.onset == per_state.onset
+    assert on_orbits.states == per_state.states
+    kept = per_state.step_certificates[: on_orbits.matrix_step]
+    assert on_orbits.step_certificates == kept
+    reference = _per_state_engine(graph, initial, lumped, stationary)
+    for n in range(on_orbits.onset + 1):
+        for v in graph.vertices:
+            assert engine.connection_drop(v, n) == reference.connection_drop(v, n)
+    last = graph.vertex_count - 1
+    assert engine.connection(last, 1) == connection_polynomial(
+        graph, last, 1, initial, lumped, stationary
+    )
+
+
+def test_matrix_step_falls_on_the_orbits_of_a_star():
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    assert Engine(star).onset().matrix_step == 7
+    assert matrix_onset(build_lumped_kernel(star))[0] == 8
+
+
+def test_orbit_pipeline_on_the_four_cycle():
+    engine = Engine(cycle(4))
+    assert engine.reduced.size == 6  # 14 partitions
+    assert engine.kernel.size == 24  # 36 lumped states
+    onset = engine.onset()
+    assert (onset.matrix_step, onset.onset) == (5, 4)
+    assert len(onset.states) == 35 and len(onset.matrix_orbits) == 23
+    assert Engine(path(4)).kernel.size == 36
+
+
+@settings(max_examples=10)  # each example is one verify_conjecture
+@given(small_graphs())
+def test_certificates_round_trip_through_the_schema(graph):
+    certificate = verify_conjecture(graph, CAP)
+    text = certificate.to_json()
+    again = ConjectureCertificate.from_dict(json.loads(text))
+    again.validate()
+    jsonschema.validate(json.loads(text), CONJECTURE_CERTIFICATE_SCHEMA)
+    assert again.to_json() == text
+    onset = certificate.onset_certificate
+    if onset is not None:
+        text = json.dumps(onset.to_dict(), sort_keys=True)
+        again = OnsetCertificate.from_dict(json.loads(text))
+        again.validate()
+        jsonschema.validate(json.loads(text), ONSET_CERTIFICATE_SCHEMA)
+        assert json.dumps(again.to_dict(), sort_keys=True) == text
