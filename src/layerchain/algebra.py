@@ -13,7 +13,8 @@ Sign questions on subintervals of [0, 1] rest on one root counter:
 Descartes' rule of signs on the interval mapped onto (0, oo).  With no
 sign variation the polynomial is root-free inside the interval, which
 settles most polynomials at once; the rest are split by Yun's squarefree
-decomposition and their roots counted by Descartes bisection
+decomposition, skipped when a gcd modulo a fixed prime proves the
+polynomial squarefree, and their roots counted by Descartes bisection
 (Vincent-Collins-Akritas).  Certificates classify a polynomial as positive,
 nonnegative with interior zeros, identically zero, sign-changing (with an
 isolating witness interval), or negative.
@@ -720,7 +721,8 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     (0, oo) has no sign variation, q has no root inside the interval and
     the sign of any coefficient of the image is the sign of q there.
     Otherwise Yun's decomposition splits q into the product of its factors
-    of odd multiplicity and that of its factors of even multiplicity, and
+    of odd multiplicity and that of its factors of even multiplicity (a q
+    proven squarefree modulo a prime is its own odd part), and
     the one root counter, _count_roots, decides whether either has a root
     inside: an odd root is a sign change, isolated in a witness interval.
     """

@@ -415,11 +415,11 @@ def lumped_state_list(core: Sequence[Pattern]) -> list[PatternClass]:
 def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMatrix:
     """Transition matrix on infected states plus the absorbing class.
 
-    Given orbits of the lumped states (which must fix the origin's role, so
-    the absorbing class is its own orbit, the first), the matrix is indexed
-    by their representatives and entry (i, j) is the probability that
-    representative i steps into orbit j; by default every state is its own
-    orbit.
+    Given orbits of the lumped states under automorphisms fixing the
+    origin (the absorbing class, first, is always its own orbit), the
+    matrix is indexed by their representatives and entry (i, j) is the
+    probability that representative i steps into orbit j; by default every
+    state is its own orbit.
     """
     if orbits is None:
         orbits = Orbits.trivial(lumped_state_list(core_partitions(graph)))
@@ -436,20 +436,16 @@ def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMa
 # ---------------------------------------------------------------------------
 
 
-def bridge_reach(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits: int) -> int:
-    """Bitmask of lower-layer vertices linked to the infection through one extra layer.
-
-    The lower layer carries the infected pattern, the upper layer the
-    uninfected partition, and vertical_bits the open vertical bonds between
-    them; bit v of the result is set iff lower vertex v connects to the
-    infected block through this two-layer structure.
-    """
-    k = graph.vertex_count
-    block_id = _block_ids(infected)
-    links = []
+def _partition_links(upper: Pattern) -> list[tuple[int, int]]:
+    """Pairs of vertices that chain each block of a partition together."""
+    links: list[tuple[int, int]] = []
     for block in upper.blocks:
         members = [e for e in block if e != STAR]
         links += zip(members, members[1:])
+    return links
+
+
+def _reach_mask(k: int, block_id: Sequence[int], links, vertical_bits: int) -> int:
     find = _join_layers(k, block_id, links, vertical_bits)
     star_root = find(k)
     mask = 0
@@ -459,15 +455,26 @@ def bridge_reach(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits:
     return mask
 
 
+def bridge_reach(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits: int) -> int:
+    """Bitmask of lower-layer vertices linked to the infection through one extra layer.
+
+    The lower layer carries the infected pattern, the upper layer the
+    uninfected partition, and vertical_bits the open vertical bonds between
+    them; bit v of the result is set iff lower vertex v connects to the
+    infected block through this two-layer structure.
+    """
+    k = graph.vertex_count
+    return _reach_mask(k, _block_ids(infected), _partition_links(upper), vertical_bits)
+
+
 def bridge_reach_table(
     graph: Graph, infected_states: Sequence[Pattern], core: Sequence[Pattern]
 ) -> list[list[list[int]]]:
     """reach[x][y][z] = bridge_reach mask for every state pair and vertical config."""
     k = graph.vertex_count
-    return [
-        [
-            [bridge_reach(graph, x, y, z) for z in range(1 << k)]
-            for y in core
-        ]
-        for x in infected_states
-    ]
+    links = [_partition_links(y) for y in core]
+    table = []
+    for x in infected_states:
+        block_id = _block_ids(x)
+        table.append([[_reach_mask(k, block_id, l, z) for z in range(1 << k)] for l in links])
+    return table

@@ -10,6 +10,16 @@ reported onset index.  Connection probabilities are assembled from the
 layer distribution, the stationary distribution of the layer above, and
 the vertical bonds between them, so that one polynomial per vertex and
 step certifies the monotonicity of the connection probability itself.
+
+Every stage runs on automorphism orbits.  The stationary vector is solved
+on the Aut(G) orbits of the connectivity chain and expanded to one entry
+per partition.  The lumped chain is stepped on the orbits of Aut_o, the
+automorphisms fixing the origin, under which the initial distribution is
+invariant, so orbit-mates carry equal weight at every layer.  With S the
+orbit-summing matrix, the infected block B satisfies B S = S Q for the
+orbit kernel Q, and Q^m >= Q^(m+1) entrywise bounds every later step of
+the orbit sums, hence of each state: the matrix certificates live on the
+orbits, while the step certificates and connection drops stay per state.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .algebra import (
     _eval_sign,
     certify_sign,
     poly_dot,
+    poly_dot_table,
     poly_sum,
 )
 from .analysis import (
@@ -383,21 +394,28 @@ class Engine:
         """
         k = self.graph.vertex_count
         vertical_weights = config_weights(k)
-        products = [[entry * w for w in vertical_weights] for entry in self.stationary.entries]
+        popcounts = [z.bit_count() for z in range(1 << k)]
         states = [self.kernel.states[i] for i in self.infected_indices]
         reach = bridge_reach_table(self.graph, states, self.stationary.states)
-        acc: list[list[list[Polynomial]]] = [[[] for _ in states] for _ in range(k)]
+        # vertical[v][i][j]: probability of the vertical bonds linking v to
+        # the infection of state i below partition j
+        vertical: list[list[list[Polynomial]]] = [[[] for _ in states] for _ in range(k)]
         for i, masks_by_upper in enumerate(reach):
-            for row, masks in zip(products, masks_by_upper):
+            for masks in masks_by_upper:
+                counts = [[0] * (k + 1) for _ in range(k)]
                 for z, mask in enumerate(masks):
-                    weight = row[z.bit_count()]
                     v = 0
                     while mask:
                         if mask & 1:
-                            acc[v][i].append(weight)
+                            counts[v][popcounts[z]] += 1
                         mask >>= 1
                         v += 1
-        linked = [[poly_sum(cell) for cell in row] for row in acc]
+                for v, per in enumerate(counts):
+                    vertical[v][i].append(
+                        poly_sum(c * vertical_weights[n] for n, c in enumerate(per) if c)
+                    )
+        stationary = [list(self.stationary.entries)]
+        linked = [poly_dot_table(stationary, vertical[v])[0] for v in range(k)]
         carriers = [self.orbits.carriers[i] for i in self.infected_indices]
         return [
             [poly_sum(linked[perm.index(v)][i] for perm in perms) for i, perms in enumerate(carriers)]
