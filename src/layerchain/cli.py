@@ -2,8 +2,8 @@
 
 All exact results are rendered as rational strings; only the mc and decay
 commands are approximate and say so in their artifacts.  Exit codes:
-0 success or proven, 1 usage or input error, 2 counterexample,
-3 inconclusive.
+0 success or proven, 1 usage or input error (a malformed command line
+included), 2 counterexample, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ EXIT_INCONCLUSIVE = 3
 
 class UsageError(CodedError):
     """Invalid command-line input."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a coded usage error instead of
+    printing the usage text and exiting; sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError("argument-invalid", message)
 
 
 def _graph_from_args(args) -> Graph:
@@ -138,7 +146,7 @@ def _cmd_onset(args) -> int:
     graph = _graph_from_args(args)
     cap = _nonnegative(args.cap, "--cap", "cap-negative")
     try:
-        certificate = Engine(graph).onset(cap, args.threads)
+        certificate = Engine(graph).onset(cap)
     except OnsetCapExceeded as exc:
         _emit({"graph": graph.describe(), "error": "onset-cap-exceeded", "cap": exc.cap}, args)
         return EXIT_INCONCLUSIVE
@@ -149,7 +157,7 @@ def _cmd_onset(args) -> int:
 def _cmd_verify(args) -> int:
     graph = _graph_from_args(args)
     cap = _nonnegative(args.cap, "--cap", "cap-negative")
-    certificate = verify_conjecture(graph, cap, workers=args.threads)
+    certificate = verify_conjecture(graph, cap)
     _emit(certificate.to_dict(), args)
     if certificate.verdict == PROVEN:
         return EXIT_OK
@@ -326,7 +334,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="layerchain",
         description="Exact monotonicity certificates for percolation on layered graphs.",
     )
@@ -357,12 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=64, help="onset search cap")
         p.add_argument("--out", default=None, help="artifact output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="parallelism bound for certification",
-        )
         if name == "kernel":
             p.add_argument("--kind", choices=("full", "reduced", "lumped"), default="lumped")
         if name == "extremal":
@@ -383,12 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # --help, after printing it
+            return EXIT_OK
         if args.format == "csv" and args.command != "bound":
             raise UsageError("format-invalid", "--format csv is only supported by bound")
         return _COMMANDS[args.command](args)

@@ -77,53 +77,23 @@ def _infected_indices(kernel: PolyMatrix) -> list[int]:
     return [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
 
 
-def _certify_task(payload: tuple[tuple, Interval]) -> SignCertificate:
-    coeffs, interval = payload
-    return certify_sign(Polynomial(coeffs), interval)
-
-
 class _CertCache:
-    """Deduplicates sign certification of identical polynomials.
+    """Certifies the sign of each distinct polynomial on (0, 1) once,
+    in-process.
 
-    With more than one worker, distinct polynomials are certified in a
-    process pool; results are keyed by coefficients, so the output does not
-    depend on the worker count.
+    Certificates are keyed by coefficients, so a repeated polynomial costs
+    a dictionary lookup and gets the same certificate.
     """
 
-    def __init__(self, interval: Interval, workers: int = 1):
-        self.interval = interval
-        self.workers = workers
+    def __init__(self):
         self.seen: dict[tuple, SignCertificate] = {}
 
     def certify(self, q: Polynomial) -> SignCertificate:
         cert = self.seen.get(q.coeffs)
         if cert is None:
-            cert = certify_sign(q, self.interval)
+            cert = certify_sign(q, UNIT_OPEN)
             self.seen[q.coeffs] = cert
         return cert
-
-    def certify_many(self, polys: Sequence[Polynomial]) -> list[SignCertificate]:
-        pending: list[tuple] = []
-        queued: set[tuple] = set()
-        for q in polys:
-            if q.coeffs not in self.seen and q.coeffs not in queued:
-                pending.append(q.coeffs)
-                queued.add(q.coeffs)
-        if self.workers > 1 and len(pending) > 4:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = pool.map(
-                    _certify_task,
-                    [(coeffs, self.interval) for coeffs in pending],
-                    chunksize=max(1, len(pending) // (4 * self.workers)),
-                )
-                for coeffs, cert in zip(pending, results):
-                    self.seen[coeffs] = cert
-        else:
-            for coeffs in pending:
-                self.seen[coeffs] = certify_sign(Polynomial(coeffs), self.interval)
-        return [self.seen[q.coeffs] for q in polys]
 
 
 _QUICK_PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 10), Fraction(9, 10))
@@ -133,9 +103,7 @@ def _quick_negative(q: Polynomial) -> bool:
     return any(_eval_sign(q.coeffs, point) < 0 for point in _QUICK_PROBES)
 
 
-def matrix_onset(
-    kernel: PolyMatrix, cap: int = 64, workers: int = 1
-) -> tuple[int, list[list[SignCertificate]]]:
+def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
     Returns the step and the grid of certificates for the entry differences
@@ -150,7 +118,7 @@ def matrix_onset(
         tuple(kernel.states[i] for i in infected),
         tuple(tuple(kernel.entries[y][x] for x in infected) for y in infected),
     )
-    cache = _CertCache(UNIT_OPEN, workers)
+    cache = _CertCache()
     current = PolyMatrix.identity(block.states)
     for step in range(cap + 1):
         following = current @ block
@@ -159,7 +127,7 @@ def matrix_onset(
             for now, later in zip(current.entries, following.entries)
         ]
         if not any(_quick_negative(d) for row in diffs for d in row):
-            flat = cache.certify_many([d for row in diffs for d in row])
+            flat = [cache.certify(d) for row in diffs for d in row]
             if all(c.verdict in NONNEGATIVE_VERDICTS for c in flat):
                 n = block.size
                 certs = [flat[i * n : (i + 1) * n] for i in range(n)]
@@ -268,39 +236,25 @@ def _advance(
 
 
 def vector_onset(
-    initial: PolyVector,
-    kernel: PolyMatrix,
-    matrix_step: int,
-    matrix_certificates: list[list[SignCertificate]],
-    graph_label: str = "",
-    workers: int = 1,
-    orbits: Optional[Orbits] = None,
+    engine: Engine, matrix_step: int, matrix_certificates: list[list[SignCertificate]]
 ) -> OnsetCertificate:
-    """Refine the matrix-level onset along the initial distribution.
+    """Refine the matrix-level onset along the engine's initial distribution.
 
     Certifies the scaled one-step probability drop of every infected state
     for each step below the matrix-level step; the reported onset is the
     smallest index from which all of those certificates are nonnegative.
 
-    The initial distribution is per state.  orbits splits its states into
-    the orbits the kernel is indexed by (default: every state its own
-    orbit); the states of an orbit carry equal weight, so one certificate
-    per orbit covers them all.
+    The layer weights are the engine's own (Engine.weights_at), so the
+    connection drops below the onset reuse them.  The states of an orbit
+    carry equal weight, so one certificate per orbit covers them all.
     """
-    if orbits is None:
-        orbits = Orbits.trivial(initial.states)
-    if tuple(initial.states) != orbits.states or tuple(kernel.states) != orbits.representatives:
-        raise ValueError("initial distribution and kernel have different state spaces")
-    infected = _infected_indices(kernel)
-    sizes = orbits.sizes
-    cache = _CertCache(UNIT_OPEN, workers)
-    weights = [initial.entries[members[0]] for members in orbits.members]
+    orbits = engine.orbits
+    infected = engine.infected_indices
+    cache = _CertCache()
     orbit_certs: list[dict[int, SignCertificate]] = []
-    for _ in range(matrix_step):
-        advanced = _advance(kernel, weights, sizes)
-        certs = cache.certify_many([weights[i] - advanced[i] for i in infected])
-        orbit_certs.append(dict(zip(infected, certs)))
-        weights = advanced
+    for n in range(matrix_step):
+        now, later = engine.weights_at(n), engine.weights_at(n + 1)
+        orbit_certs.append({i: cache.certify(now[i] - later[i]) for i in infected})
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
     position = {i: j for j, i in enumerate(states)}
     step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
@@ -310,7 +264,7 @@ def vector_onset(
             onset = n + 1
             break
     certificate = OnsetCertificate(
-        graph=graph_label,
+        graph=engine.label,
         states=[str(orbits.states[i]) for i in states],
         matrix_step=matrix_step,
         onset=onset,
@@ -346,8 +300,9 @@ class Engine:
     - bridge: one column per infected orbit.
 
     Layer weights are held per orbit: every state of an orbit carries its
-    representative's weight.  Distributions and connection polynomials are
-    scaled by powers of the stationary normalizer.
+    representative's weight.  weights_at steps them, each layer once, for
+    both the onset and the connection drops.  Distributions and connection
+    polynomials are scaled by powers of the stationary normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
@@ -424,30 +379,27 @@ class Engine:
 
     @cached_property
     def _weights(self) -> list[list[Polynomial]]:
-        if tuple(self.initial.states) != self.orbits.states:
-            raise AssertionError("lumped state spaces disagree")
-        return [[self.initial.entries[members[0]] for members in self.orbits.members]]
+        orbits = self.orbits
+        if tuple(self.initial.states) != orbits.states or (
+            tuple(self.kernel.states) != orbits.representatives
+        ):
+            raise ValueError("initial distribution and kernel have different state spaces")
+        return [[self.initial.entries[members[0]] for members in orbits.members]]
 
-    def onset(self, cap: int = 64, workers: int = 1) -> OnsetCertificate:
-        """Matrix-level onset on the orbit kernel, refined along the initial
-        distribution.
+    def onset(self, cap: int = 64) -> OnsetCertificate:
+        """Matrix-level onset on the orbit kernel (matrix_onset), refined
+        along the initial distribution (vector_onset) on the engine's own
+        layer weights.  Certification runs in-process.
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
-        matrix_step, matrix_certs = matrix_onset(self.kernel, cap, workers)
-        return vector_onset(
-            self.initial,
-            self.kernel,
-            matrix_step,
-            matrix_certs,
-            self.label,
-            workers,
-            self.orbits,
-        )
+        matrix_step, matrix_certs = matrix_onset(self.kernel, cap)
+        return vector_onset(self, matrix_step, matrix_certs)
 
     def weights_at(self, n: int) -> list[Polynomial]:
         """Scaled distribution of the layer pattern after n steps: the
-        weight of each state of each orbit, in orbit order."""
+        weight of each state of each orbit, in orbit order.  The one place
+        layer weights are stepped; each layer is stepped once and kept."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         while len(self._weights) <= n:
@@ -583,14 +535,17 @@ def verify_conjecture(
 
     Combines the onset certificate (covering all steps from the onset on)
     with direct certification of the connection-probability drop for every
-    vertex at each step below the onset.
+    vertex at each step below the onset.  Certification runs in-process;
+    workers is accepted for existing callers and must be 1.
     """
+    if workers != 1:
+        raise ValueError(f"certification runs in-process; workers must be 1, got {workers}")
     engine = Engine(graph, label)
     try:
-        onset_cert = engine.onset(cap, workers)
+        onset_cert = engine.onset(cap)
     except OnsetCapExceeded:
         return ConjectureCertificate(engine.label, INCONCLUSIVE, None)
-    cache = _CertCache(UNIT_OPEN, workers)
+    cache = _CertCache()
     connection_certs: list[list[SignCertificate]] = []
     witness = None
     for n in range(onset_cert.onset):

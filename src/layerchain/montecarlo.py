@@ -28,7 +28,7 @@ from .errors import CodedError
 from .graphs import Graph
 from .kernels import (
     bridge_reach_table,
-    core_partitions,
+    build_core,
     lumped_state_list,
     step_pattern,
     successor_table,
@@ -145,13 +145,13 @@ class _Tables:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.core = core_partitions(graph)
-        self.lumped = lumped_state_list(self.core)
-        core_index = {s: i for i, s in enumerate(self.core)}
+        core = build_core(graph)  # every partition its own orbit, with its row
+        partitions = core.orbits.states
+        self.lumped = lumped_state_list(partitions)
+        core_index = {s: i for i, s in enumerate(partitions)}
         lumped_index = {s: i for i, s in enumerate(self.lumped)}
-        core_rows = successor_table(graph, self.core)
         self.core_step = np.array(
-            [[core_index[t] for t in row] for row in core_rows], dtype=np.int64
+            [[core_index[t] for t in row] for row in core.rows], dtype=np.int64
         )
         infected = self.lumped[1:]
         infected_rows = successor_table(graph, infected)
@@ -161,10 +161,10 @@ class _Tables:
             lumped_table.append([lumped_index[lump(t)] for t in row])
         self.lumped_step = np.array(lumped_table, dtype=np.int64)
         self.core_to_initial = np.array(
-            [lumped_index[attach_infection(w, graph.origin)] for w in self.core],
+            [lumped_index[attach_infection(w, graph.origin)] for w in partitions],
             dtype=np.int64,
         )
-        self.reach = np.array(bridge_reach_table(graph, infected, self.core), dtype=np.int64)
+        self.reach = np.array(bridge_reach_table(graph, infected, partitions), dtype=np.int64)
         self.isolated_core = core_index[all_singletons_pattern(graph.vertex_count)]
 
 

@@ -41,13 +41,16 @@ COMMANDS = (
 )
 
 # the stationary solve on graphs whose vectors have higher degree, and the
-# bridge and layer weights on a graph whose origin has a nontrivial stabilizer
+# bridge, layer weights and onset on a graph whose origin has a nontrivial
+# stabilizer
 CASES = (
     [(graph, command) for graph in GRAPHS for command in COMMANDS]
     + [(graph, ("stationary",)) for graph in ("cycle:4", "path:4")]
     + [
         ("cycle:4", ("connection", "--vertex", "1", "--n", "2", "--p", "1/3")),
         ("cycle:4", ("expected-mono", "--n", "2")),
+        ("cycle:4", ("onset",)),
+        ("cycle:4", ("verify",)),
     ]
 )
 

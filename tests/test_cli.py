@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
+from hypothesis import given, strategies as st
 
-from layerchain.cli import main
+from layerchain.cli import _COMMANDS, main
 from layerchain.kernels import PolyMatrix, build_reduced_kernel
 from layerchain.graphs import cycle
 from layerchain.schemas import (
@@ -48,14 +51,14 @@ def test_stationary_artifact(capsys):
 
 
 def test_onset_command(capsys):
-    data = run_json(capsys, "onset", "--graph", "cycle:2", "--threads", "1")
+    data = run_json(capsys, "onset", "--graph", "cycle:2")
     jsonschema.validate(data, ONSET_CERTIFICATE_SCHEMA)
     assert data["onset"] == 2
     assert data["matrix_step"] == 4
 
 
 def test_verify_command_proven_exit_zero(capsys):
-    code, out, err = run_cli(capsys, "verify", "--graph", "cycle:2", "--threads", "1")
+    code, out, err = run_cli(capsys, "verify", "--graph", "cycle:2")
     assert code == 0, err
     data = json.loads(out)
     jsonschema.validate(data, CONJECTURE_CERTIFICATE_SCHEMA)
@@ -141,9 +144,7 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     for target in (first, second):
-        code, _, _ = run_cli(
-            capsys, "onset", "--graph", "cycle:2", "--out", str(target), "--threads", "2"
-        )
+        code, _, _ = run_cli(capsys, "onset", "--graph", "cycle:2", "--out", str(target))
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
 
@@ -164,7 +165,7 @@ def test_one_vertex_graph(capsys):
     graph = ("--graph", "path:1")
     data = run_json(capsys, "stationary", *graph)
     assert data["stationary"]["entries"] == [["1"]]
-    data = run_json(capsys, "verify", *graph, "--threads", "1")
+    data = run_json(capsys, "verify", *graph)
     assert data["verdict"] == "proven"
     data = run_json(capsys, "fit", *graph, "--p", "1/2", "--samples", "500", "--seed", "1")
     assert data["counts"] == [0, 500] and data["pvalue"] == 1.0
@@ -237,3 +238,53 @@ def test_verify_cap_exhaustion_is_inconclusive(capsys):
     code, out, _ = run_cli(capsys, "onset", "--graph", "cycle:2", "--cap", "1")
     assert code == 3
     assert json.loads(out)["error"] == "onset-cap-exceeded"
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: layerchain")
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and "--cap" in out
+
+
+def _parses_as_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_NOT_INT = st.text(min_size=1, max_size=6).filter(lambda t: not _parses_as_int(t))
+
+
+def _malformed_argv():
+    """Command lines that argparse itself rejects, so none runs a command;
+    --threads is among them, since certification runs in-process."""
+    command = st.sampled_from(sorted(_COMMANDS))
+    int_flag = st.sampled_from(("--n", "--vertex", "--samples", "--seed", "--cap", "--origin"))
+    return st.one_of(
+        st.tuples(command, int_flag, _NOT_INT).map(list),
+        st.tuples(command, _WORDS.map(lambda w: "--no-such-" + w)).map(list),
+        _WORDS.filter(lambda w: w not in _COMMANDS).map(lambda w: [w, "--graph", "cycle:2"]),
+        st.tuples(st.sampled_from(("kernel", "extremal")), _WORDS).map(
+            lambda t: [t[0], "--kind", "x" + t[1]]
+        ),
+        _WORDS.map(lambda w: ["bound", "--format", "x" + w]),
+        st.tuples(st.sampled_from(("onset", "verify")), st.integers(-3, 8)).map(
+            lambda t: [t[0], "--graph", "cycle:2", "--threads", str(t[1])]
+        ),
+        st.just([]),
+    )
+
+
+@given(_malformed_argv())
+def test_malformed_command_lines_are_coded_errors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 1, argv
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: [argument-invalid] "), err.getvalue()
+    assert "Traceback" not in err.getvalue()

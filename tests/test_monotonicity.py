@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
+from layerchain import monotonicity
 from layerchain.algebra import (
     Interval,
     NONNEGATIVE_VERDICTS,
@@ -33,6 +34,15 @@ from layerchain.schemas import CONJECTURE_CERTIFICATE_SCHEMA, ONSET_CERTIFICATE_
 from test_kernels import small_graphs
 
 HALF = Fraction(1, 2)
+
+
+def _per_state_engine(graph, initial, lumped, stationary):
+    """An engine on given per-state stages, every lumped state its own
+    orbit, as connection_polynomial builds one."""
+    engine = Engine(graph)
+    engine.initial, engine.kernel, engine.stationary = initial, lumped, stationary
+    engine.orbits = Orbits.trivial(lumped.states)
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +108,31 @@ def test_onset_step_below_has_failure(verify_c2):
     assert any(c.verdict not in NONNEGATIVE_VERDICTS for c in failing)
 
 
-def test_vector_onset_rejects_mismatched_states(pipeline_c2, pipeline_c3):
+def test_vector_onset_rejects_mismatched_states(c2, pipeline_c2, pipeline_c3):
+    _, stationary, lumped, _ = pipeline_c2
+    engine = _per_state_engine(c2, pipeline_c3[3], lumped, stationary)
     with pytest.raises(ValueError):
-        vector_onset(pipeline_c3[3], pipeline_c2[2], 1, [])
+        vector_onset(engine, 1, [])
+
+
+def test_verify_steps_each_layer_once(monkeypatch, c2, c4):
+    """The onset and the connection drops share the engine's layer weights:
+    the four-cycle has matrix step 5, so its layers are stepped five times.
+    Certification runs in-process, so a worker count other than 1 is
+    refused."""
+    steps = []
+    advance = monotonicity._advance
+
+    def counted(*args):
+        steps.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(monotonicity, "_advance", counted)
+    certificate = verify_conjecture(c4)
+    assert certificate.onset_certificate.matrix_step == 5
+    assert len(steps) == 5
+    with pytest.raises(ValueError):
+        verify_conjecture(c2, workers=2)
 
 
 def test_probability_drop_sums_to_zero(pipeline_c2, pipeline_c3):
@@ -202,14 +234,6 @@ def test_onset_certificate_rejects_bad_matrix_orbits(verify_c3):
             OnsetCertificate.from_dict(data).validate()
 
 
-def test_workers_do_not_change_output(pipeline_c2):
-    _, _, lumped, initial = pipeline_c2
-    step_serial, certs_serial = matrix_onset(lumped, workers=1)
-    step_parallel, certs_parallel = matrix_onset(lumped, workers=2)
-    assert step_serial == step_parallel
-    assert certs_serial == certs_parallel
-
-
 # ---------------------------------------------------------------------------
 # Bounded-degree arithmetic.
 # ---------------------------------------------------------------------------
@@ -254,15 +278,6 @@ def test_expected_count_monotone_first_step_full_interval(c3):
 CAP = 24
 
 
-def _per_state_engine(graph, initial, lumped, stationary):
-    """The engine connection_polynomial builds from per-state stages, kept
-    so that its bridge table is built once for every vertex and step."""
-    engine = Engine(graph)
-    engine.initial, engine.kernel, engine.stationary = initial, lumped, stationary
-    engine.orbits = Orbits.trivial(lumped.states)
-    return engine
-
-
 @settings(max_examples=12)  # each example runs the onset twice, on orbits and per state
 @given(small_graphs())
 def test_orbit_pipeline_matches_per_state_builders(graph):
@@ -278,15 +293,14 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     lumped = build_lumped_kernel(graph)
     initial = initial_distribution(stationary, graph)
     assert engine.initial == initial
-    step, certs = matrix_onset(lumped, CAP)
-    per_state = vector_onset(initial, lumped, step, certs)
+    reference = _per_state_engine(graph, initial, lumped, stationary)
+    per_state = reference.onset(CAP)
     on_orbits = engine.onset(CAP)
     assert on_orbits.matrix_step <= per_state.matrix_step
     assert on_orbits.onset == per_state.onset
     assert on_orbits.states == per_state.states
     kept = per_state.step_certificates[: on_orbits.matrix_step]
     assert on_orbits.step_certificates == kept
-    reference = _per_state_engine(graph, initial, lumped, stationary)
     for n in range(on_orbits.onset + 1):
         for v in graph.vertices:
             assert engine.connection_drop(v, n) == reference.connection_drop(v, n)
