@@ -52,6 +52,16 @@ CASES = (
         ("cycle:4", ("onset",)),
         ("cycle:4", ("verify",)),
     ]
+    # the mc-cycle3 benchmark graph and p, and fits at skewed p, where some
+    # layer-configuration draws need more than the guide table's fixed passes
+    + [
+        (
+            "cycle:3",
+            ("mc", "--p", "7/10", "--vertex", "1", "--n", "2", "--samples", "20000", "--seed", "45"),
+        ),
+        ("cycle:4", ("fit", "--p", "1/20", "--samples", "20000", "--seed", "5")),
+        ("cycle:3", ("fit", "--p", "9/10", "--samples", "20000", "--seed", "5")),
+    ]
 )
 
 
