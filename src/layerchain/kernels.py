@@ -264,6 +264,7 @@ class Orbits:
 
     def __init__(self, states: Sequence[PatternClass], group: Sequence[tuple[int, ...]]):
         self.states = tuple(states)
+        self.group = tuple(group)
         index = {state: i for i, state in enumerate(self.states)}
         orbit_of: list[Optional[int]] = [None] * len(self.states)
         members, carriers = [], []

@@ -244,8 +244,8 @@ def vector_onset(
     for each step below the matrix-level step; the reported onset is the
     smallest index from which all of those certificates are nonnegative.
 
-    The layer weights are the engine's own (Engine.weights_at), so the
-    connection drops below the onset reuse them.  The states of an orbit
+    The layer weight drops are the engine's own (Engine.weight_drop), so
+    the connection drops below the onset reuse them.  The states of an orbit
     carry equal weight, so one certificate per orbit covers them all.
     """
     orbits = engine.orbits
@@ -253,8 +253,8 @@ def vector_onset(
     cache = _CertCache()
     orbit_certs: list[dict[int, SignCertificate]] = []
     for n in range(matrix_step):
-        now, later = engine.weights_at(n), engine.weights_at(n + 1)
-        orbit_certs.append({i: cache.certify(now[i] - later[i]) for i in infected})
+        drop = engine.weight_drop(n)
+        orbit_certs.append({i: cache.certify(d) for i, d in zip(infected, drop)})
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
     position = {i: j for j, i in enumerate(states)}
     step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
@@ -300,14 +300,16 @@ class Engine:
     - bridge: one column per infected orbit.
 
     Layer weights are held per orbit: every state of an orbit carries its
-    representative's weight.  weights_at steps them, each layer once, for
-    both the onset and the connection drops.  Distributions and connection
+    representative's weight.  weights_at steps them and weight_drop takes
+    each layer's drop, each once, for both the onset and the connection
+    drops.  Distributions and connection
     polynomials are scaled by powers of the stationary normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
         self.graph = graph
         self.label = label or graph.describe()
+        self._drops: dict[int, list[Polynomial]] = {}
 
     @cached_property
     def core(self) -> Core:
@@ -406,24 +408,37 @@ class Engine:
             self._weights.append(_advance(self.kernel, self._weights[-1], self.orbits.sizes))
         return self._weights[n]
 
-    def _bridge_row(self, vertex: int) -> list[Polynomial]:
-        if vertex not in self.graph.vertices:
-            raise ValueError(f"vertex {vertex} not in graph")
-        return self.bridge[vertex]
+    def weight_drop(self, n: int) -> list[Polynomial]:
+        """weights_at(n) - weights_at(n + 1) on the infected orbits, in
+        infected_indices order; each layer's drop is built once and kept
+        for both the vector onset and the connection drops."""
+        drop = self._drops.get(n)
+        if drop is None:
+            now, later = self.weights_at(n), self.weights_at(n + 1)
+            drop = self._drops[n] = [now[i] - later[i] for i in self.infected_indices]
+        return drop
 
     def connection(self, vertex: int, n: int) -> Polynomial:
         """Connection probability from the origin to (vertex, n), scaled by
         the squared normalizer."""
-        bridge = self._bridge_row(vertex)
+        if vertex not in self.graph.vertices:
+            raise ValueError(f"vertex {vertex} not in graph")
         weights = self.weights_at(n)
-        return poly_dot([weights[i] for i in self.infected_indices], bridge)
+        return poly_dot([weights[i] for i in self.infected_indices], self.bridge[vertex])
 
-    def connection_drop(self, vertex: int, n: int) -> Polynomial:
-        """connection(vertex, n) - connection(vertex, n + 1)."""
-        bridge = self._bridge_row(vertex)
-        now = self.weights_at(n)
-        later = self.weights_at(n + 1)
-        return poly_dot([now[i] - later[i] for i in self.infected_indices], bridge)
+    def connection_drops(self, n: int) -> list[Polynomial]:
+        """connection(v, n) - connection(v, n + 1) for every vertex v.
+
+        The group of the orbits fixes the origin and the initial
+        distribution, so the vertices of one orbit have equal drops: one
+        dot-product table takes the layer's weight drop against the bridge
+        row of each orbit's smallest vertex."""
+        group = self.orbits.group
+        representative = [min(perm[v] for perm in group) for v in self.graph.vertices]
+        distinct = sorted(set(representative))
+        rows = [self.bridge[r] for r in distinct]
+        drops = dict(zip(distinct, poly_dot_table([self.weight_drop(n)], rows)[0]))
+        return [drops[r] for r in representative]
 
     def expected(self, n: int) -> Polynomial:
         """Expected number of infected vertices at layer n, scaled by the
@@ -550,8 +565,8 @@ def verify_conjecture(
     witness = None
     for n in range(onset_cert.onset):
         row = []
-        for v in graph.vertices:
-            cert = cache.certify(engine.connection_drop(v, n))
+        for v, drop in zip(graph.vertices, engine.connection_drops(n)):
+            cert = cache.certify(drop)
             row.append(cert)
             if witness is None and cert.verdict not in NONNEGATIVE_VERDICTS:
                 witness = {

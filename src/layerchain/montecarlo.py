@@ -11,7 +11,9 @@ block and the chain continued upward with fresh layers.
 
 The batch path drives the same construction through precomputed successor
 tables and inverse-CDF draws of whole layer configurations, which keeps
-100k-replica runs fast; the scalar path simulates raw bonds directly.
+100k-replica runs fast; the scalar path simulates raw bonds directly.  A
+guide table over the CDF finds each configuration in a few array passes:
+the same draws as binary search, so seeded results do not depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .errors import CodedError
 from .graphs import Graph
@@ -136,7 +137,8 @@ def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
 
 
 # ---------------------------------------------------------------------------
-# Batch sampler: precomputed tables, inverse-CDF layer draws.
+# Batch sampler: precomputed tables, inverse-CDF layer draws.  The draws go
+# through a guide table and equal binary search over the CDF.
 # ---------------------------------------------------------------------------
 
 
@@ -183,6 +185,46 @@ def _config_cdf(width: int, p: float, skip: int = 0) -> np.ndarray:
     return cdf
 
 
+class _ConfigDraw:
+    """Inverse-CDF draws of width-bit configs through a guide table.
+
+    A draw maps a uniform u in [0, 1) to searchsorted(cdf, u, side="right")
+    over the _config_cdf table: the same config as binary search.  [0, 1)
+    is cut into m buckets, 16 per config, so m is a power of two, the bucket
+    k = floor(u * m) is exact and k / m <= u.  guide[k], the answer at k / m,
+    is then the answer for every u in a bucket that no CDF entry splits, and
+    never past the answer in the others.  Draws in split buckets take two
+    fixed passes of index += cdf[index] <= u; the few still short after them
+    (configs crowded into one bucket at skewed p) go through binary search.
+    """
+
+    def __init__(self, width: int, p: float, skip: int = 0):
+        self.cdf = _config_cdf(width, p, skip)
+        buckets = 16 * len(self.cdf)
+        edges = np.arange(buckets + 1) / buckets
+        self.scale = float(buckets)
+        self.guide = np.searchsorted(self.cdf, edges[:-1], side="right")
+        self.split = np.searchsorted(self.cdf, edges[1:], side="left") > self.guide
+
+    def __call__(self, draws: np.ndarray) -> np.ndarray:
+        cdf = self.cdf
+        # the float-to-integer cast truncates, which is floor for u >= 0
+        buckets = np.empty(len(draws), dtype=np.intp)
+        np.multiply(draws, self.scale, out=buckets, casting="unsafe")
+        index = self.guide[buckets]
+        pending = np.flatnonzero(self.split[buckets])
+        if pending.size:
+            u = draws[pending]
+            found = index[pending]
+            for _ in range(2):
+                found += cdf[found] <= u
+            short = np.flatnonzero(cdf[found] <= u)
+            if short.size:
+                found[short] = np.searchsorted(cdf, u[short], side="right")
+            index[pending] = found
+        return index
+
+
 def _stationary_core_batch(
     tables: _Tables, p: float, samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +238,8 @@ def _stationary_core_batch(
     graph = tables.graph
     depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
     draws = rng.random(samples)
-    horizontal = np.searchsorted(_config_cdf(graph.edge_count, p), draws, side="right")
-    cdf = _config_cdf(graph.bond_count, p, skip=1 << graph.edge_count)
+    horizontal = _ConfigDraw(graph.edge_count, p)(draws)
+    conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
     order = np.argsort(-depths, kind="stable")
     sorted_depths = depths[order]
     states = tables.core_step[tables.isolated_core, horizontal[order]]
@@ -206,8 +248,7 @@ def _stationary_core_batch(
         active = np.searchsorted(-sorted_depths, -countdown, side="right")
         if active == 0:
             continue
-        draws = rng.random(active)
-        configs = np.searchsorted(cdf, draws, side="right")
+        configs = conditioned(rng.random(active))
         states[:active] = tables.core_step[states[:active], configs]
     unsorted = np.empty_like(states)
     unsorted[order] = states
@@ -222,12 +263,11 @@ def _advance_lumped(
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Advance lumped-state indices; returns the trajectory [X_0, ..., X_steps]."""
-    cdf = _config_cdf(tables.graph.bond_count, p)
+    draw = _ConfigDraw(tables.graph.bond_count, p)
     trajectory = [start]
     current = start
     for _ in range(steps):
-        draws = rng.random(len(current))
-        configs = np.searchsorted(cdf, draws, side="right")
+        configs = draw(rng.random(len(current)))
         current = tables.lumped_step[current, configs]
         trajectory.append(current)
     return trajectory
@@ -265,12 +305,11 @@ def connection_estimates(
     trajectory = _advance_lumped(tables, pf, start, max_n, rng_chain)
 
     upper, _ = _stationary_core_batch(tables, pf, samples, rng_upper)
-    vertical_cdf = _config_cdf(graph.vertex_count, pf)
+    vertical = _ConfigDraw(graph.vertex_count, pf)
     vertical_by_n: dict[int, np.ndarray] = {}
     for _, n in sorted(set(targets), key=lambda t: t[1]):
         if n not in vertical_by_n:
-            draws = rng_vertical.random(samples)
-            vertical_by_n[n] = np.searchsorted(vertical_cdf, draws, side="right")
+            vertical_by_n[n] = vertical(rng_vertical.random(samples))
 
     results = []
     for vertex, n in targets:
@@ -332,8 +371,11 @@ def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
         expected = samples * probability
         statistic += (observed - expected) ** 2 / expected
         dof += 1
+    # here, so that importing the package does not load scipy
+    from scipy.stats import chi2
+
     # with one possible state (a one-vertex graph) the fit cannot reject
-    pvalue = float(_chi2.sf(statistic, dof)) if dof else 1.0
+    pvalue = float(chi2.sf(statistic, dof)) if dof else 1.0
     return {
         "chi2": statistic,
         "dof": dof,

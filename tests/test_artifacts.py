@@ -57,7 +57,8 @@ CASES = (
     + [
         (
             "cycle:3",
-            ("mc", "--p", "7/10", "--vertex", "1", "--n", "2", "--samples", "20000", "--seed", "45"),
+            ("mc", "--p", "7/10", "--vertex", "1", "--n", "2")
+            + ("--samples", "20000", "--seed", "45"),
         ),
         ("cycle:4", ("fit", "--p", "1/20", "--samples", "20000", "--seed", "5")),
         ("cycle:3", ("fit", "--p", "9/10", "--samples", "20000", "--seed", "5")),

@@ -1,9 +1,11 @@
 """The benchmark in perfbench/ calls the library by name: its traced run
-looks every wrapped callable up in vars(owner), and its verify workload
-calls verify_conjecture(graph, CAP, workers=1).  These tests only read
-perfbench/."""
+looks every wrapped callable up in vars(owner), its verify workload
+calls verify_conjecture(graph, CAP, workers=1), and its Monte Carlo
+workload calls connection_estimates and initial_pattern_fit.  These tests
+only read perfbench/."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,12 @@ def test_verify_workload_runs_and_checks(perfbench):
     graph = workload.inputs(0)
     checks = workload.check(graph, workload.run(graph))
     assert checks and all(checks)
+
+
+def test_monte_carlo_workload_runs_and_checks(perfbench):
+    _, workloads = perfbench
+    workload = workloads.MonteCarloWorkload("cycle:3", Fraction(7, 10), 20000)
+    inputs = workload.inputs(0)
+    checks = workload.check(inputs, workload.run(inputs))
+    assert checks and all(checks)
+    assert workload.descent_layers_mean(inputs) > 1.0

@@ -11,6 +11,7 @@ from layerchain.algebra import (
     NONNEGATIVE_VERDICTS,
     Polynomial,
     certify_sign,
+    poly_dot,
     poly_sum,
 )
 from layerchain.analysis import initial_distribution, stationary_distribution
@@ -133,6 +134,40 @@ def test_verify_steps_each_layer_once(monkeypatch, c2, c4):
     assert len(steps) == 5
     with pytest.raises(ValueError):
         verify_conjecture(c2, workers=2)
+
+
+def test_connection_drops_take_one_row_per_vertex_orbit(monkeypatch, c4):
+    """The connection drops reuse the vector onset's weight drops and take
+    one bridge row per vertex orbit: on the four-cycle the reflection fixing
+    the origin swaps 1 and 3, so each layer below the onset takes one table
+    of three products and no new subtraction."""
+    engine = Engine(c4)
+    onset = engine.onset().onset
+    engine.bridge
+    calls, subtractions = [], []
+    table = monotonicity.poly_dot_table
+    subtract = Polynomial.__sub__
+
+    def counted_table(rows, cols):
+        calls.append(len(rows) * len(cols))
+        return table(rows, cols)
+
+    def counted_dot(left, right):
+        calls.append(1)
+        return poly_dot(left, right)
+
+    def counted_subtract(a, b):
+        subtractions.append(1)
+        return subtract(a, b)
+
+    monkeypatch.setattr(monotonicity, "poly_dot_table", counted_table)
+    monkeypatch.setattr(monotonicity, "poly_dot", counted_dot)
+    monkeypatch.setattr(Polynomial, "__sub__", counted_subtract)
+    drops = [engine.connection_drops(n) for n in range(onset)]
+    assert onset == 4
+    assert calls == [3] * onset
+    assert subtractions == []
+    assert all(row[1] == row[3] for row in drops)
 
 
 def test_probability_drop_sums_to_zero(pipeline_c2, pipeline_c3):
@@ -302,8 +337,7 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     kept = per_state.step_certificates[: on_orbits.matrix_step]
     assert on_orbits.step_certificates == kept
     for n in range(on_orbits.onset + 1):
-        for v in graph.vertices:
-            assert engine.connection_drop(v, n) == reference.connection_drop(v, n)
+        assert engine.connection_drops(n) == reference.connection_drops(n)
     last = graph.vertex_count - 1
     assert engine.connection(last, 1) == connection_polynomial(
         graph, last, 1, initial, lumped, stationary

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from layerchain.graphs import cycle, path
 from layerchain.montecarlo import (
     SamplingError,
+    _ConfigDraw,
     _config_cdf,
     connection_estimates,
     estimate_connection,
@@ -96,15 +101,38 @@ def test_initial_patterns_fit_exact_distribution(graph, p):
 
 
 def test_config_cdf_takes_every_draw_below_one():
+    """Every uniform in [0, 1) draws a config, and the guide-table draw is
+    binary search: the same index at the CDF entries and just below them,
+    at every bucket edge, at the ends of [0, 1) and on a random batch."""
     # at width 3 and p = 0.3 the summed probabilities round to 0.9999999999999997
     below_one = np.nextafter(1.0, 0)
-    for width in range(5):
-        for p in (0.3, 0.5, 0.7):
+    batch = np.random.default_rng(5).random(2000)
+    for width in range(10):
+        for p in (0.01, 0.05, 0.3, 0.5, 0.7, 0.99):
             for skip in {0, (1 << width) // 2}:
                 cdf = _config_cdf(width, p, skip)
                 assert np.all(np.diff(cdf) >= 0)
-                assert np.searchsorted(cdf, below_one, side="right") == len(cdf) - 1
+                last = np.searchsorted(cdf, below_one, side="right")
+                assert last < len(cdf)
+                # the all-open config has probability at least p**width; below
+                # the 2**-53 spacing of the uniforms it may round away
+                if p**width > 2.0**-52:
+                    assert last == len(cdf) - 1
                 assert np.searchsorted(cdf, 0.0, side="right") == skip
+                draw = _ConfigDraw(width, p, skip)
+                buckets = int(draw.scale)
+                draws = np.concatenate(
+                    [
+                        [0.0, below_one],
+                        cdf,
+                        np.nextafter(cdf, 0),
+                        np.arange(buckets) / buckets,
+                        batch,
+                    ]
+                )
+                draws = draws[draws < 1.0]
+                expected = np.searchsorted(cdf, draws, side="right")
+                assert np.array_equal(draw(draws), expected), (width, p, skip)
 
 
 def test_scan_depth_matches_geometric_mean(c2):
@@ -163,3 +191,15 @@ def test_expected_count_tracks_exact_value(c2, pipeline_c2):
     estimate = sum(s.estimate for s in stats)
     spread = sum(s.std_error for s in stats)
     assert abs(estimate - exact) < 4 * spread
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy serves only the chi-square tail of initial_pattern_fit, so
+    importing the package and its command line does not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, layerchain, layerchain.cli; print('scipy' in sys.modules)"
+    command = [sys.executable, "-c", code]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
