@@ -30,7 +30,6 @@ from .patterns import (
     lump,
 )
 from .kernels import (
-    BondConfig,
     Orbits,
     PolyMatrix,
     build_full_kernel,

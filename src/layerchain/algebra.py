@@ -1,13 +1,12 @@
-"""Exact univariate polynomial arithmetic and sign certification.
+"""Exact univariate polynomial arithmetic in Z[p] and sign certification.
 
-Polynomials live in the single variable p with rational coefficients and
-every operation is exact.  Coefficients are stored as Python ints where
-possible (a Fraction with denominator 1 is normalized to int), and the hot
-paths stay in integer Z[p] whenever every coefficient they see is an int:
-exact division runs integer long division, and dot products and matrix
-products use Kronecker substitution (each polynomial packed into one big
-integer, at a slot width proven from the coefficient sizes).  Rational
-coefficients take the Fraction fallback.
+Polynomials live in the single variable p with integer coefficients, the
+ring the layer chain's kernels, stationary vectors and layer weights all
+live in.  A Fraction, a float or any other non-int coefficient or scalar
+is rejected; evaluation at a rational point stays exact.  Exact division
+is integer long division, and dot products and matrix products use
+Kronecker substitution (each polynomial packed into one big integer, at a
+slot width proven from the coefficient sizes).
 
 Sign questions on subintervals of [0, 1] rest on one root counter:
 Descartes' rule of signs on the interval mapped onto (0, oo).  With no
@@ -32,40 +31,26 @@ Rational = Union[int, Fraction]
 
 
 class ExactDivisionError(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
+    """Raised when a division in Z[p] leaves a remainder or a non-integral quotient."""
 
 
-def _coeff(value) -> Rational:
-    """Normalize a coefficient to int or reduced Fraction; reject inexact types."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):  # bool and int subclasses
+def _coeff(value) -> int:
+    """An int coefficient or scalar; bool and other int subclasses become int."""
+    if isinstance(value, int):
         return int(value)
-    raise TypeError(f"exact rational coefficient expected, got {type(value).__name__}")
+    raise TypeError(f"integer coefficient expected, got {type(value).__name__}")
 
 
 class Polynomial:
-    """Dense polynomial in p, coefficients indexed by degree, trailing zeros stripped."""
+    """Dense polynomial in p, int coefficients indexed by degree, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(value: Rational) -> "Polynomial":
-        return Polynomial((value,))
-
-    @staticmethod
-    def monomial(degree: int, coefficient: Rational = 1) -> "Polynomial":
-        return Polynomial((0,) * degree + (coefficient,))
+        self.coeffs: tuple[int, ...] = tuple(cs)
 
     # -- basic queries -----------------------------------------------------
 
@@ -77,14 +62,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def leading(self) -> Rational:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant_term(self) -> Rational:
-        return self.coeffs[0] if self.coeffs else 0
 
     # -- ring operations ---------------------------------------------------
 
@@ -135,53 +112,26 @@ class Polynomial:
             e >>= 1
         return result
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Euclidean division over the rationals."""
+    def exact_div(self, other: "Polynomial") -> "Polynomial":
+        """Quotient in Z[p]; raises ExactDivisionError on a remainder or a
+        non-integral quotient."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dg = other.degree
-        lead = Fraction(other.coeffs[-1])
-        quot = [0] * max(0, len(rem) - dg)
-        while len(rem) - 1 >= dg and rem:
-            shift = len(rem) - 1 - dg
-            factor = Fraction(rem[-1]) / lead
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[i + shift] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quot), Polynomial(rem)
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient of an exact division; raises ExactDivisionError on a remainder.
-
-        Integer polynomials are divided in Z[p]; the Fraction division is
-        the fallback for rational coefficients and non-integral quotients.
-        """
-        a, b = self.coeffs, other.coeffs
-        if b and _is_integral(a) and _is_integral(b):
-            split = _divmod_int(a, b)
-            if split is not None:
-                quot, rem = split
-                if rem:
-                    raise ExactDivisionError(f"{self!r} is not divisible by {other!r}")
-                return Polynomial(quot)
-        quot, rem = self.divmod(other)
-        if not rem.is_zero:
-            raise ExactDivisionError(f"{self!r} is not divisible by {other!r}")
-        return quot
+        return Polynomial(_exact_div_int(self.coeffs, other.coeffs))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial(_derivative_int(self.coeffs))
 
     def __call__(self, at: Rational) -> Rational:
-        """Exact evaluation by Horner's rule."""
-        at = _coeff(at)
+        """Exact evaluation by Horner's rule at an int or Fraction point."""
+        if not isinstance(at, (int, Fraction)):
+            raise TypeError(f"exact rational point expected, got {type(at).__name__}")
         acc: Rational = 0
         for c in reversed(self.coeffs):
             acc = acc * at + c
-        return _coeff(Fraction(acc)) if isinstance(acc, Fraction) else acc
+        if isinstance(acc, Fraction) and acc.denominator == 1:
+            return acc.numerator
+        return acc
 
     # -- equality / hashing / rendering -------------------------------------
 
@@ -217,23 +167,13 @@ class Polynomial:
     # -- serialization -----------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Coefficient strings, degree ascending, exact 'num' or 'num/den' rendering."""
+        """Coefficient strings, degree ascending."""
         return [str(c) for c in self.coeffs]
 
     @staticmethod
     def from_strings(items: Iterable[str]) -> "Polynomial":
-        return Polynomial([Fraction(s) for s in items])
-
-    # -- integer scaling ----------------------------------------------------
-
-    def integer_scaled(self) -> tuple[list[int], Fraction]:
-        """Return (integer coefficient list, positive scale) with self = scale * ints."""
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        return ints, Fraction(1, den)
+        """Inverse of to_strings; a non-integer string raises ValueError."""
+        return Polynomial([int(s) for s in items])
 
 
 ZERO = Polynomial()
@@ -262,15 +202,14 @@ def poly_dot_table(
 ) -> list[list[Polynomial]]:
     """table[i][j] = the dot product of rows[i] and cols[j].
 
-    Integer polynomials are multiplied by Kronecker substitution: each entry
-    is packed once into the integer obtained by evaluating it at 2^bits, so
+    The polynomials are multiplied by Kronecker substitution: each entry is
+    packed once into the integer obtained by evaluating it at 2^bits, so
     every table entry costs one big-integer product per term plus one
     unpacking.  A dot product of n terms whose factors have at most m
     coefficients, bounded by A and B in absolute value, has coefficients of
     absolute value at most n * m * A * B; bits exceeds that bound's bit
     length by at least one, so each slot holds its signed coefficient
-    exactly.  Any rational coefficient sends the whole table to the
-    schoolbook product.
+    exactly.
     """
     row_cs = [[e.coeffs for e in row] for row in rows]
     col_cs = [[e.coeffs for e in col] for col in cols]
@@ -278,8 +217,6 @@ def poly_dot_table(
     right = [cs for col in col_cs for cs in col if cs]
     if not left or not right:
         return [[Polynomial() for _ in cols] for _ in rows]
-    if not all(map(_is_integral, left)) or not all(map(_is_integral, right)):
-        return [[_schoolbook_dot(row, col) for col in col_cs] for row in row_cs]
     terms = max(map(len, row_cs))
     len_a, len_b = max(map(len, left)), max(map(len, right))
     size_a = max(abs(c) for cs in left for c in cs)
@@ -317,29 +254,9 @@ def poly_dot_table(
     return table
 
 
-def _schoolbook_dot(row: Sequence[tuple], col: Sequence[tuple]) -> Polynomial:
-    """Dot product of coefficient tuples accumulated into one buffer."""
-    acc: list = []
-    for ca, cb in zip(row, col):
-        if not ca or not cb:
-            continue
-        need = len(ca) + len(cb) - 1
-        if need > len(acc):
-            acc.extend([0] * (need - len(acc)))
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    acc[i + j] += x * y
-    return Polynomial(acc)
-
-
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (raw coefficient lists, degree ascending).
+# Integer polynomial helpers (raw coefficient sequences, degree ascending).
 # ---------------------------------------------------------------------------
-
-
-def _is_integral(cs: Iterable[Rational]) -> bool:
-    return all(type(c) is int for c in cs)
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -365,13 +282,12 @@ def _primitive(cs: list[int]) -> list[int]:
     return list(cs)
 
 
-def _derivative_int(cs: list[int]) -> list[int]:
+def _derivative_int(cs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _eval_sign(cs: Sequence[Rational], point: Fraction) -> int:
-    """Exact sign of a polynomial at a rational point, in integer arithmetic
-    when the coefficients are ints."""
+def _eval_sign(cs: Sequence[int], point: Fraction) -> int:
+    """Exact sign of a polynomial at a rational point, in integer arithmetic."""
     num, den = point.numerator, point.denominator
     acc = 0
     scale = 1
@@ -401,7 +317,7 @@ def _prem_positive(f: list[int], g: list[int]) -> list[int]:
     return rem
 
 
-def _gcd_int(f: list[int], g: list[int]) -> list[int]:
+def _gcd_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Polynomial gcd over Z, primitive with positive leading coefficient."""
     f, g = _primitive(_trim(list(f))), _primitive(_trim(list(g)))
     if not f:
@@ -422,11 +338,12 @@ def _gcd_int(f: list[int], g: list[int]) -> list[int]:
     return base
 
 
-def _divmod_int(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[list[int], list[int]]]:
-    """Long division in Z[p]: (quotient, trimmed remainder) of f by nonzero g.
+def _exact_div_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Long division in Z[p] of f by nonzero g, which must be exact.
 
-    Returns None as soon as a quotient coefficient is not an integer; the
-    quotient over the rationals is then not integral.
+    Raises ExactDivisionError as soon as a quotient coefficient is not an
+    integer (the quotient over the rationals is then not integral), or when
+    a remainder is left.
     """
     dg = len(g) - 1
     lead = g[-1]
@@ -438,24 +355,15 @@ def _divmod_int(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[list[int],
         if top:
             q, r = divmod(top, lead)
             if r:
-                return None
+                raise ExactDivisionError("quotient not integral")
             quot[shift] = q
             rem[shift : shift + dg] = [c - q * d for c, d in zip(rem[shift : shift + dg], low)]
-    return quot, _trim(rem[:dg])
-
-
-def _exact_div_int(f: list[int], g: list[int]) -> list[int]:
-    """Exact division of integer polynomials; the quotient must be integral."""
-    split = _divmod_int(f, g)
-    if split is None:
-        raise ExactDivisionError("quotient not integral")
-    quot, rem = split
-    if rem:
+    if any(rem[:dg]):
         raise ExactDivisionError("inexact integer polynomial division")
     return quot
 
 
-def _squarefree_part(cs: list[int]) -> list[int]:
+def _squarefree_part(cs: Sequence[int]) -> list[int]:
     g = _gcd_int(cs, _derivative_int(cs))
     if len(g) <= 1:
         return _primitive(list(cs))
@@ -505,7 +413,7 @@ def _yun_decomposition(cs: list[int]) -> list[tuple[list[int], int]]:
         d = c - b.derivative()
         g = Polynomial(_gcd_int(list(b.coeffs), list(d.coeffs)))
         if g.degree >= 1:
-            out.append(([int(x) for x in g.coeffs], i))
+            out.append((list(g.coeffs), i))
         b = b.exact_div(g)
         c = d.exact_div(g)
         i += 1
@@ -514,9 +422,7 @@ def _yun_decomposition(cs: list[int]) -> list[tuple[list[int], int]]:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor up to scale: primitive, positive leading coefficient."""
-    ia, _ = a.integer_scaled()
-    ib, _ = b.integer_scaled()
-    return Polynomial(_gcd_int(ia, ib))
+    return Polynomial(_gcd_int(a.coeffs, b.coeffs))
 
 
 def sturm_root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
@@ -530,8 +436,7 @@ def sturm_root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    ints, _ = q.integer_scaled()
-    return _count_roots(_squarefree_part(ints), lo, hi)
+    return _count_roots(_squarefree_part(q.coeffs), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +517,7 @@ class SignCertificate:
         return SignCertificate(data["verdict"], Interval.from_dict(data["interval"]), witness)
 
 
-def _nonroot_point(cs: list[int], lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
     """Deterministic rational in (lo, hi) that is not a root of cs."""
     width = hi - lo
     level = 2
@@ -625,7 +530,7 @@ def _nonroot_point(cs: list[int], lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _isolate_sign_change(
-    qints: list[int], odd: list[int], lo: Fraction, hi: Fraction
+    qints: Sequence[int], odd: list[int], lo: Fraction, hi: Fraction
 ) -> Interval:
     """Shrink (lo, hi) to an interval where q provably changes sign.
 
@@ -642,7 +547,7 @@ def _isolate_sign_change(
             a = mid
 
 
-def _interval_image(cs: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
     """Coefficients of (1+x)^d q((lo + hi*x)/(1+x)), times a positive integer.
 
     The map x -> (lo + hi*x)/(1+x) takes (0, oo) onto (lo, hi), so the
@@ -703,7 +608,7 @@ def _count_roots(squarefree: list[int], lo: Fraction, hi: Fraction) -> int:
     return count
 
 
-def _endpoint_zero(qints: list[int], interval: Interval) -> bool:
+def _endpoint_zero(qints: Sequence[int], interval: Interval) -> bool:
     """Whether q vanishes at an endpoint the interval includes."""
     return (interval.closed_lo and _eval_sign(qints, interval.lo) == 0) or (
         interval.closed_hi and _eval_sign(qints, interval.hi) == 0
@@ -731,7 +636,7 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     if q.is_zero:
         return SignCertificate(IDENTICALLY_ZERO, interval)
 
-    qints, _ = q.integer_scaled()
+    qints = q.coeffs
     lo, hi = interval.lo, interval.hi
     image = _interval_image(qints, lo, hi)
     if _sign_variations(image) == 0:

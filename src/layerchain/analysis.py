@@ -184,33 +184,20 @@ def stationary_distribution(kernel: PolyMatrix) -> PolyVector:
 
 
 def _primitive_vector(entries: list[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
-    """The entries with their common polynomial factor, denominators and
-    integer content cleared, oriented so that their sum, returned with
-    them, is positive on (0, 1) when it has a constant sign there."""
+    """The entries with their common polynomial factor and integer content
+    cleared, oriented so that their sum, returned with them, is positive on
+    (0, 1) when it has a constant sign there."""
     g = ZERO
     for e in entries:
         g = e if g.is_zero else poly_gcd(g, e)
         if g.degree == 0 and not g.is_zero:
             break
     if g.degree > 0:
+        # g is primitive, so by Gauss's lemma each quotient lies in Z[p]
         entries = [e.exact_div(g) for e in entries]
-
-    # clear integer content and denominators with one rational scale
-    scaled = [e.integer_scaled() for e in entries]
-    den_lcm = 1
-    for _, scale in scaled:
-        den_lcm = den_lcm * scale.denominator // math.gcd(den_lcm, scale.denominator)
-    int_entries = []
-    for ints, scale in scaled:
-        factor = int(scale * den_lcm)
-        int_entries.append([c * factor for c in ints])
-    content = 0
-    for ints in int_entries:
-        for c in ints:
-            content = math.gcd(content, c)
+    content = math.gcd(*(c for e in entries for c in e.coeffs))
     if content > 1:
-        int_entries = [[c // content for c in ints] for ints in int_entries]
-    entries = [Polynomial(ints) for ints in int_entries]
+        entries = [Polynomial([c // content for c in e.coeffs]) for e in entries]
 
     normalizer = poly_sum(entries)
     if certify_sign(normalizer, UNIT_OPEN).verdict == NEGATIVE:
@@ -223,18 +210,19 @@ def expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
     """Per-state form of an invariant vector given by its orbit sums.
 
     vector is indexed by the orbit representatives.  Each state gets its
-    orbit's entry over the orbit size, and the entries are cleared to a
-    primitive integer vector again, over their sum.  Applied to the
-    stationary vector of a chain lumped onto automorphism orbits this is
-    the stationary vector of the chain itself: that vector is unique, so
-    invariant under every automorphism, and orbit-mates share its orbit sum
-    equally.
+    orbit's entry over the orbit size, scaled by the lcm of the sizes to
+    stay in Z[p], and the entries are cleared to a primitive integer vector
+    again, over their sum.  Applied to the stationary vector of a chain
+    lumped onto automorphism orbits this is the stationary vector of the
+    chain itself: that vector is unique, so invariant under every
+    automorphism, and orbit-mates share its orbit sum equally.
     """
     if tuple(vector.states) != orbits.representatives:
         raise ValueError("vector is not indexed by the orbit representatives")
     entries = [ZERO] * len(orbits.states)
+    common = math.lcm(*orbits.sizes)
     for entry, members in zip(vector.entries, orbits.members):
-        share = entry * Fraction(1, len(members))
+        share = entry * (common // len(members))
         for i in members:
             entries[i] = share
     entries, normalizer = _primitive_vector(entries)

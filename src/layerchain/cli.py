@@ -21,7 +21,13 @@ from .analysis import (
 )
 from .errors import CodedError
 from .graphs import Graph, GraphError, load_graph, make_builtin
-from .kernels import build_full_kernel, build_lumped_kernel, build_reduced_kernel
+from .kernels import (
+    build_core,
+    build_full_kernel,
+    build_lumped_kernel,
+    build_reduced_kernel,
+    lumped_state_list,
+)
 from .monotonicity import (
     COUNTEREXAMPLE,
     Engine,
@@ -107,18 +113,18 @@ def _cmd_states(args) -> int:
     graph = _graph_from_args(args)
     patterns = enumerate_patterns(graph)
     infected = [x for x in patterns if x.infected]
-    lumped = build_lumped_kernel(graph)
-    reduced = build_reduced_kernel(graph)
+    core = build_core(graph).orbits.states
+    lumped = lumped_state_list(core)
     _emit(
         {
             "graph": graph.describe(),
             "pattern_count": len(patterns),
             "infected_count": len(infected),
             "uninfected_count": len(patterns) - len(infected),
-            "core_count": reduced.size,
-            "lumped_count": lumped.size,
-            "core_states": [str(s) for s in reduced.states],
-            "lumped_states": [str(s) for s in lumped.states],
+            "core_count": len(core),
+            "lumped_count": len(lumped),
+            "core_states": [str(s) for s in core],
+            "lumped_states": [str(s) for s in lumped],
         },
         args,
     )

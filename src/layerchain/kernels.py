@@ -44,37 +44,6 @@ from .patterns import (
 )
 
 
-@dataclass(frozen=True)
-class BondConfig:
-    """One layer's open/closed assignment, packed into a bitmask of width b."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError("bond configuration outside bitmask width")
-
-    @property
-    def open_count(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def closed_count(self) -> int:
-        return self.width - self.open_count
-
-    def is_open(self, position: int) -> bool:
-        return bool(self.bits >> position & 1)
-
-    @staticmethod
-    def all_closed(width: int) -> "BondConfig":
-        return BondConfig(0, width)
-
-    @staticmethod
-    def all_open(width: int) -> "BondConfig":
-        return BondConfig((1 << width) - 1, width)
-
-
 def config_weights(width: int) -> list[Polynomial]:
     """weights[k] = p^k (1-p)^(width-k), the probability of a config with k open bonds."""
     one_minus = Polynomial((1, -1))
@@ -143,9 +112,9 @@ def _step_blocks(k: int, block_id: Sequence[int], links, verticals: int) -> tupl
     return tuple(sorted(blocks))
 
 
-def step_pattern(graph: Graph, source: Pattern, config) -> Pattern:
-    """Deterministic successor pattern of a source pattern under one layer's bonds."""
-    bits = config.bits if isinstance(config, BondConfig) else config
+def step_pattern(graph: Graph, source: Pattern, bits: int) -> Pattern:
+    """Deterministic successor pattern of a source pattern under one layer's
+    bonds, packed into a bitmask of width b (bit i set: bond i open)."""
     links = _open_edges(graph, bits)
     verticals = bits >> graph.edge_count
     return Pattern(_step_blocks(graph.vertex_count, _block_ids(source), links, verticals))

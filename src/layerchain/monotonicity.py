@@ -230,7 +230,9 @@ def _advance(
 ) -> list[Polynomial]:
     """One layer step of per-state weights held on orbit representatives:
     the orbit sums step through the orbit kernel, and orbit-mates share
-    their orbit's sum equally."""
+    their orbit's sum equally.  The weights are invariant under the group of
+    the orbits, so each share is exact in Z[p]; one that is not raises
+    ExactDivisionError."""
     sums = kernel.vecmat([w * size for w, size in zip(weights, sizes)])
     return [s.exact_div(Polynomial((size,))) for s, size in zip(sums, sizes)]
 

@@ -241,11 +241,13 @@ def _stationary_core_batch(
     horizontal = _ConfigDraw(graph.edge_count, p)(draws)
     conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
     order = np.argsort(-depths, kind="stable")
-    sorted_depths = depths[order]
+    # the negated depths ascend, so the samples still deeper than the
+    # countdown are a prefix found by one search per layer
+    negated = -depths[order]
     states = tables.core_step[tables.isolated_core, horizontal[order]]
-    max_depth = int(sorted_depths[0]) if samples else 0
+    max_depth = int(-negated[0]) if samples else 0
     for countdown in range(max_depth, 0, -1):
-        active = np.searchsorted(-sorted_depths, -countdown, side="right")
+        active = np.searchsorted(negated, -countdown, side="right")
         if active == 0:
             continue
         configs = conditioned(rng.random(active))

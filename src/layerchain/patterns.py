@@ -53,10 +53,6 @@ class Pattern:
         return sum(len(b) for b in self.blocks) - 1
 
     @property
-    def star_block(self) -> tuple[int, ...]:
-        return self.blocks[0]
-
-    @property
     def infected(self) -> bool:
         return len(self.blocks[0]) > 1
 

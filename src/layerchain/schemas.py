@@ -2,7 +2,9 @@
 
 _RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 
-_POLYNOMIAL = {"type": "array", "items": _RATIONAL}
+_INTEGER = {"type": "string", "pattern": r"^-?\d+$"}
+
+_POLYNOMIAL = {"type": "array", "items": _INTEGER}
 
 _INTERVAL = {
     "type": "object",

@@ -26,6 +26,10 @@ from layerchain.algebra import (
 ONE_MINUS_P = Polynomial((1, -1))
 
 
+def to_sympy(q: Polynomial) -> sympy.Poly:
+    return sympy.Poly(list(reversed(q.coeffs)), sympy.Symbol("x"))
+
+
 def rand_poly(rng, max_degree=8, bound=6):
     return Polynomial([rng.randint(-bound, bound) for _ in range(rng.randint(1, max_degree + 1))])
 
@@ -41,7 +45,7 @@ def test_expand_markov_normalizer_factor():
 
 
 def test_multiplicative_identity():
-    q = Polynomial((3, Fraction(1, 2), -7))
+    q = Polynomial((3, 5, -7))
     assert q * ONE == q
 
 
@@ -98,8 +102,8 @@ def test_eval_cubic_at_half():
 
 
 def test_eval_at_zero_is_constant_term():
-    q = Polynomial((Fraction(5, 3), 2, -1))
-    assert q(0) == Fraction(5, 3)
+    q = Polynomial((5, 2, -1))
+    assert q(0) == 5
 
 
 def test_eval_one_minus_p_at_one():
@@ -109,6 +113,21 @@ def test_eval_one_minus_p_at_one():
 def test_eval_rejects_floats():
     with pytest.raises(TypeError):
         Polynomial((0.5, 1))
+    with pytest.raises(TypeError):
+        P(0.5)
+
+
+def test_coefficients_and_scalars_are_integers():
+    for bad in (Fraction(1, 3), Fraction(2, 1), 0.5):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+        with pytest.raises(TypeError):
+            P * bad
+        with pytest.raises(TypeError):
+            bad * P
+    with pytest.raises(ValueError):
+        Polynomial.from_strings(["1/3"])
+    assert P * True == P and Polynomial((True, 2)) == Polynomial((1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +155,11 @@ def test_root_count_zero_polynomial_rejected():
 
 def test_root_count_matches_sympy():
     rng = random.Random(7)
-    x = sympy.Symbol("x")
     for _ in range(150):
         q = rand_poly(rng)
         if q.is_zero:
             continue
-        expected = sympy.Poly(list(reversed(list(q.coeffs))), x).count_roots(-3, 3)
+        expected = to_sympy(q).count_roots(-3, 3)
         for endpoint in (Fraction(-3), Fraction(3)):
             if q(endpoint) == 0:
                 expected -= 1
@@ -171,7 +189,9 @@ def test_gcd_exact_divides():
         if q.degree < 1:
             continue
         g = poly_gcd(q, q.derivative())
-        assert (q.divmod(g))[1].is_zero
+        _, rem = sympy.div(to_sympy(q), to_sympy(g), domain=sympy.QQ)
+        assert rem.is_zero
+        assert q.exact_div(g) * g == q
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +210,7 @@ def test_certify_identically_zero():
 
 
 def test_certify_sign_change_with_witness():
-    cert = certify_sign(P - Polynomial((Fraction(1, 2),)), Interval(0, 1))
+    cert = certify_sign(Polynomial((-1, 2)), Interval(0, 1))
     assert cert.verdict == CHANGES_SIGN
     assert cert.witness is not None
     assert cert.witness.lo < Fraction(1, 2) < cert.witness.hi
@@ -213,7 +233,7 @@ def test_certify_included_endpoint_zero_demotes_positive():
 
 
 def test_certify_subinterval():
-    q = P - Polynomial((Fraction(1, 2),))
+    q = Polynomial((-1, 2))
     assert certify_sign(q, Interval(Fraction(1, 2), 1)).verdict == POSITIVE
     assert certify_sign(q, Interval(0, Fraction(1, 2))).verdict == NEGATIVE
     closed = Interval(0, Fraction(1, 2), closed_hi=True)
@@ -261,13 +281,13 @@ def test_witness_only_on_sign_change():
 
 
 def test_polynomial_string_round_trip():
-    q = Polynomial((Fraction(1, 3), -2, 0, Fraction(7, 5)))
+    q = Polynomial((3, -2, 0, 2**70))
     assert Polynomial.from_strings(q.to_strings()) == q
-    assert q.to_strings() == ["1/3", "-2", "0", "7/5"]
+    assert q.to_strings() == ["3", "-2", "0", str(2**70)]
 
 
 def test_certificate_dict_round_trip():
-    cert = certify_sign(P - Polynomial((Fraction(1, 3),)), Interval(0, 1))
+    cert = certify_sign(Polynomial((-1, 3)), Interval(0, 1))
     again = SignCertificate.from_dict(cert.to_dict())
     assert again == cert
 

@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,12 @@ from layerchain.analysis import (
     stationary_distribution,
 )
 from layerchain.graphs import cycle, path
-from layerchain.kernels import PolyMatrix, build_reduced_kernel, step_pattern
+from layerchain.kernels import (
+    PolyMatrix,
+    build_lumped_kernel,
+    build_reduced_kernel,
+    step_pattern,
+)
 from layerchain.patterns import (
     DAGGER,
     Pattern,
@@ -35,6 +42,7 @@ from layerchain.patterns import (
     all_singletons_pattern,
     enumerate_patterns,
 )
+from layerchain.schemas import MATRIX_SCHEMA, VECTOR_SCHEMA
 from test_kernels import small_graphs
 
 OMP = Polynomial((1, -1))
@@ -118,13 +126,9 @@ def test_stationary_rejects_non_stochastic():
 
 
 def test_stationary_rejects_sign_changing_vector():
-    # rows sum to 1, but the left null vector (2p - 1, 2p) over 4p - 1
+    # rows sum to 1, but the left null vector (2p - 1, p) over 3p - 1
     # changes sign on (0, 1)
-    half = Fraction(1, 2)
-    kernel = PolyMatrix(
-        ("a", "b"),
-        ((OMP, P), (Polynomial((-half, 1)), Polynomial((3 * half, -1)))),
-    )
+    kernel = PolyMatrix(("a", "b"), ((OMP, P), (Polynomial((-1, 2)), Polynomial((2, -2)))))
     with pytest.raises(ChainAnalysisError) as error:
         stationary_distribution(kernel)
     assert error.value.code == "stationary-not-positive"
@@ -159,6 +163,20 @@ def test_stationary_rejects_reducible_chain():
 def test_vector_json_round_trip(pipeline_c3):
     stationary = pipeline_c3[1]
     assert PolyVector.from_dict(stationary.to_dict()) == stationary
+
+
+@settings(max_examples=20)  # each example is one exact stationary solve
+@given(small_graphs())
+def test_kernel_and_vector_artifacts_round_trip_through_the_schema(graph):
+    reduced = build_reduced_kernel(graph)
+    for artifact, schema in (
+        (reduced, MATRIX_SCHEMA),
+        (build_lumped_kernel(graph), MATRIX_SCHEMA),
+        (stationary_distribution(reduced), VECTOR_SCHEMA),
+    ):
+        data = json.loads(json.dumps(artifact.to_dict()))
+        jsonschema.validate(data, schema)
+        assert type(artifact).from_dict(data) == artifact
 
 
 # ---------------------------------------------------------------------------
@@ -394,28 +412,3 @@ def _sympy_matrix(kernel: PolyMatrix, p):
         n,
         lambda i, j: sympy.Poly(list(reversed(list(kernel.entries[i][j].coeffs))), p).as_expr(),
     )
-
-
-def test_stationary_rational_kernel_matches_sympy_nullspace():
-    """A kernel with Fraction coefficients goes through the rational
-    fallback of exact division and still gives a primitive integer vector."""
-    import sympy
-
-    third, half, quarter = Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)
-    kernel = PolyMatrix(
-        ("a", "b", "c"),
-        (
-            (Polynomial((third,)), Polynomial((third, -third)), Polynomial((third, third))),
-            (Polynomial((0, half)), Polynomial((half,)), Polynomial((half, -half))),
-            (Polynomial((quarter,)), Polynomial((0, quarter)), Polynomial((3 * quarter, -quarter))),
-        ),
-    )
-    stationary = stationary_distribution(kernel)
-    assert all(type(c) is int for e in stationary.entries for c in e.coeffs)
-    assert math.gcd(*(c for e in stationary.entries for c in e.coeffs)) == 1
-    p = sympy.Symbol("p")
-    null = (_sympy_matrix(kernel, p).T - sympy.eye(3)).nullspace()
-    assert len(null) == 1
-    mine = [sympy.Poly(list(reversed(list(e.coeffs))), p).as_expr() for e in stationary.entries]
-    for i in range(1, 3):
-        assert sympy.simplify(mine[0] * null[0][i] - mine[i] * null[0][0]) == 0

@@ -10,7 +10,6 @@ from layerchain.algebra import ONE, P, Polynomial
 from layerchain.algebra import poly_sum
 from layerchain.graphs import Graph, automorphisms, cycle, path
 from layerchain.kernels import (
-    BondConfig,
     Orbits,
     PolyMatrix,
     bridge_reach,
@@ -140,19 +139,10 @@ def stepping_cases(draw):
 # ---------------------------------------------------------------------------
 
 
-def test_bond_config_counts():
-    cfg = BondConfig(0b1011, 5)
-    assert cfg.open_count == 3
-    assert cfg.closed_count == 2
-    assert cfg.is_open(0) and not cfg.is_open(2)
-    with pytest.raises(ValueError):
-        BondConfig(1 << 5, 5)
-
-
 def test_step_all_open_keeps_everything_connected():
     g = cycle(3)
     star = all_connected_pattern(3)
-    assert step_pattern(g, star, BondConfig.all_open(g.bond_count)) == star
+    assert step_pattern(g, star, (1 << g.bond_count) - 1) == star
 
 
 def test_step_all_closed_gives_isolated_pattern():
@@ -168,8 +158,7 @@ def test_step_vertical_only_transfers_connectivity_through_lower_layer():
     # and stay connected through it, so the successor is fully connected.
     g = cycle(2)
     star = all_connected_pattern(2)
-    vertical_only = BondConfig(0b110, 3)
-    assert step_pattern(g, star, vertical_only) == star
+    assert step_pattern(g, star, 0b110) == star
 
 
 def test_step_single_vertical_from_full_pattern():
