@@ -16,7 +16,7 @@ from .algebra import (
     Polynomial,
     SignCertificate,
     certify_sign,
-    sturm_root_count,
+    root_count,
 )
 from .graphs import Graph, automorphisms, cartesian_product, load_graph, make_builtin
 from .patterns import (

@@ -11,12 +11,14 @@ slot width proven from the coefficient sizes).
 Sign questions on subintervals of [0, 1] rest on one root counter:
 Descartes' rule of signs on the interval mapped onto (0, oo).  With no
 sign variation the polynomial is root-free inside the interval, which
-settles most polynomials at once; the rest are split by Yun's squarefree
-decomposition, skipped when a gcd modulo a fixed prime proves the
-polynomial squarefree, and their roots counted by Descartes bisection
-(Vincent-Collins-Akritas).  Certificates classify a polynomial as positive,
-nonnegative with interior zeros, identically zero, sign-changing (with an
-isolating witness interval), or negative.
+settles most polynomials at once.  For the rest, the distinct roots of the
+squarefree part (the polynomial itself when a gcd modulo a fixed prime
+proves it squarefree, else one gcd with its derivative) are isolated once
+by Descartes bisection (Vincent-Collins-Akritas), and the parity of each
+root is read from the signs at the ends of its interval.  Certificates
+classify a polynomial as positive, nonnegative with interior zeros,
+identically zero, sign-changing (with an isolating witness interval), or
+negative.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -118,9 +120,6 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         return Polynomial(_exact_div_int(self.coeffs, other.coeffs))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(_derivative_int(self.coeffs))
 
     def __call__(self, at: Rational) -> Rational:
         """Exact evaluation by Horner's rule at an int or Fraction point."""
@@ -398,34 +397,12 @@ def _squarefree_mod_prime(cs: list[int]) -> bool:
     return len(a) == 1
 
 
-def _yun_decomposition(cs: list[int]) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition: [(factor_i, i)] with f = const * prod factor_i^i."""
-    f = Polynomial(_primitive(_trim(list(cs))))
-    if f.degree < 1:
-        return []
-    df = f.derivative()
-    a = Polynomial(_gcd_int(list(f.coeffs), list(df.coeffs)))
-    b = f.exact_div(a)
-    c = df.exact_div(a)
-    out: list[tuple[list[int], int]] = []
-    i = 1
-    while b.degree >= 1:
-        d = c - b.derivative()
-        g = Polynomial(_gcd_int(list(b.coeffs), list(d.coeffs)))
-        if g.degree >= 1:
-            out.append((list(g.coeffs), i))
-        b = b.exact_div(g)
-        c = d.exact_div(g)
-        i += 1
-    return out
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor up to scale: primitive, positive leading coefficient."""
     return Polynomial(_gcd_int(a.coeffs, b.coeffs))
 
 
-def sturm_root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
+def root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
     """Number of distinct real roots of q strictly inside (lo, hi).
 
     The roots of the squarefree part of q are counted by Descartes
@@ -529,24 +506,6 @@ def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
         level *= 2
 
 
-def _isolate_sign_change(
-    qints: Sequence[int], odd: list[int], lo: Fraction, hi: Fraction
-) -> Interval:
-    """Shrink (lo, hi) to an interval where q provably changes sign.
-
-    odd, a squarefree divisor of q, must have at least one root inside.
-    """
-    a, b = lo, hi
-    while True:
-        if _eval_sign(qints, a) * _eval_sign(qints, b) < 0 and _count_roots(odd, a, b) == 1:
-            return Interval(a, b)
-        mid = _nonroot_point(qints, a, b)
-        if _count_roots(odd, a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-
-
 def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
     """Coefficients of (1+x)^d q((lo + hi*x)/(1+x)), times a positive integer.
 
@@ -608,6 +567,26 @@ def _count_roots(squarefree: list[int], lo: Fraction, hi: Fraction) -> int:
     return count
 
 
+def _isolate_roots(
+    qints: Sequence[int], squarefree: list[int], lo: Fraction, hi: Fraction
+) -> Iterator[Interval]:
+    """One interval per distinct root of q strictly inside (lo, hi), left to right.
+
+    squarefree is a squarefree polynomial with the same roots as q inside
+    (lo, hi).  A piece is split at a point where q is nonzero until it holds
+    one root and q is nonzero at both of its ends.
+    """
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        roots = _count_roots(squarefree, a, b)
+        if roots == 1 and _eval_sign(qints, a) and _eval_sign(qints, b):
+            yield Interval(a, b)
+        elif roots:
+            mid = _nonroot_point(qints, a, b)
+            pending += [(mid, b), (a, mid)]
+
+
 def _endpoint_zero(qints: Sequence[int], interval: Interval) -> bool:
     """Whether q vanishes at an endpoint the interval includes."""
     return (interval.closed_lo and _eval_sign(qints, interval.lo) == 0) or (
@@ -625,11 +604,11 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     Descartes' rule of signs settles most q at once: when the image of q on
     (0, oo) has no sign variation, q has no root inside the interval and
     the sign of any coefficient of the image is the sign of q there.
-    Otherwise Yun's decomposition splits q into the product of its factors
-    of odd multiplicity and that of its factors of even multiplicity (a q
-    proven squarefree modulo a prime is its own odd part), and
-    the one root counter, _count_roots, decides whether either has a root
-    inside: an odd root is a sign change, isolated in a witness interval.
+    Otherwise the distinct roots inside are isolated once, left to right,
+    with the squarefree part of q (q itself when a gcd modulo a prime proves
+    it squarefree).  A root has odd multiplicity exactly when q has opposite
+    signs at the ends of its interval, and the first such interval is the
+    witness of a sign change.
     """
     if interval.lo < 0 or interval.hi > 1:
         raise ValueError("certification interval must lie within [0, 1]")
@@ -659,25 +638,14 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
             break
         stripped = candidate
 
-    # Yun's factors are squarefree and pairwise coprime, so odd and even are
-    # squarefree products.  A squarefree polynomial is its own odd part,
-    # primitive with a positive leading coefficient, as Yun would return it.
-    if _squarefree_mod_prime(stripped):
-        odd, even = stripped if stripped[-1] > 0 else [-c for c in stripped], [1]
-    else:
-        odd_part, even_part = ONE, ONE
-        for factor, mult in _yun_decomposition(stripped):
-            if mult % 2:
-                odd_part = odd_part * Polynomial(factor)
-            else:
-                even_part = even_part * Polynomial(factor)
-        odd, even = list(odd_part.coeffs), list(even_part.coeffs)
-
-    if _count_roots(odd, lo, hi):
-        witness = _isolate_sign_change(qints, odd, lo, hi)
-        return SignCertificate(CHANGES_SIGN, interval, witness)
+    squarefree = stripped if _squarefree_mod_prime(stripped) else _squarefree_part(stripped)
+    interior_root = False
+    for piece in _isolate_roots(qints, squarefree, lo, hi):
+        if _eval_sign(qints, piece.lo) != _eval_sign(qints, piece.hi):
+            return SignCertificate(CHANGES_SIGN, interval, piece)
+        interior_root = True
     if _eval_sign(qints, _nonroot_point(qints, lo, hi)) < 0:
         return SignCertificate(NEGATIVE, interval)
-    if _endpoint_zero(qints, interval) or _count_roots(even, lo, hi):
+    if interior_root or _endpoint_zero(qints, interval):
         return SignCertificate(NONNEGATIVE, interval)
     return SignCertificate(POSITIVE, interval)

@@ -64,11 +64,13 @@ def _graph_from_args(args) -> Graph:
         raise UsageError("argument-missing", "--graph is required")
     origin = args.origin
     if os.path.exists(spec):
-        with open(spec) as handle:
-            try:
+        try:
+            with open(spec) as handle:
                 document = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise GraphError("document-invalid", f"invalid JSON graph file: {exc}")
+        except json.JSONDecodeError as exc:
+            raise GraphError("document-invalid", f"invalid JSON graph file: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError("document-invalid", f"cannot read graph file {spec}: {exc}")
         graph = load_graph(document)
         if origin is not None:
             graph = Graph(graph.vertex_count, graph.edges, origin)
@@ -222,7 +224,9 @@ def _cmd_expected(args) -> int:
 
 def _cmd_extremal(args) -> int:
     graph = _graph_from_args(args)
-    if args.source and args.target:
+    if (args.source is None) != (args.target is None):
+        raise UsageError("argument-missing", "--source and --target must be given together")
+    if args.source is not None:
         report = extremal_constants(
             graph, Pattern.from_string(args.source), Pattern.from_string(args.target), args.kind
         )

@@ -20,7 +20,7 @@ from layerchain.algebra import (
     poly_dot,
     poly_gcd,
     poly_sum,
-    sturm_root_count,
+    root_count,
 )
 
 ONE_MINUS_P = Polynomial((1, -1))
@@ -136,21 +136,21 @@ def test_coefficients_and_scalars_are_integers():
 
 
 def test_root_count_endpoint_roots_excluded():
-    assert sturm_root_count(P * ONE_MINUS_P, 0, 1) == 0
+    assert root_count(P * ONE_MINUS_P, 0, 1) == 0
 
 
 def test_root_count_double_root_counted_once():
-    assert sturm_root_count(Polynomial((-1, 2)) ** 2, 0, 1) == 1
+    assert root_count(Polynomial((-1, 2)) ** 2, 0, 1) == 1
 
 
 def test_root_count_cubic():
     # p^3 - p = p (p-1) (p+1): roots -1, 0, 1
-    assert sturm_root_count(Polynomial((0, -1, 0, 1)), -2, 2) == 3
+    assert root_count(Polynomial((0, -1, 0, 1)), -2, 2) == 3
 
 
 def test_root_count_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        sturm_root_count(Polynomial(), 0, 1)
+        root_count(Polynomial(), 0, 1)
 
 
 def test_root_count_matches_sympy():
@@ -163,7 +163,7 @@ def test_root_count_matches_sympy():
         for endpoint in (Fraction(-3), Fraction(3)):
             if q(endpoint) == 0:
                 expected -= 1
-        assert sturm_root_count(q, -3, 3) == expected
+        assert root_count(q, -3, 3) == expected
 
 
 def test_root_count_additivity():
@@ -176,8 +176,8 @@ def test_root_count_additivity():
         a, b, c = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(3))
         if not (a < b < c) or q(a) == 0 or q(c) == 0:
             continue
-        total = sturm_root_count(q, a, c)
-        split = sturm_root_count(q, a, b) + sturm_root_count(q, b, c) + (q(b) == 0)
+        total = root_count(q, a, c)
+        split = root_count(q, a, b) + root_count(q, b, c) + (q(b) == 0)
         assert split == total, (q.coeffs, a, b, c)
         done += 1
 
@@ -188,7 +188,8 @@ def test_gcd_exact_divides():
         q = rand_poly(rng)
         if q.degree < 1:
             continue
-        g = poly_gcd(q, q.derivative())
+        derivative = Polynomial([i * c for i, c in enumerate(q.coeffs)][1:])
+        g = poly_gcd(q, derivative)
         _, rem = sympy.div(to_sympy(q), to_sympy(g), domain=sympy.QQ)
         assert rem.is_zero
         assert q.exact_div(g) * g == q

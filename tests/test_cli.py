@@ -159,6 +159,13 @@ def test_graph_file_loading(tmp_path, capsys):
     code, _, err = run_cli(capsys, "states", "--graph", str(bad))
     assert code == 1
     assert "disconnected" in err
+    # a directory and a file that is not UTF-8 text cannot be read as a graph
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for unreadable in (tmp_path, undecodable):
+        code, out, err = run_cli(capsys, "states", "--graph", str(unreadable))
+        assert code == 1 and out == ""
+        assert err.startswith("error: [document-invalid] "), err
 
 
 def test_one_vertex_graph(capsys):
@@ -204,6 +211,8 @@ def test_usage_errors(capsys):
         (["mc", "--p", "1/2", "--vertex", "5", "--n", "1"], "target-invalid"),
         (["extremal", "--source", "garbage", "--target", "*,0,1,2"], "pattern-invalid"),
         (["extremal", "--source", "*,1|0", "--target", "*,1|0,2"], "pattern-size"),
+        (["extremal", "--source", "*,1|0,2"], "argument-missing"),
+        (["extremal", "--target", "*,1|0,2"], "argument-missing"),
         (["bound", "--max-degree", "-1"], "degree-negative"),
     ]
     for argv, code_name in cases:

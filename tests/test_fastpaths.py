@@ -4,7 +4,10 @@ Polynomials have integer coefficients only.  Kronecker products are
 checked against schoolbook sums of Polynomial products, integer exact
 division against sympy's division over QQ, and the one root counter
 (Descartes bisection) and the sign certification built on it against the
-real roots sympy finds.
+real roots sympy finds.  Certification isolates the distinct roots once and
+reads the parity of each from the signs at the ends of its interval, so
+the examples include polynomials that are not squarefree, whose roots have
+even and odd multiplicity.
 """
 
 from fractions import Fraction
@@ -28,11 +31,10 @@ from layerchain.algebra import (
     _exact_div_int,
     _primitive,
     _squarefree_mod_prime,
-    _yun_decomposition,
     certify_sign,
     poly_dot,
     poly_dot_table,
-    sturm_root_count,
+    root_count,
 )
 from layerchain.kernels import PolyMatrix
 
@@ -201,7 +203,7 @@ def test_root_counts_match_sympy(case):
     a, b = sympy.Rational(str(lo)), sympy.Rational(str(hi))
     # count_roots counts the distinct roots in the closed interval
     expected = poly.count_roots(a, b) - (poly.eval(a) == 0) - (poly.eval(b) == 0)
-    assert sturm_root_count(q, lo, hi) == expected
+    assert root_count(q, lo, hi) == expected
     squarefree = [int(c) for c in reversed(sympy.sqf_part(poly).all_coeffs())]
     assert _count_roots(squarefree, lo, hi) == expected
 
@@ -213,13 +215,11 @@ def test_root_counts_match_sympy(case):
         st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(Polynomial),
     ).filter(lambda q: q.degree > 0)
 )
-def test_squarefree_test_is_sound_and_matches_yun(q):
+def test_squarefree_test_is_sound(q):
     ints = _primitive([int(c) for c in q.coeffs])
     multiplicities = [m for _, m in sympy.sqf_list(to_sympy(q))[1]]
     if _squarefree_mod_prime(ints):
         assert set(multiplicities) <= {1}
-        odd = ints if ints[-1] > 0 else [-c for c in ints]
-        assert _yun_decomposition(ints) == [(odd, 1)]
     if q.coeffs[-1] % _SQUAREFREE_PRIME == 0 or any(m > 1 for m in multiplicities):
         assert not _squarefree_mod_prime(ints)
 
@@ -274,15 +274,20 @@ random_cases = st.tuples(
 )
 
 
-def odd_roots_inside(q: Polynomial, lo: Fraction, hi: Fraction) -> int:
-    """The distinct real roots of odd multiplicity strictly inside (lo, hi),
+def roots_inside(q: Polynomial, lo: Fraction, hi: Fraction) -> dict:
+    """Multiplicity of each distinct real root strictly inside (lo, hi),
     from the roots sympy isolates."""
     a, b = sympy.Rational(str(lo)), sympy.Rational(str(hi))
     inside: dict = {}
     for r in sympy.real_roots(to_sympy(q)):
         if a < r < b:
             inside[r] = inside.get(r, 0) + 1
-    return sum(m % 2 for m in inside.values())
+    return inside
+
+
+def odd_roots_inside(q: Polynomial, lo: Fraction, hi: Fraction) -> int:
+    """The distinct real roots of odd multiplicity strictly inside (lo, hi)."""
+    return sum(m % 2 for m in roots_inside(q, lo, hi).values())
 
 
 def sympy_verdict(q: Polynomial, interval: Interval) -> str:
@@ -312,6 +317,16 @@ def sympy_verdict(q: Polynomial, interval: Interval) -> str:
 # three simple roots: q changes sign on (0, 1) as a whole, but the witness
 # must hold one of them
 @example((Polynomial((-1, 3)) * Polynomial((-1, 2)) * Polynomial((-2, 3)), UNIT_OPEN))
+# not squarefree: the squarefree part is taken by a gcd, and the parity of
+# each root is read from the signs at the ends of its interval
+@example((Polynomial((-1, 2)) ** 2, UNIT_OPEN))
+@example((Polynomial((-1, 2)) ** 3, UNIT_OPEN))
+# a double root left of a simple one: the witness must hold only the simple one
+@example((Polynomial((-1, 3)) ** 2 * Polynomial((-2, 3)), UNIT_OPEN))
+@example((-(Polynomial((-1, 2)) ** 2) * Polynomial((1, 1)), UNIT_OPEN))
+@example(
+    (Polynomial((-1, 4)) * Polynomial((-1, 2)) ** 2 * Polynomial((-3, 4)) ** 2, UNIT_OPEN)
+)
 def test_sign_certificates_match_sympy(case):
     q, interval = case
     cert = certify_sign(q, interval)
@@ -320,4 +335,5 @@ def test_sign_certificates_match_sympy(case):
         w = cert.witness
         assert interval.lo <= w.lo < w.hi <= interval.hi
         assert q(w.lo) * q(w.hi) < 0
-        assert odd_roots_inside(q, w.lo, w.hi) == 1
+        # one distinct root inside the witness, and of odd multiplicity
+        assert [m % 2 for m in roots_inside(q, w.lo, w.hi).values()] == [1]
