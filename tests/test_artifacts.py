@@ -52,6 +52,9 @@ CASES = (
         ("cycle:4", ("onset",)),
         ("cycle:4", ("verify",)),
     ]
+    # a matrix onset whose step needs several word primes, and one that
+    # stops at its cap
+    + [("path:4", ("onset",)), ("cycle:4", ("onset", "--cap", "4"))]
     # the mc-cycle3 benchmark graph and p, and fits at skewed p, where some
     # layer-configuration draws need more than the guide table's fixed passes
     + [
