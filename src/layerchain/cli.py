@@ -105,8 +105,11 @@ def _layer_index(args) -> int:
 def _emit(artifact, args, as_text: bool = False) -> None:
     payload = artifact if as_text else json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError("output-unwritable", f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(payload)
 

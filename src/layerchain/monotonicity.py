@@ -4,7 +4,13 @@ conjecture verification, and the bounded-degree arithmetic checks.
 Two layers of onset are computed.  The matrix-level onset is the first
 step at which every infected-to-infected entry of the n-step kernel
 dominates the (n+1)-step entry on (0,1); once it holds at one step it
-holds at every later step, so it also caps the search.  The vector-level
+holds at every later step, so it also caps the search.  It is found in the
+count basis p = x/(1+x), where every kernel entry times (1+x)^w counts bond
+configurations by open bonds: the powers are exact modulo word primes in
+numpy (float64 BLAS products, combined by Garner's mixed-radix CRT under an
+a-priori coefficient bound), a difference with no negative coefficient is
+positive as read, and only differences with mixed signs are screened at
+five exact probes and certified in the p basis.  The vector-level
 onset refines this along the actual initial distribution and is the
 reported onset index.  Connection probabilities are assembled from the
 layer distribution, the stationary distribution of the layer above, and
@@ -25,14 +31,19 @@ orbits, while the step certificates and connection drops stay per state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .algebra import (
+    IDENTICALLY_ZERO,
     Interval,
     NONNEGATIVE_VERDICTS,
+    POSITIVE,
     Polynomial,
     SignCertificate,
     UNIT_OPEN,
@@ -61,8 +72,6 @@ from .kernels import (
     lumped_state_list,
 )
 from .patterns import Pattern
-
-ZERO = Polynomial()
 
 
 class OnsetCapExceeded(RuntimeError):
@@ -96,11 +105,177 @@ class _CertCache:
         return cert
 
 
-_QUICK_PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 10), Fraction(9, 10))
+# x = p/(1-p) at p = 1/2, 1/4, 3/4, 1/10 and 9/10
+_PROBES = (Fraction(1), Fraction(1, 3), Fraction(3), Fraction(1, 9), Fraction(9))
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _quick_negative(q: Polynomial) -> bool:
-    return any(_eval_sign(q.coeffs, point) < 0 for point in _QUICK_PROBES)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, deterministic below
+    3.3 * 10^24."""
+    if n < 2:
+        return False
+    for base in _MILLER_RABIN_BASES:
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_below(limit: int) -> Iterator[int]:
+    """The primes below limit, largest first."""
+    for n in range(limit - 1, 1, -1):
+        if _is_prime(n):
+            yield n
+
+
+def _shift_basis(cs: Sequence[int], degree: int, sign: int) -> list[int]:
+    """Coefficients of sum_i c_i x^i (1 + sign*x)^(degree - i), degree >= deg c.
+
+    With sign = 1 this takes a polynomial q(p) to (1+x)^degree q(x/(1+x)),
+    and with sign = -1 it takes D(x) back to (1-p)^degree D(p/(1-p)): the
+    reversed coefficients are Taylor-shifted by sign and reversed again.
+    """
+    out = [0] * (degree + 1 - len(cs)) + list(reversed(cs))
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            out[j] += sign * out[j + 1]
+    return out[::-1]
+
+
+def _reduce(a: np.ndarray, q: int) -> None:
+    """a mod q in place, for float64 integers in [0, 2^52).
+
+    Below 2^52 the quotient a/q is rounded by less than 1/(2q), while a
+    quotient that is not an integer lies at least 1/q from every integer,
+    so its floor is exact.
+    """
+    quotient = a / q
+    np.floor(quotient, out=quotient)
+    quotient *= q
+    a -= quotient
+
+
+class _PowerModPrime:
+    """M^n modulo one word prime q: one float64 matrix per coefficient of x.
+
+    The prime is small enough that every entry of the unreduced product,
+    summed over all coefficients of the factor, stays below 2^52, so the
+    BLAS float64 products and their sum are exact and reduced once.
+    """
+
+    def __init__(self, q: int, counts: np.ndarray):
+        self.q = q
+        self.factor = (counts % q).astype(np.float64)
+        self.power = np.eye(counts.shape[1])[None]
+
+    def step(self) -> None:
+        """M^(n+1) from M^n: C_s = sum_t A_(s-t) B_t mod q, one product per t."""
+        a = self.power
+        flat = a.reshape(-1, a.shape[1])
+        product = np.empty_like(flat)
+        out = np.zeros((len(a) + len(self.factor) - 1,) + a.shape[1:])
+        for t, b in enumerate(self.factor):
+            if b.any():
+                np.matmul(flat, b, out=product)
+                out[t : t + len(a)] += product.reshape(a.shape)
+        _reduce(out, self.q)
+        self.power = out
+
+
+def _signed_coefficients(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """Replace the residues of integers modulo the primes by Garner's
+    mixed-radix digits, in place, and return where each integer is negative.
+
+    The integers lie in (-P/2, P/2) for P the product of the primes, and x
+    mod P is negative exactly when its digits exceed those of (P-1)/2,
+    compared from the most significant digit.  Every product of a digit and
+    an inverse stays below 2^62, so the digits are computed in int64.
+    """
+    for k, q in enumerate(primes):
+        for j in range(k):
+            digits[k] = (digits[k] - digits[j]) % q * pow(primes[j], -1, q) % q
+    half = (math.prod(primes) - 1) // 2
+    negative = np.zeros(digits[0].shape, dtype=bool)
+    for v, q in zip(digits, primes):
+        half, h = divmod(half, q)
+        negative = np.where(v != h, v > h, negative)
+    return negative
+
+
+def _difference(now: np.ndarray, later: np.ndarray, w: int, q: int) -> np.ndarray:
+    """(1+x)^w M^n - M^(n+1) modulo q, as int64, from the coefficient
+    stacks of M^n and M^(n+1) modulo q.
+
+    Each multiplication by 1 + x at most doubles the largest entry, so
+    entries stay below 2^20 q < 2^51 between reductions."""
+    d = np.zeros_like(later)
+    d[: len(now)] = now
+    for j, k in enumerate(range(len(now), len(now) + w)):
+        d[1 : k + 1] += d[:k]  # times 1 + x
+        if j % 20 == 19:
+            _reduce(d, q)
+    d -= later
+    d += q
+    _reduce(d, q)
+    return d.astype(np.int64)
+
+
+def _step_certificates(
+    digits: list[np.ndarray], primes: list[int], cache: _CertCache
+) -> Optional[list[list[SignCertificate]]]:
+    """The certificate grid of one step's differences D_n, given by their
+    residues modulo the primes (replaced by their digits), or None when
+    some entry is negative somewhere on (0, 1).
+
+    The sign of D_n at x > 0 is the sign of the p-difference at x/(1+x), so
+    an entry with no negative coefficient is positive (or identically zero)
+    and a nonzero one with no positive coefficient is negative.  Entries
+    with mixed signs are rebuilt as integers, screened at five exact probes
+    and certified in the p basis.
+    """
+    negative = _signed_coefficients(digits, primes)
+    nonzero = digits[0] != 0
+    for v in digits[1:]:
+        nonzero |= v != 0
+    has_negative = negative.any(axis=0)
+    has_positive = (nonzero & ~negative).any(axis=0)
+    if (has_negative & ~has_positive).any():
+        return None
+    positive = SignCertificate(POSITIVE, UNIT_OPEN)
+    zero = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
+    certs = [[positive if p else zero for p in row] for row in has_positive.tolist()]
+    rows, cols = np.nonzero(has_negative)
+    if not len(rows):
+        return certs
+    values = np.zeros((len(digits[0]), len(rows)), dtype=object)
+    radix = 1
+    for v, q in zip(digits, primes):
+        values += v[:, rows, cols].astype(object) * radix
+        radix *= q
+    values = np.where(negative[:, rows, cols], values - radix, values)
+    mixed = values.T.tolist()
+    if any(_eval_sign(cs, x) < 0 for cs in mixed for x in _PROBES):
+        return None
+    degree = len(values) - 1
+    for i, j, cs in zip(rows.tolist(), cols.tolist(), mixed):
+        cert = cache.certify(Polynomial(_shift_basis(cs, degree, -1)))
+        if cert.verdict not in NONNEGATIVE_VERDICTS:
+            return None
+        certs[i][j] = cert
+    return certs
 
 
 def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
@@ -109,30 +284,55 @@ def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[Sign
     Returns the step and the grid of certificates for the entry differences
     at that step.  The absorbing class only gains mass, so the infected
     block of a power is the power of the infected block, and only the block
-    is multiplied.  Steps are first screened by exact evaluation at a few
-    rationals, which refutes most failing steps cheaply.  Raises
-    OnsetCapExceeded if no step up to the cap passes.
+    is multiplied.  Raises OnsetCapExceeded if no step up to the cap passes.
+
+    The block is taken to the count basis: with w its largest entry degree,
+    each entry q becomes M(x) = (1+x)^w q(x/(1+x)), whose coefficients count
+    configurations by open bonds; a negative count raises ValueError.  Then
+    D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
+    and with S the largest row total of M(1) every coefficient of D_n is at
+    most 2^w S^n + S^(n+1) in absolute value.  The powers are computed
+    modulo as many word primes as that bound needs (_PowerModPrime), and
+    the signs of the coefficients are read off their mixed-radix digits.
+    A verdict depends only on the p-difference, so the certificates are
+    those of certifying each difference on (0, 1).
     """
     infected = _infected_indices(kernel)
-    block = PolyMatrix(
-        tuple(kernel.states[i] for i in infected),
-        tuple(tuple(kernel.entries[y][x] for x in infected) for y in infected),
-    )
+    if not infected:
+        if cap < 0:
+            raise OnsetCapExceeded(cap)
+        return 0, []
+    block = [[kernel.entries[y][x].coeffs for x in infected] for y in infected]
+    w = max(max(len(cs) for row in block for cs in row) - 1, 0)
+    counts = np.array(
+        [[_shift_basis(cs, w, 1) for cs in row] for row in block], dtype=object
+    ).transpose(2, 0, 1)
+    if (counts < 0).any():
+        raise ValueError("the infected block has a negative count in x = p/(1-p)")
+    size = len(infected)
+    total = int(counts.sum(axis=(0, 2)).max())
+    # an entry of a product summed over t is below q times the largest
+    # column total of M(1), and below q^2 size (w+1) once B is reduced
+    column = int(counts.sum(axis=(0, 1)).max())
+    limit = min(2**31, max(2**52 // max(column, 1), math.isqrt(2**52 // (size * (w + 1)))))
+    primes = _primes_below(limit)
+    powers: list[_PowerModPrime] = []
     cache = _CertCache()
-    current = PolyMatrix.identity(block.states)
     for step in range(cap + 1):
-        following = current @ block
-        diffs = [
-            [a - b for a, b in zip(now, later)]
-            for now, later in zip(current.entries, following.entries)
-        ]
-        if not any(_quick_negative(d) for row in diffs for d in row):
-            flat = [cache.certify(d) for row in diffs for d in row]
-            if all(c.verdict in NONNEGATIVE_VERDICTS for c in flat):
-                n = block.size
-                certs = [flat[i * n : (i + 1) * n] for i in range(n)]
-                return step, certs
-        current = following
+        bound = 2**w * total**step + total ** (step + 1)
+        while math.prod(power.q for power in powers) <= 2 * bound:
+            power = _PowerModPrime(next(primes), counts)
+            for _ in range(step):
+                power.step()
+            powers.append(power)
+        residues = []
+        for power in powers:
+            now = power.power
+            power.step()
+            residues.append(_difference(now, power.power, w, power.q))
+        certs = _step_certificates(residues, [power.q for power in powers], cache)
+        if certs is not None:
+            return step, certs
     raise OnsetCapExceeded(cap)
 
 

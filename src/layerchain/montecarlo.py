@@ -246,12 +246,14 @@ def _stationary_core_batch(
     negated = -depths[order]
     states = tables.core_step[tables.isolated_core, horizontal[order]]
     max_depth = int(-negated[0]) if samples else 0
+    flat_step = tables.core_step.ravel()
+    width = tables.core_step.shape[1]
     for countdown in range(max_depth, 0, -1):
         active = np.searchsorted(negated, -countdown, side="right")
         if active == 0:
             continue
         configs = conditioned(rng.random(active))
-        states[:active] = tables.core_step[states[:active], configs]
+        states[:active] = flat_step.take(states[:active] * width + configs)
     unsorted = np.empty_like(states)
     unsorted[order] = states
     return unsorted, depths

@@ -183,7 +183,7 @@ def test_one_vertex_graph(capsys):
     assert 0 < data["estimate"] < 1
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mc", "--graph", "cycle:2")
     assert code == 1 and "requires" in err
     code, _, err = run_cli(capsys, "decay", "--graph", "cycle:2", "--p", "zebra")
@@ -214,6 +214,8 @@ def test_usage_errors(capsys):
         (["extremal", "--source", "*,1|0,2"], "argument-missing"),
         (["extremal", "--target", "*,1|0,2"], "argument-missing"),
         (["bound", "--max-degree", "-1"], "degree-negative"),
+        (["states", "--out", str(tmp_path / "missing" / "x.json")], "output-unwritable"),
+        (["states", "--out", str(tmp_path)], "output-unwritable"),
     ]
     for argv, code_name in cases:
         code, out, err = run_cli(capsys, argv[0], "--graph", "cycle:3", *argv[1:])

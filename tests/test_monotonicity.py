@@ -10,13 +10,14 @@ from layerchain.algebra import (
     Interval,
     NONNEGATIVE_VERDICTS,
     Polynomial,
+    _eval_sign,
     certify_sign,
     poly_dot,
     poly_sum,
 )
 from layerchain.analysis import initial_distribution, stationary_distribution
 from layerchain.graphs import Graph, cycle, path
-from layerchain.kernels import Orbits, build_lumped_kernel, build_reduced_kernel
+from layerchain.kernels import Orbits, PolyMatrix, build_lumped_kernel, build_reduced_kernel
 from layerchain.monotonicity import (
     ConjectureCertificate,
     Engine,
@@ -94,6 +95,88 @@ def test_two_vertex_matrix_level_cross_entry(pipeline_c2):
     # consequence: the matrix-level step for the two-vertex cycle is 4
     step, _ = matrix_onset(lumped)
     assert step == 4
+
+
+_REFERENCE_PROBES = tuple(Fraction(a, b) for a, b in ((1, 2), (1, 4), (3, 4), (1, 10), (9, 10)))
+
+
+def reference_matrix_onset(kernel, cap=64):
+    """The matrix onset by products of polynomial matrices in p: the
+    difference of consecutive block powers, screened at five rationals and
+    certified entry by entry on (0, 1), each distinct polynomial once."""
+    infected = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
+    block = PolyMatrix(
+        tuple(kernel.states[i] for i in infected),
+        tuple(tuple(kernel.entries[y][x] for x in infected) for y in infected),
+    )
+    cache = monotonicity._CertCache()
+    current = PolyMatrix.identity(block.states)
+    for step in range(cap + 1):
+        following = current @ block
+        diffs = [
+            [a - b for a, b in zip(now, later)]
+            for now, later in zip(current.entries, following.entries)
+        ]
+        flat = [d for row in diffs for d in row]
+        if not any(_eval_sign(d.coeffs, x) < 0 for d in flat for x in _REFERENCE_PROBES):
+            certs = [cache.certify(d) for d in flat]
+            if all(c.verdict in NONNEGATIVE_VERDICTS for c in certs):
+                n = block.size
+                return step, [certs[i * n : (i + 1) * n] for i in range(n)]
+        current = following
+    raise monotonicity.OnsetCapExceeded(cap)
+
+
+def _onset_dict(result):
+    step, certs = result
+    return step, [[c.to_dict() for c in row] for row in certs]
+
+
+@settings(max_examples=12)  # each example runs both onsets on two kernels
+@given(small_graphs())
+def test_matrix_onset_matches_the_product_reference(graph):
+    """The count-basis onset, with its powers modulo word primes, gives the
+    step and certificates of the polynomial-matrix products, per state and
+    on orbits."""
+    for kernel in (build_lumped_kernel(graph), Engine(graph).kernel):
+        assert _onset_dict(matrix_onset(kernel)) == _onset_dict(reference_matrix_onset(kernel))
+
+
+def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    cases = [
+        (Engine(star).kernel, 7),
+        (build_lumped_kernel(star), 8),
+        (Engine(c2).kernel, 4),
+        (Engine(path(4)).kernel, 8),
+    ]
+    primes = []
+    real = monotonicity._PowerModPrime
+
+    def spy(q, counts):
+        primes.append(q)
+        return real(q, counts)
+
+    monkeypatch.setattr(monotonicity, "_PowerModPrime", spy)
+    for kernel, step in cases:
+        primes.clear()
+        result = matrix_onset(kernel)
+        used = list(primes)
+        assert result[0] == step
+        assert _onset_dict(result) == _onset_dict(reference_matrix_onset(kernel))
+        with pytest.raises(monotonicity.OnsetCapExceeded) as caught:
+            matrix_onset(kernel, step - 1)
+        assert caught.value.cap == step - 1
+    # path:4's bound at step 8 needs three distinct primes below 2^31
+    assert len(set(used)) == 3 and all(q < 2**31 for q in used)
+
+
+def test_matrix_onset_rejects_a_negative_count():
+    """1 - 2p is (1 - x)/(1 + x) at p = x/(1+x): not a count polynomial."""
+    state = Pattern([(STAR, 0)])
+    kernel = PolyMatrix((state,), ((Polynomial((1, -2)),),))
+    with pytest.raises(ValueError):
+        matrix_onset(kernel)
 
 
 def test_onset_certificate_validates(verify_c2, verify_c3):
