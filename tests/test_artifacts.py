@@ -66,6 +66,16 @@ CASES = (
         ("cycle:4", ("fit", "--p", "1/20", "--samples", "20000", "--seed", "5")),
         ("cycle:3", ("fit", "--p", "9/10", "--samples", "20000", "--seed", "5")),
     ]
+    # kernels and Monte Carlo tables of graphs with more than six bonds
+    + [
+        ("cycle:4", ("kernel", "--kind", "full")),
+        ("cycle:4", ("kernel", "--kind", "lumped")),
+        ("path:4", ("kernel", "--kind", "lumped")),
+        (
+            "cycle:4",
+            ("mc", "--p", "7/10", "--vertex", "1", "--n", "2", "--samples", "2000", "--seed", "7"),
+        ),
+    ]
 )
 
 
