@@ -283,8 +283,9 @@ def _infected_successors(graph: Graph, seeds: Sequence[Pattern]) -> dict[Pattern
     table: dict[Pattern, list] = {}
 
     def infected_successors(x: Pattern) -> list[Pattern]:
-        table[x] = successor_table(graph, [x])[0]
-        return [y for y in table[x] if y.infected]
+        step = successor_table(graph, [x])
+        table[x] = step[0]
+        return [y for y in step.patterns if y.infected]
 
     closure(seeds, infected_successors)
     return table

@@ -9,9 +9,16 @@ pattern, so rows sum to the constant 1 exactly.
 Three chains are built: the full chain on all patterns, the connectivity
 chain on the uninfected partitions reachable from the all-singletons state,
 and the lumped chain on infected states plus one absorbing class.  Every
-transition is one layer step: _join_layers joins the lower layer's blocks
-to the upper layer through the open vertical bonds, and step_pattern,
-successor_table and bridge_reach read their answers off that union-find.
+transition is one layer step, which joins the lower layer's blocks to the
+upper layer through the open vertical bonds.  The tables (successor_table,
+bridge_reach_table) take every step at once: _join labels the components
+of a whole batch of two-layer graphs with one numpy union-find, the array
+form of cluster labelling (Hoshen & Kopelman, Phys. Rev. B 14, 1976) with
+the larger root hooked under the smaller (Shiloach & Vishkin, J.
+Algorithms 3, 1982).  Kernel entries then count the configurations of each
+cell by open bonds and weight the counts with one integer product.
+step_pattern keeps the scalar union-find of one step, _join_layers: it is
+the raw-bond reference sampler's step and the tables' cross-check.
 
 An automorphism of G commutes with the layer step, so the connectivity and
 lumped chains are strongly lumpable onto the orbits of a group of
@@ -24,11 +31,14 @@ own orbit, gives the per-state kernels through the same code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import ONE, P, Polynomial, poly_dot_table, poly_sum
+import numpy as np
+
+from .algebra import ONE, P, ZERO, Polynomial, poly_dot_table, poly_sum
 from .graphs import Graph, closure
 from .patterns import (
     DAGGER,
@@ -120,6 +130,129 @@ def step_pattern(graph: Graph, source: Pattern, bits: int) -> Pattern:
     return Pattern(_step_blocks(graph.vertex_count, _block_ids(source), links, verticals))
 
 
+# ---------------------------------------------------------------------------
+# The batched layer step: one union-find over many two-layer graphs.
+# ---------------------------------------------------------------------------
+
+# Two-layer graphs joined per numpy batch, which bounds the union-find's
+# work arrays whatever the table size.
+_CHUNK = 1 << 12
+
+
+def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Roots of the given nodes of a flat parent array."""
+    while True:
+        up = parent[nodes]
+        if np.array_equal(up, nodes):
+            return nodes
+        nodes = up
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join a[i] to b[i] for every i, no two pairs in one forest: the
+    larger root is hooked under the smaller, so every root stays the
+    minimum node of its component."""
+    a, b = _find(parent, a), _find(parent, b)
+    parent[np.maximum(a, b)] = np.minimum(a, b)
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every node of a flat parent array, by pointer jumping."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
+def _horizontal_forests(graph: Graph) -> np.ndarray:
+    """forests[h, v]: the smallest vertex joined to v by the horizontal
+    edges open in bitmask h."""
+    k, count = graph.vertex_count, 1 << graph.edge_count
+    base = np.arange(0, count * k, k)
+    parent = (base[:, None] + np.arange(k)).ravel()
+    masks = np.arange(count)
+    for index, (u, v) in enumerate(graph.edges):
+        rows = np.flatnonzero(masks >> index & 1)
+        _union(parent, base[rows] + u, base[rows] + v)
+    return _roots(parent).reshape(count, k) - base[:, None]
+
+
+def _join(lower: np.ndarray, upper: np.ndarray, verticals: np.ndarray) -> np.ndarray:
+    """Component labels of a batch of two-layer graphs, one per row.
+
+    The node layout is _join_layers': nodes 0..k-1 are the upper layer's
+    vertices and node k + i is block i of the lower layer, block 0 holding
+    the marker.  lower[r, v] is the lower block holding vertex v, upper[r]
+    labels each upper vertex with the smallest vertex of its upper
+    component, and bit v of verticals[r] joins upper vertex v to its lower
+    block.  Returns roots[r, node], the smallest node of its component.
+    """
+    count, k = lower.shape
+    width = 2 * k + 1
+    base = np.arange(0, count * width, width)
+    parent = np.empty((count, width), dtype=np.intp)
+    parent[:, :k] = upper
+    parent[:, k:] = np.arange(k, width)
+    parent += base[:, None]
+    parent = parent.ravel()
+    for v in range(k):
+        rows = np.flatnonzero(verticals >> v & 1)
+        _union(parent, base[rows] + v, base[rows] + k + lower[rows, v])
+    return _roots(parent).reshape(count, width) - base[:, None]
+
+
+def _chunks(total: int):
+    """The index ranges of the batches covering total two-layer graphs."""
+    for start in range(0, total, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, total))
+
+
+def _pattern_from_key(key: int, k: int) -> Pattern:
+    """Decode a successor key: base-(k+1) digits holding the root of each
+    upper vertex, then min(root of the marker, k)."""
+    digits = []
+    for _ in range(k + 1):
+        key, digit = divmod(key, k + 1)
+        digits.append(digit)
+    groups: dict[int, list[int]] = {digits[k]: [STAR]}
+    for v, root in enumerate(digits[:k]):
+        groups.setdefault(root, []).append(v)
+    return Pattern(groups.values())
+
+
+@functools.cache
+def _weight_matrix(width: int) -> np.ndarray:
+    """matrix[n, d]: the coefficient of p^d in p^n (1-p)^(width-n); read-only."""
+    matrix = np.zeros((width + 1, width + 1), dtype=np.int64)
+    for n, weight in enumerate(config_weights(width)):
+        matrix[n, : len(weight.coeffs)] = weight.coeffs
+    matrix.flags.writeable = False
+    return matrix
+
+
+def weigh_configs(
+    cells: np.ndarray, configs: np.ndarray, size: int, width: int
+) -> list[Polynomial]:
+    """The polynomial of each of size cells: the sum over the pairs
+    (cells[i], configs[i]) of p^n (1-p)^(width-n), n the open bonds of the
+    width-bit config.
+
+    Configurations are counted per cell and open-bond count, and the
+    counts weighted with one integer product.  A coefficient is at most
+    sum_n C(width, n) C(width-n, d-n) = C(width, d) 2^d <= 3^width in
+    absolute value, within int64 for every width whose 2^width
+    configurations can be enumerated.
+    """
+    keys = cells * (width + 1) + np.bitwise_count(configs)
+    counts = np.bincount(keys, minlength=size * (width + 1)).reshape(size, width + 1)
+    reached = np.flatnonzero(counts.any(axis=1))
+    entries = [ZERO] * size
+    for cell, row in zip(reached.tolist(), (counts[reached] @ _weight_matrix(width)).tolist()):
+        entries[cell] = Polynomial(row)
+    return entries
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
     """Square matrix of exact polynomials indexed by chain states."""
@@ -197,26 +330,64 @@ class PolyMatrix:
 # ---------------------------------------------------------------------------
 
 
-def successor_table(graph: Graph, sources: Sequence[Pattern]) -> list[list[Pattern]]:
-    """table[i][z] = successor pattern of sources[i] under config bitmask z."""
-    k = graph.vertex_count
-    e = graph.edge_count
-    horizontal = (1 << e) - 1
-    links = [_open_edges(graph, bits) for bits in range(horizontal + 1)]
-    table: list[list[Pattern]] = []
-    pattern_cache: dict[tuple, Pattern] = {}
-    for source in sources:
-        block_id = _block_ids(source)
-        row = []
-        for z in range(1 << graph.bond_count):
-            key = _step_blocks(k, block_id, links[z & horizontal], z >> e)
-            cached = pattern_cache.get(key)
-            if cached is None:
-                cached = Pattern(key)
-                pattern_cache[key] = cached
-            row.append(cached)
-        table.append(row)
-    return table
+@dataclass(frozen=True, eq=False)
+class Successors:
+    """The successor of every source under every layer configuration:
+    source i steps to patterns[index[i, z]] under config bitmask z.
+
+    The table is also the sequence of its rows, table[i] listing the
+    successor patterns of source i by config.
+    """
+
+    patterns: tuple[Pattern, ...]
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i: int) -> list[Pattern]:
+        patterns = self.patterns
+        return [patterns[j] for j in self.index[i].tolist()]
+
+    def columns(self, column_of) -> np.ndarray:
+        """column_of(successor) for every entry, as an array shaped like index."""
+        return np.array([column_of(y) for y in self.patterns], dtype=np.int32)[self.index]
+
+    @staticmethod
+    def stack(tables: Sequence["Successors"]) -> "Successors":
+        """The rows of the tables, in order, as one table."""
+        position: dict[Pattern, int] = {}
+        for table in tables:
+            for y in table.patterns:
+                position.setdefault(y, len(position))
+        index = np.concatenate([table.columns(position.__getitem__) for table in tables])
+        return Successors(tuple(position), index)
+
+
+def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
+    """The successor of every source under every config, by the batched join.
+
+    The upper forest of a config is the component labelling of its open
+    horizontal edges.  A successor is read as one integer key, the root of
+    each upper vertex and then min(root of the marker, k) in base k + 1,
+    below 13^13 < 2^63 under the 12-vertex guard; each distinct key becomes
+    one Pattern.
+    """
+    k, e, b = graph.vertex_count, graph.edge_count, graph.bond_count
+    lowers = np.array([_block_ids(x) for x in sources], dtype=np.intp).reshape(-1, k)
+    forests = _horizontal_forests(graph)
+    powers = (k + 1) ** np.arange(k + 1, dtype=np.int64)
+    ids: dict[int, int] = {}
+    index = np.empty(len(sources) << b, dtype=np.int32)
+    for t in _chunks(len(index)):
+        configs = t & ((1 << b) - 1)
+        roots = _join(lowers[t >> b], forests[configs & ((1 << e) - 1)], configs >> e)
+        np.minimum(roots[:, k], k, out=roots[:, k])
+        distinct, inverse = np.unique(roots[:, : k + 1] @ powers, return_inverse=True)
+        local = [ids.setdefault(key, len(ids)) for key in distinct.tolist()]
+        index[t] = np.array(local, dtype=np.int32)[inverse]
+    patterns = tuple(_pattern_from_key(key, k) for key in ids)
+    return Successors(patterns, index.reshape(len(sources), 1 << b))
 
 
 class Orbits:
@@ -273,36 +444,28 @@ class Orbits:
 
 def _rows_from_table(
     graph: Graph,
-    table: Sequence[Sequence[Pattern]],
+    table: Successors,
     columns: dict,
     collapse_uninfected: bool = False,
 ) -> list[list[Polynomial]]:
-    """Kernel rows from successor table rows: count the configurations
+    """Kernel rows from a successor table: count the configurations
     reaching each column by open-bond multiplicity, then weight.  Several
     states may share a column, whose entry is then their sum."""
     b = graph.bond_count
-    weights = config_weights(b)
-    popcounts = [z.bit_count() for z in range(1 << b)]
     width = 1 + max(columns.values())
-    rows = []
-    for row_targets in table:
-        counts: dict[int, list[int]] = {}
-        for z, target in enumerate(row_targets):
-            state: PatternClass = target
-            if collapse_uninfected and not target.infected:
-                state = DAGGER
-            col = columns[state]
-            per = counts.get(col)
-            if per is None:
-                per = [0] * (b + 1)
-                counts[col] = per
-            per[popcounts[z]] += 1
-        row = [Polynomial() for _ in range(width)]
-        for col, per in counts.items():
-            row[col] = poly_sum(
-                count * weights[k] for k, count in enumerate(per) if count
-            )
-        rows.append(row)
+
+    column = np.array(
+        [columns[DAGGER if collapse_uninfected and not y.infected else y] for y in table.patterns],
+        dtype=np.int32,
+    )
+    configs = np.arange(1 << b)
+    rows: list[list[Polynomial]] = []
+    step = max(1, _CHUNK >> b)
+    for start in range(0, len(table), step):
+        cols = column[table.index[start : start + step]]
+        cells = cols + np.arange(0, len(cols) * width, width)[:, None]
+        entries = weigh_configs(cells.ravel(), np.tile(configs, len(cols)), len(cols) * width, b)
+        rows += [entries[i : i + width] for i in range(0, len(entries), width)]
     return rows
 
 
@@ -317,10 +480,11 @@ def build_full_kernel(graph: Graph) -> PolyMatrix:
 @dataclass(frozen=True)
 class Core:
     """The connectivity chain's reachable partitions in the orbits of a
-    group, with the successor table rows of the orbit representatives."""
+    group, with the successor table of the orbit representatives, in
+    orbit order."""
 
     orbits: Orbits
-    rows: tuple[list[Pattern], ...]
+    table: Successors
 
 
 def build_core(graph: Graph, group: Optional[Sequence[tuple[int, ...]]] = None) -> Core:
@@ -342,15 +506,15 @@ def build_core(graph: Graph, group: Optional[Sequence[tuple[int, ...]]] = None) 
             representative.update(dict.fromkeys(orbit, rep))
         return rep
 
-    rows: dict[Pattern, list[Pattern]] = {}
+    tables: dict[Pattern, Successors] = {}
 
     def successors(rep: Pattern) -> set[Pattern]:
-        [rows[rep]] = successor_table(graph, [rep])
-        return {canonical(y) for y in set(rows[rep])}
+        tables[rep] = successor_table(graph, [rep])
+        return {canonical(y) for y in tables[rep].patterns}
 
     closure([canonical(all_singletons_pattern(graph.vertex_count))], successors)
     orbits = Orbits(sorted(representative), group)
-    return Core(orbits, tuple(rows[rep] for rep in orbits.representatives))
+    return Core(orbits, Successors.stack([tables[rep] for rep in orbits.representatives]))
 
 
 def core_partitions(graph: Graph) -> list[Pattern]:
@@ -366,7 +530,7 @@ def build_reduced_kernel(graph: Graph, core: Optional[Core] = None) -> PolyMatri
     j; the default core has every partition as its own orbit.
     """
     core = core or build_core(graph)
-    rows = _rows_from_table(graph, core.rows, core.orbits.columns())
+    rows = _rows_from_table(graph, core.table, core.orbits.columns())
     return PolyMatrix(core.orbits.representatives, tuple(tuple(r) for r in rows))
 
 
@@ -406,45 +570,37 @@ def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMa
 # ---------------------------------------------------------------------------
 
 
-def _partition_links(upper: Pattern) -> list[tuple[int, int]]:
-    """Pairs of vertices that chain each block of a partition together."""
-    links: list[tuple[int, int]] = []
-    for block in upper.blocks:
+def _block_minima(partition: Pattern) -> list[int]:
+    """The smallest vertex of each vertex's block."""
+    minima = [0] * partition.vertex_count
+    for block in partition.blocks:
         members = [e for e in block if e != STAR]
-        links += zip(members, members[1:])
-    return links
-
-
-def _reach_mask(k: int, block_id: Sequence[int], links, vertical_bits: int) -> int:
-    find = _join_layers(k, block_id, links, vertical_bits)
-    star_root = find(k)
-    mask = 0
-    for v in range(k):
-        if find(k + block_id[v]) == star_root:
-            mask |= 1 << v
-    return mask
-
-
-def bridge_reach(graph: Graph, infected: Pattern, upper: Pattern, vertical_bits: int) -> int:
-    """Bitmask of lower-layer vertices linked to the infection through one extra layer.
-
-    The lower layer carries the infected pattern, the upper layer the
-    uninfected partition, and vertical_bits the open vertical bonds between
-    them; bit v of the result is set iff lower vertex v connects to the
-    infected block through this two-layer structure.
-    """
-    k = graph.vertex_count
-    return _reach_mask(k, _block_ids(infected), _partition_links(upper), vertical_bits)
+        for element in members:
+            minima[element] = members[0]
+    return minima
 
 
 def bridge_reach_table(
     graph: Graph, infected_states: Sequence[Pattern], core: Sequence[Pattern]
-) -> list[list[list[int]]]:
-    """reach[x][y][z] = bridge_reach mask for every state pair and vertical config."""
+) -> np.ndarray:
+    """reach[i, j, z]: bitmask of the lower-layer vertices linked to the
+    infection through one extra layer, by the batched join.
+
+    The lower layer carries infected_states[i], the upper layer the
+    uninfected partition core[j] (no horizontal edges: the upper forest is
+    its blocks), and z the open vertical bonds between them; bit v is set
+    iff lower vertex v connects to the infected block through this
+    two-layer structure.
+    """
     k = graph.vertex_count
-    links = [_partition_links(y) for y in core]
-    table = []
-    for x in infected_states:
-        block_id = _block_ids(x)
-        table.append([[_reach_mask(k, block_id, l, z) for z in range(1 << k)] for l in links])
-    return table
+    lowers = np.array([_block_ids(x) for x in infected_states], dtype=np.intp).reshape(-1, k)
+    uppers = np.array([_block_minima(y) for y in core], dtype=np.intp).reshape(-1, k)
+    bits = 1 << np.arange(k)
+    reach = np.empty(len(lowers) * len(uppers) << k, dtype=np.int32)
+    for t in _chunks(len(reach)):
+        pair = t >> k
+        lower = lowers[pair // len(uppers)]
+        roots = _join(lower, uppers[pair % len(uppers)], t & ((1 << k) - 1))
+        linked = np.take_along_axis(roots, k + lower, axis=1) == roots[:, k : k + 1]
+        reach[t] = linked @ bits
+    return reach.reshape(len(lowers), len(uppers), 1 << k)

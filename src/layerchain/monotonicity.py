@@ -68,8 +68,8 @@ from .kernels import (
     build_core,
     build_lumped_kernel,
     build_reduced_kernel,
-    config_weights,
     lumped_state_list,
+    weigh_configs,
 )
 from .patterns import Pattern
 
@@ -552,27 +552,19 @@ class Engine:
         g(r) links vertex v exactly when r links g^-1(v).
         """
         k = self.graph.vertex_count
-        vertical_weights = config_weights(k)
-        popcounts = [z.bit_count() for z in range(1 << k)]
         states = [self.kernel.states[i] for i in self.infected_indices]
-        reach = bridge_reach_table(self.graph, states, self.stationary.states)
+        uppers = self.stationary.states
+        reach = bridge_reach_table(self.graph, states, uppers).ravel()
+        cells = len(states) * len(uppers)
         # vertical[v][i][j]: probability of the vertical bonds linking v to
         # the infection of state i below partition j
-        vertical: list[list[list[Polynomial]]] = [[[] for _ in states] for _ in range(k)]
-        for i, masks_by_upper in enumerate(reach):
-            for masks in masks_by_upper:
-                counts = [[0] * (k + 1) for _ in range(k)]
-                for z, mask in enumerate(masks):
-                    v = 0
-                    while mask:
-                        if mask & 1:
-                            counts[v][popcounts[z]] += 1
-                        mask >>= 1
-                        v += 1
-                for v, per in enumerate(counts):
-                    vertical[v][i].append(
-                        poly_sum(c * vertical_weights[n] for n, c in enumerate(per) if c)
-                    )
+        vertical: list[list[list[Polynomial]]] = []
+        for v in range(k):
+            linked = np.flatnonzero(reach >> v & 1)
+            entries = weigh_configs(linked >> k, linked & ((1 << k) - 1), cells, k)
+            vertical.append(
+                [entries[i : i + len(uppers)] for i in range(0, cells, len(uppers))]
+            )
         stationary = [list(self.stationary.entries)]
         linked = [poly_dot_table(stationary, vertical[v])[0] for v in range(k)]
         carriers = [self.orbits.carriers[i] for i in self.infected_indices]

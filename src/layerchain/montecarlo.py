@@ -147,26 +147,24 @@ class _Tables:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        core = build_core(graph)  # every partition its own orbit, with its row
+        core = build_core(graph)  # every partition its own orbit, with its table
         partitions = core.orbits.states
         self.lumped = lumped_state_list(partitions)
         core_index = {s: i for i, s in enumerate(partitions)}
         lumped_index = {s: i for i, s in enumerate(self.lumped)}
-        self.core_step = np.array(
-            [[core_index[t] for t in row] for row in core.rows], dtype=np.int64
-        )
+        self.core_step = core.table.columns(core_index.__getitem__)
         infected = self.lumped[1:]
-        infected_rows = successor_table(graph, infected)
-        width = 1 << graph.bond_count
-        lumped_table = [[0] * width]
-        for row in infected_rows:
-            lumped_table.append([lumped_index[lump(t)] for t in row])
-        self.lumped_step = np.array(lumped_table, dtype=np.int64)
+        lumped_table = successor_table(graph, infected).columns(
+            lambda y: lumped_index[lump(y)]
+        )
+        self.lumped_step = np.concatenate(
+            [np.zeros((1, 1 << graph.bond_count), dtype=np.int32), lumped_table]
+        )
         self.core_to_initial = np.array(
             [lumped_index[attach_infection(w, graph.origin)] for w in partitions],
             dtype=np.int64,
         )
-        self.reach = np.array(bridge_reach_table(graph, infected, partitions), dtype=np.int64)
+        self.reach = bridge_reach_table(graph, infected, partitions)
         self.isolated_core = core_index[all_singletons_pattern(graph.vertex_count)]
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from layerchain.algebra import ONE, P, Polynomial
 from layerchain.algebra import poly_sum
-from layerchain.graphs import Graph, automorphisms, cycle, path
+from layerchain import kernels
+from layerchain.graphs import Graph, automorphisms, cycle, make_builtin, path
 from layerchain.kernels import (
     Orbits,
     PolyMatrix,
-    bridge_reach,
+    bridge_reach_table,
     build_core,
     build_full_kernel,
     build_lumped_kernel,
@@ -192,21 +193,66 @@ def test_step_pattern_matches_two_layer_search(case):
     assert step_pattern(graph, source, bits) == reference_step(graph, source, bits)
 
 
+def check_successor_table(graph: Graph, sources) -> None:
+    """Every entry of one successor table over the sources is the two-layer
+    search's successor."""
+    table = successor_table(graph, sources)
+    assert table.index.shape == (len(sources), 1 << graph.bond_count)
+    for source, row in zip(sources, table.index.tolist()):
+        for z, j in enumerate(row):
+            assert table.patterns[j] == reference_step(graph, source, z)
+
+
+def check_bridge_table(graph: Graph, infected, uppers) -> None:
+    """Every entry of one bridge table is the two-layer search's reach mask."""
+    reach = bridge_reach_table(graph, infected, uppers)
+    assert reach.shape == (len(infected), len(uppers), 1 << graph.vertex_count)
+    for i, x in enumerate(infected):
+        for j, y in enumerate(uppers):
+            for z, mask in enumerate(reach[i, j].tolist()):
+                assert mask == reference_bridge(graph, x, y, z)
+
+
 @given(small_graphs(), st.data())
 def test_successor_table_rows_match_two_layer_search(graph, data):
-    source = data.draw(st.sampled_from(enumerate_patterns(graph)))
-    [row] = successor_table(graph, [source])
-    assert row == [reference_step(graph, source, z) for z in range(1 << graph.bond_count)]
+    patterns = enumerate_patterns(graph)
+    sources = data.draw(st.lists(st.sampled_from(patterns), min_size=1, max_size=3))
+    check_successor_table(graph, sources)
 
 
 @given(small_graphs(), st.data())
 def test_bridge_reach_matches_two_layer_search(graph, data):
     patterns = enumerate_patterns(graph)
-    infected = data.draw(st.sampled_from([x for x in patterns if x.infected]))
-    upper = data.draw(st.sampled_from([x for x in patterns if not x.infected]))
-    vertical_bits = data.draw(st.integers(0, (1 << graph.vertex_count) - 1))
-    expected = reference_bridge(graph, infected, upper, vertical_bits)
-    assert bridge_reach(graph, infected, upper, vertical_bits) == expected
+    infected = [x for x in patterns if x.infected]
+    uninfected = [x for x in patterns if not x.infected]
+    sources = data.draw(st.lists(st.sampled_from(infected), min_size=1, max_size=3))
+    uppers = data.draw(st.lists(st.sampled_from(uninfected), min_size=1, max_size=3))
+    check_bridge_table(graph, sources, uppers)
+
+
+def test_tables_span_several_chunks(monkeypatch):
+    """Batches of a few two-layer graphs give the same tables, a chunk
+    boundary falling inside rows and between sources."""
+    monkeypatch.setattr(kernels, "_CHUNK", 3)
+    graph = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2)), 1)
+    patterns = enumerate_patterns(graph)
+    check_successor_table(graph, patterns[::5])
+    infected = [x for x in patterns if x.infected][::7]
+    check_bridge_table(graph, infected, [x for x in patterns if not x.infected][::3])
+
+
+@pytest.mark.parametrize("graph", [Graph(1, (), 0), make_builtin("path:1")])
+def test_tables_of_a_one_vertex_graph(graph, monkeypatch):
+    """No horizontal edges: one horizontal mask, and every join is a lone
+    vertical bond, in one batch and in batches of one."""
+    patterns = enumerate_patterns(graph)
+    for chunk in (kernels._CHUNK, 1):
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        check_successor_table(graph, patterns)
+        check_bridge_table(graph, [x for x in patterns if x.infected], patterns[:1])
+    isolated, infected = all_singletons_pattern(1), all_connected_pattern(1)
+    table = successor_table(graph, [isolated, infected])
+    assert [table[0], table[1]] == [[isolated, isolated], [isolated, infected]]
 
 
 @settings(max_examples=30)  # each example runs up to 15 * 1024 reference steps
@@ -450,12 +496,13 @@ def test_bridge_reach_basic():
     g = cycle(2)
     infected = Pattern([(STAR, 0), (1,)])
     upper = Pattern([(STAR,), (0, 1)])
+    [[reach]] = bridge_reach_table(g, [infected], [upper]).tolist()
     # no verticals: only the infected block itself
-    assert bridge_reach(g, infected, upper, 0) == 0b01
+    assert reach[0] == 0b01
     # verticals at both: the upper block joins 0 and 1
-    assert bridge_reach(g, infected, upper, 0b11) == 0b11
+    assert reach[0b11] == 0b11
     # vertical only at 1: upper layer disconnected from the infection
-    assert bridge_reach(g, infected, upper, 0b10) == 0b01
+    assert reach[0b10] == 0b01
 
 
 def test_projection_commutes_with_stepping():
