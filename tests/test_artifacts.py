@@ -55,6 +55,9 @@ CASES = (
     # a matrix onset whose step needs several word primes, and one that
     # stops at its cap
     + [("path:4", ("onset",)), ("cycle:4", ("onset", "--cap", "4"))]
+    # sign-change witnesses: all 49 changes-sign certificates of path:4 have
+    # one Descartes sign variation on their interval
+    + [("path:4", ("verify",))]
     # the mc-cycle3 benchmark graph and p, and fits at skewed p, where some
     # layer-configuration draws need more than the guide table's fixed passes
     + [
