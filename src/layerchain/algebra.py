@@ -11,11 +11,13 @@ slot width proven from the coefficient sizes).
 Sign questions on subintervals of [0, 1] rest on one root counter:
 Descartes' rule of signs on the interval mapped onto (0, oo).  With no
 sign variation the polynomial is root-free inside the interval, which
-settles most polynomials at once.  For the rest, the distinct roots of the
-squarefree part (the polynomial itself when a gcd modulo a fixed prime
-proves it squarefree, else one gcd with its derivative) are isolated once
-by Descartes bisection (Vincent-Collins-Akritas), and the parity of each
-root is read from the signs at the ends of its interval.  Certificates
+settles most polynomials at once; with one it has one simple root there and
+changes sign, and the witness is found by bisecting towards that root.  For
+the rest, the distinct roots of the squarefree part (the polynomial itself
+when a gcd modulo a fixed prime proves it squarefree, else one gcd with its
+derivative) are isolated once by Descartes bisection
+(Vincent-Collins-Akritas), and the parity of each root is read from the
+signs at the ends of its interval.  Certificates
 classify a polynomial as positive, nonnegative with interior zeros,
 identically zero, sign-changing (with an isolating witness interval), or
 negative.
@@ -346,6 +348,14 @@ def _exact_div_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """
     dg = len(g) - 1
     lead = g[-1]
+    if dg == 0:
+        quot = []
+        for c in f:
+            q, r = divmod(c, lead)
+            if r:
+                raise ExactDivisionError("quotient not integral")
+            quot.append(q)
+        return quot
     low = g[:-1]
     rem = list(f)
     quot = [0] * max(0, len(rem) - dg)
@@ -507,13 +517,14 @@ def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
-    """Coefficients of (1+x)^d q((lo + hi*x)/(1+x)), times a positive integer.
+    """Coefficients of (1+x)^d q((hi + lo*x)/(1+x)), times a positive integer.
 
-    The map x -> (lo + hi*x)/(1+x) takes (0, oo) onto (lo, hi), so the
-    positive roots of the image are the roots of q inside (lo, hi).  q is
-    first moved onto (0, 1) by p = lo + (hi - lo)*t with the denominator m
-    cleared, which is skipped for the unit interval itself; then the image
-    is one Taylor shift of the reversed coefficients.
+    The map x -> (hi + lo*x)/(1+x) takes (0, oo) onto (lo, hi), x near 0 to
+    p just left of hi, so the positive roots of the image are the roots of
+    q inside (lo, hi) and the first nonzero coefficient has the sign q takes
+    just left of hi.  q is first moved onto (0, 1) by p = lo + (hi - lo)*t
+    with the denominator m cleared, which is skipped for the unit interval
+    itself; then the image is one Taylor shift of the reversed coefficients.
     """
     if lo != 0 or hi != 1:
         m = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
@@ -587,6 +598,26 @@ def _isolate_roots(
             pending += [(mid, b), (a, mid)]
 
 
+def _isolate_simple_root(
+    qints: Sequence[int], near_hi: int, lo: Fraction, hi: Fraction
+) -> Interval:
+    """The piece _isolate_roots yields when q has one root in (lo, hi), a simple one.
+
+    near_hi is the sign q takes just left of hi.  Past the root q has that
+    sign up to hi and the opposite sign before it, so the root lies left of
+    a split point exactly when q has the sign near_hi there; the piece is
+    split as in _isolate_roots until q is nonzero at both of its ends.
+    """
+    a, b = lo, hi
+    while not (_eval_sign(qints, a) and _eval_sign(qints, b)):
+        mid = _nonroot_point(qints, a, b)
+        if _eval_sign(qints, mid) == near_hi:
+            b = mid
+        else:
+            a = mid
+    return Interval(a, b)
+
+
 def _endpoint_zero(qints: Sequence[int], interval: Interval) -> bool:
     """Whether q vanishes at an endpoint the interval includes."""
     return (interval.closed_lo and _eval_sign(qints, interval.lo) == 0) or (
@@ -603,7 +634,11 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
 
     Descartes' rule of signs settles most q at once: when the image of q on
     (0, oo) has no sign variation, q has no root inside the interval and
-    the sign of any coefficient of the image is the sign of q there.
+    the sign of any coefficient of the image is the sign of q there.  With
+    exactly one variation q has exactly one root inside, a simple one, so q
+    changes sign; its witness is found by splitting towards the root with
+    the sign q takes just left of hi (the sign of the image's first nonzero
+    coefficient), and is the piece the isolation below would yield.
     Otherwise the distinct roots inside are isolated once, left to right,
     with the squarefree part of q (q itself when a gcd modulo a prime proves
     it squarefree).  A root has odd multiplicity exactly when q has opposite
@@ -618,12 +653,17 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     qints = q.coeffs
     lo, hi = interval.lo, interval.hi
     image = _interval_image(qints, lo, hi)
-    if _sign_variations(image) == 0:
-        if next(c for c in image if c) < 0:
+    variations = _sign_variations(image)
+    near_hi = 1 if next(c for c in image if c) > 0 else -1
+    if variations == 0:
+        if near_hi < 0:
             return SignCertificate(NEGATIVE, interval)
         if _endpoint_zero(qints, interval):
             return SignCertificate(NONNEGATIVE, interval)
         return SignCertificate(POSITIVE, interval)
+    if variations == 1:
+        witness = _isolate_simple_root(qints, near_hi, lo, hi)
+        return SignCertificate(CHANGES_SIGN, interval, witness)
 
     # p and (1-p) are positive on the open interior of any subinterval of
     # [0, 1]; stripping those factors keeps interior sign analysis intact.

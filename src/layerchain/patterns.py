@@ -26,7 +26,7 @@ class PatternSpaceError(CodedError):
 class Pattern:
     """Canonical partition of V plus {*}, blocks sorted by minimal element."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         canon = tuple(sorted(tuple(sorted(set(block))) for block in blocks))
@@ -45,6 +45,7 @@ class Pattern:
         if any(not block for block in canon):
             raise PatternSpaceError("pattern-invalid", "pattern blocks must be nonempty")
         self.blocks = canon
+        self._hash = hash(canon)
 
     # -- queries -------------------------------------------------------------
 
@@ -80,7 +81,7 @@ class Pattern:
         return self.blocks < other.blocks
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Pattern({self})"

@@ -11,6 +11,7 @@ even and odd multiplicity.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -24,13 +25,20 @@ from layerchain.algebra import (
     NEGATIVE,
     NONNEGATIVE,
     POSITIVE,
+    P,
     Polynomial,
+    SignCertificate,
     UNIT_OPEN,
     _SQUAREFREE_PRIME,
     _count_roots,
+    _eval_sign,
     _exact_div_int,
+    _interval_image,
+    _isolate_roots,
     _primitive,
+    _sign_variations,
     _squarefree_mod_prime,
+    _squarefree_part,
     certify_sign,
     poly_dot,
     poly_dot_table,
@@ -161,6 +169,23 @@ def test_exact_div_non_integral_quotient(q, g, d):
             _exact_div_int(list((q * g).coeffs), list((g * d).coeffs))
     else:
         assert (q * g).exact_div(g * d) == Polynomial([c // d for c in q.coeffs])
+
+
+@given(st.lists(int_coeff, max_size=8), int_coeff.filter(bool), st.lists(small, max_size=8))
+@example([6, -4, 0, 2], 2, [])
+@example([6, -4, 0, 2], -2, [0, 0, 1])
+def test_exact_div_by_a_constant(q, d, offsets):
+    assert _exact_div_int([d * c for c in q], [d]) == q
+    f = [d * c + e for c, e in zip_longest(q, offsets, fillvalue=0)]
+    quotient = [Fraction(c, d) for c in f]
+    if all(c.denominator == 1 for c in quotient):
+        assert _exact_div_int(f, [d]) == quotient
+        assert Polynomial(f).exact_div(Polynomial((d,))) == Polynomial(map(int, quotient))
+    else:
+        with pytest.raises(ExactDivisionError):
+            _exact_div_int(f, [d])
+        with pytest.raises(ExactDivisionError):
+            Polynomial(f).exact_div(Polynomial((d,)))
 
 
 @given(st.lists(int_coeff, max_size=7).map(Polynomial), nonzero_int_poly)
@@ -337,3 +362,49 @@ def test_sign_certificates_match_sympy(case):
         assert q(w.lo) * q(w.hi) < 0
         # one distinct root inside the witness, and of odd multiplicity
         assert [m % 2 for m in roots_inside(q, w.lo, w.hi).values()] == [1]
+
+
+def isolation_witness(q: Polynomial, interval: Interval) -> Interval:
+    """The first piece of _isolate_roots, over the squarefree part of q with
+    its p and 1-p factors stripped, at whose ends q has opposite signs."""
+    stripped = _primitive(list(q.coeffs))
+    while stripped[0] == 0:
+        stripped.pop(0)
+    while True:
+        try:
+            stripped = _exact_div_int(stripped, [1, -1])
+        except ExactDivisionError:
+            break
+    squarefree = _squarefree_part(stripped)
+    return next(
+        piece
+        for piece in _isolate_roots(q.coeffs, squarefree, interval.lo, interval.hi)
+        if _eval_sign(q.coeffs, piece.lo) != _eval_sign(q.coeffs, piece.hi)
+    )
+
+
+@settings(max_examples=150)
+@given(st.one_of(certified_cases(), random_cases))
+# q vanishes at both ends of the interval around its one interior root
+@example(
+    (
+        Polynomial((-1, 4)) * Polynomial((-1, 2)) * Polynomial((-3, 4)),
+        Interval(Fraction(1, 4), Fraction(3, 4), True, True),
+    )
+)
+@example(
+    (
+        Polynomial((-1, 4)) * Polynomial((-1, 2)) * Polynomial((-3, 4)),
+        Interval(Fraction(1, 4), Fraction(3, 4)),
+    )
+)
+# p^k (1-p)^m factors, which the isolation strips
+@example((P**2 * (Polynomial((1,)) - P) * Polynomial((-1, 3)), UNIT_OPEN))
+@example(
+    (P * (Polynomial((1,)) - P) ** 3 * Polynomial((-2, 3)), Interval(0, 1, True, True))
+)
+def test_one_variation_witness_matches_isolation(case):
+    q, interval = case
+    assume(_sign_variations(_interval_image(q.coeffs, interval.lo, interval.hi)) == 1)
+    expected = SignCertificate(CHANGES_SIGN, interval, isolation_witness(q, interval))
+    assert certify_sign(q, interval) == expected
