@@ -58,6 +58,9 @@ CASES = (
     # sign-change witnesses: all 49 changes-sign certificates of path:4 have
     # one Descartes sign variation on their interval
     + [("path:4", ("verify",))]
+    # the only built-in run whose sign certificates reach two or more sign
+    # variations: 18 certify_sign calls, 16 of them changes-sign
+    + [("cycle:5", ("verify",))]
     # the mc-cycle3 benchmark graph and p, and fits at skewed p, where some
     # layer-configuration draws need more than the guide table's fixed passes
     + [
