@@ -8,19 +8,19 @@ is integer long division, and dot products and matrix products use
 Kronecker substitution (each polynomial packed into one big integer, at a
 slot width proven from the coefficient sizes).
 
-Sign questions on subintervals of [0, 1] rest on one root counter:
-Descartes' rule of signs on the interval mapped onto (0, oo).  With no
-sign variation the polynomial is root-free inside the interval, which
-settles most polynomials at once; with one it has one simple root there and
-changes sign, and the witness is found by bisecting towards that root.  For
-the rest, the distinct roots of the squarefree part (the polynomial itself
-when a gcd modulo a fixed prime proves it squarefree, else one gcd with its
-derivative) are isolated once by Descartes bisection
-(Vincent-Collins-Akritas), and the parity of each root is read from the
-signs at the ends of its interval.  Certificates
-classify a polynomial as positive, nonnegative with interior zeros,
-identically zero, sign-changing (with an isolating witness interval), or
-negative.
+Sign questions on subintervals of [0, 1] rest on Descartes' rule of signs
+on the interval mapped onto (0, oo) by the one Taylor shift (_shift_basis).
+With no sign variation the polynomial is root-free inside the interval,
+which settles most polynomials at once; with one it has one simple root
+there and changes sign, and the witness is found by bisecting towards that
+root.  For the rest, one Descartes bisection (Vincent-Collins-Akritas)
+counts and isolates the distinct roots of the squarefree part (the
+polynomial itself when a gcd modulo a fixed prime proves it squarefree,
+else one gcd with its derivative) at once, splitting each piece until its
+image has at most one variation, and the parity of each root is read from
+the signs at the ends of its interval.  Certificates classify a polynomial
+as positive, nonnegative with interior zeros, identically zero,
+sign-changing (with an isolating witness interval), or negative.
 """
 
 from __future__ import annotations
@@ -415,15 +415,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def root_count(q: Polynomial, lo: Rational, hi: Rational) -> int:
     """Number of distinct real roots of q strictly inside (lo, hi).
 
-    The roots of the squarefree part of q are counted by Descartes
-    bisection (_count_roots), the counter behind certify_sign.
+    The roots of the squarefree part of q are isolated by the Descartes
+    bisection behind certify_sign (_isolate_roots) and counted.
     """
     if q.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    return _count_roots(_squarefree_part(q.coeffs), lo, hi)
+    squarefree = _squarefree_part(q.coeffs)
+    return sum(1 for _ in _isolate_roots(squarefree, squarefree, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +517,35 @@ def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
         level *= 2
 
 
-def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
-    """Coefficients of (1+x)^d q((hi + lo*x)/(1+x)), times a positive integer.
+def _shift_basis(cs: Sequence[int], degree: int, sign: int) -> list[int]:
+    """Coefficients of sum_i c_i x^i (1 + sign*x)^(degree - i), for sign 1 or -1.
 
-    The map x -> (hi + lo*x)/(1+x) takes (0, oo) onto (lo, hi), x near 0 to
-    p just left of hi, so the positive roots of the image are the roots of
+    With sign = 1 this takes q(p) to the count basis (1+x)^degree q(x/(1+x)),
+    and with sign = -1 it takes D(x) back to (1-p)^degree D(p/(1-p)): the
+    reversed coefficients are Taylor-shifted by sign.  A shift by -1 is a
+    shift by +1 between two negations of the odd coefficients, so the inner
+    loop only adds.
+    """
+    out = [0] * (degree + 1 - len(cs)) + list(reversed(cs))
+    if sign < 0:
+        out[1::2] = [-c for c in out[1::2]]
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            out[j] += out[j + 1]
+    if sign < 0:
+        out[1::2] = [-c for c in out[1::2]]
+    return out[::-1]
+
+
+def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """Coefficients of (1+x)^d q((lo + hi*x)/(1+x)), times a positive integer.
+
+    The map x -> (lo + hi*x)/(1+x) takes (0, oo) onto (lo, hi), x near 0 to
+    p just right of lo, so the positive roots of the image are the roots of
     q inside (lo, hi) and the first nonzero coefficient has the sign q takes
-    just left of hi.  q is first moved onto (0, 1) by p = lo + (hi - lo)*t
+    just right of lo.  q is first moved onto (0, 1) by p = lo + (hi - lo)*t
     with the denominator m cleared, which is skipped for the unit interval
-    itself; then the image is one Taylor shift of the reversed coefficients.
+    itself; then the image is one change to the count basis, _shift_basis.
     """
     if lo != 0 or hi != 1:
         m = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
@@ -541,12 +562,7 @@ def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
             shifted = out
             scale *= m
         cs = shifted
-    image = list(reversed(cs))
-    n = len(image)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            image[j] += image[j + 1]
-    return image
+    return _shift_basis(cs, len(cs) - 1, 1)
 
 
 def _sign_variations(cs: list[int]) -> int:
@@ -555,66 +571,52 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots(squarefree: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of a squarefree integer polynomial strictly inside (lo, hi).
-
-    Vincent-Collins-Akritas bisection: by Descartes' rule an image with no
-    sign variation has no positive root and one with a single variation has
-    exactly one; any other interval is halved, and a root at its midpoint is
-    counted there.  Roots at lo or hi map to 0 or oo, never to a positive
-    root of the image, so they are excluded.
-    """
-    count = 0
-    pending = [(lo, hi)]
-    while pending:
-        a, b = pending.pop()
-        variations = _sign_variations(_interval_image(squarefree, a, b))
-        if variations <= 1:
-            count += variations
-            continue
-        mid = (a + b) / 2
-        count += _eval_sign(squarefree, mid) == 0
-        pending += [(a, mid), (mid, b)]
-    return count
-
-
 def _isolate_roots(
     qints: Sequence[int], squarefree: list[int], lo: Fraction, hi: Fraction
 ) -> Iterator[Interval]:
     """One interval per distinct root of q strictly inside (lo, hi), left to right.
 
     squarefree is a squarefree polynomial with the same roots as q inside
-    (lo, hi).  A piece is split at a point where q is nonzero until it holds
-    one root and q is nonzero at both of its ends.
+    (lo, hi).  Vincent-Collins-Akritas bisection on its Descartes image:
+    a piece with no sign variation holds no root and is dropped, one with a
+    single variation holds exactly one and goes to _isolate_simple_root,
+    and any other piece is split at a point where q is nonzero.  Roots at
+    the ends of a piece map to 0 or oo, never to a positive root of the
+    image, so each root is found in exactly one piece.
     """
     pending = [(lo, hi)]
     while pending:
         a, b = pending.pop()
-        roots = _count_roots(squarefree, a, b)
-        if roots == 1 and _eval_sign(qints, a) and _eval_sign(qints, b):
-            yield Interval(a, b)
-        elif roots:
+        image = _interval_image(squarefree, a, b)
+        variations = _sign_variations(image)
+        if variations == 1:
+            yield _isolate_simple_root(qints, squarefree, image, a, b)
+        elif variations:
             mid = _nonroot_point(qints, a, b)
             pending += [(mid, b), (a, mid)]
 
 
 def _isolate_simple_root(
-    qints: Sequence[int], near_hi: int, lo: Fraction, hi: Fraction
+    qints: Sequence[int], steer: Sequence[int], image: list[int], lo: Fraction, hi: Fraction
 ) -> Interval:
-    """The piece _isolate_roots yields when q has one root in (lo, hi), a simple one.
+    """An interval around the one root of steer in (lo, hi), a simple one,
+    with q nonzero at both of its ends.
 
-    near_hi is the sign q takes just left of hi.  Past the root q has that
-    sign up to hi and the opposite sign before it, so the root lies left of
-    a split point exactly when q has the sign near_hi there; the piece is
-    split as in _isolate_roots until q is nonzero at both of its ends.
+    image is the interval image of steer, with one sign variation, and each
+    root of steer inside (lo, hi) is a root of q.  Up to the root steer has
+    the sign of the image's first nonzero coefficient and past it the
+    opposite one, so the root lies right of a split point exactly when
+    steer has that sign there.  The piece is split at points where q is
+    nonzero until q is nonzero at both of its ends.
     """
+    near_lo = 1 if next(c for c in image if c) > 0 else -1
     a, b = lo, hi
     while not (_eval_sign(qints, a) and _eval_sign(qints, b)):
         mid = _nonroot_point(qints, a, b)
-        if _eval_sign(qints, mid) == near_hi:
-            b = mid
-        else:
+        if _eval_sign(steer, mid) == near_lo:
             a = mid
+        else:
+            b = mid
     return Interval(a, b)
 
 
@@ -637,13 +639,13 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     the sign of any coefficient of the image is the sign of q there.  With
     exactly one variation q has exactly one root inside, a simple one, so q
     changes sign; its witness is found by splitting towards the root with
-    the sign q takes just left of hi (the sign of the image's first nonzero
-    coefficient), and is the piece the isolation below would yield.
+    the sign q takes just right of lo (the sign of the image's first nonzero
+    coefficient), as the isolation below treats a one-variation piece.
     Otherwise the distinct roots inside are isolated once, left to right,
-    with the squarefree part of q (q itself when a gcd modulo a prime proves
-    it squarefree).  A root has odd multiplicity exactly when q has opposite
-    signs at the ends of its interval, and the first such interval is the
-    witness of a sign change.
+    by Descartes bisection on the squarefree part of q (q itself when a gcd
+    modulo a prime proves it squarefree).  A root has odd multiplicity
+    exactly when q has opposite signs at the ends of its interval, and the
+    first such interval is the witness of a sign change.
     """
     if interval.lo < 0 or interval.hi > 1:
         raise ValueError("certification interval must lie within [0, 1]")
@@ -654,15 +656,14 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
     lo, hi = interval.lo, interval.hi
     image = _interval_image(qints, lo, hi)
     variations = _sign_variations(image)
-    near_hi = 1 if next(c for c in image if c) > 0 else -1
     if variations == 0:
-        if near_hi < 0:
+        if min(image) < 0:
             return SignCertificate(NEGATIVE, interval)
         if _endpoint_zero(qints, interval):
             return SignCertificate(NONNEGATIVE, interval)
         return SignCertificate(POSITIVE, interval)
     if variations == 1:
-        witness = _isolate_simple_root(qints, near_hi, lo, hi)
+        witness = _isolate_simple_root(qints, qints, image, lo, hi)
         return SignCertificate(CHANGES_SIGN, interval, witness)
 
     # p and (1-p) are positive on the open interior of any subinterval of

@@ -166,7 +166,7 @@ def path(k: int, origin: int = 0) -> Graph:
 def make_builtin(descriptor: str, origin: int = 0) -> Graph:
     """Build a named graph from a 'cycle:k' or 'path:k' descriptor."""
     name, sep, arg = descriptor.partition(":")
-    if not sep or not arg.isdigit():
+    if not sep or not arg.isdecimal():
         raise GraphError("descriptor-invalid", f"cannot parse graph descriptor {descriptor!r}")
     k = int(arg)
     if name == "cycle":

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ONE, P, ZERO, Polynomial, poly_dot_table, poly_sum
+from .algebra import ONE, ZERO, Polynomial, _shift_basis, poly_dot_table, poly_sum
 from .graphs import Graph, closure
 from .patterns import (
     DAGGER,
@@ -47,17 +47,12 @@ from .patterns import (
     STAR,
     all_singletons_pattern,
     attach_infection,
+    _check_guard,
     enumerate_patterns,
     relabel,
     state_from_string,
     state_to_string,
 )
-
-
-def config_weights(width: int) -> list[Polynomial]:
-    """weights[k] = p^k (1-p)^(width-k), the probability of a config with k open bonds."""
-    one_minus = Polynomial((1, -1))
-    return [P**k * one_minus ** (width - k) for k in range(width + 1)]
 
 
 def _block_ids(pattern: Pattern) -> list[int]:
@@ -224,9 +219,9 @@ def _pattern_from_key(key: int, k: int) -> Pattern:
 @functools.cache
 def _weight_matrix(width: int) -> np.ndarray:
     """matrix[n, d]: the coefficient of p^d in p^n (1-p)^(width-n); read-only."""
-    matrix = np.zeros((width + 1, width + 1), dtype=np.int64)
-    for n, weight in enumerate(config_weights(width)):
-        matrix[n, : len(weight.coeffs)] = weight.coeffs
+    matrix = np.array(
+        [_shift_basis([0] * n + [1], width, -1) for n in range(width + 1)], dtype=np.int64
+    )
     matrix.flags.writeable = False
     return matrix
 
@@ -370,10 +365,11 @@ def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
     The upper forest of a config is the component labelling of its open
     horizontal edges.  A successor is read as one integer key, the root of
     each upper vertex and then min(root of the marker, k) in base k + 1,
-    below 13^13 < 2^63 under the 12-vertex guard; each distinct key becomes
-    one Pattern.
+    below 13^13 < 2^63 under the 12-vertex guard, which a larger graph
+    fails with PatternSpaceError; each distinct key becomes one Pattern.
     """
-    k, e, b = graph.vertex_count, graph.edge_count, graph.bond_count
+    k = _check_guard(graph)
+    e, b = graph.edge_count, graph.bond_count
     lowers = np.array([_block_ids(x) for x in sources], dtype=np.intp).reshape(-1, k)
     forests = _horizontal_forests(graph)
     powers = (k + 1) ** np.arange(k + 1, dtype=np.int64)

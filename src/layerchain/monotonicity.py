@@ -48,6 +48,7 @@ from .algebra import (
     SignCertificate,
     UNIT_OPEN,
     _eval_sign,
+    _shift_basis,
     certify_sign,
     poly_dot,
     poly_dot_table,
@@ -139,20 +140,6 @@ def _primes_below(limit: int) -> Iterator[int]:
     for n in range(limit - 1, 1, -1):
         if _is_prime(n):
             yield n
-
-
-def _shift_basis(cs: Sequence[int], degree: int, sign: int) -> list[int]:
-    """Coefficients of sum_i c_i x^i (1 + sign*x)^(degree - i), degree >= deg c.
-
-    With sign = 1 this takes a polynomial q(p) to (1+x)^degree q(x/(1+x)),
-    and with sign = -1 it takes D(x) back to (1-p)^degree D(p/(1-p)): the
-    reversed coefficients are Taylor-shifted by sign and reversed again.
-    """
-    out = [0] * (degree + 1 - len(cs)) + list(reversed(cs))
-    for i in range(degree):
-        for j in range(degree - 1, i - 1, -1):
-            out[j] += sign * out[j + 1]
-    return out[::-1]
 
 
 def _reduce(a: np.ndarray, q: int) -> None:

@@ -81,8 +81,9 @@ class SampleStats:
 
 def _check_p(p) -> Fraction:
     p = Fraction(p)
-    if not 0 < p < 1:
-        raise SamplingError("probability-range", "sampling requires p strictly inside (0, 1)")
+    # the sampler draws at float(p), which can round to 0 or 1
+    if not (0 < p < 1 and 0 < float(p) < 1):
+        raise SamplingError("probability-range", "sampling requires float(p) inside (0, 1)")
     return p
 
 

@@ -152,10 +152,14 @@ def all_connected_pattern(vertex_count: int) -> Pattern:
     return Pattern([(STAR,) + tuple(range(vertex_count))])
 
 
-def _vertex_count(graph_or_count) -> int:
-    if isinstance(graph_or_count, int):
-        return graph_or_count
-    return graph_or_count.vertex_count
+def _check_guard(graph_or_count) -> int:
+    """The vertex count, or PatternSpaceError above the 12-vertex guard."""
+    k = graph_or_count if isinstance(graph_or_count, int) else graph_or_count.vertex_count
+    if k > _GUARD_VERTICES:
+        raise PatternSpaceError(
+            "enumeration-guard", f"pattern enumeration guard: {k} > {_GUARD_VERTICES} vertices"
+        )
+    return k
 
 
 def enumerate_patterns(graph_or_count) -> list[Pattern]:
@@ -165,11 +169,7 @@ def enumerate_patterns(graph_or_count) -> list[Pattern]:
     ground set (*, 0, ..., k-1), which is duplicate-free by construction;
     the result has Bell(k+1) entries.
     """
-    k = _vertex_count(graph_or_count)
-    if k > _GUARD_VERTICES:
-        raise PatternSpaceError(
-            "enumeration-guard", f"pattern enumeration guard: {k} > {_GUARD_VERTICES} vertices"
-        )
+    k = _check_guard(graph_or_count)
     ground = [STAR] + list(range(k))
     out: list[Pattern] = []
     assignment = [0] * len(ground)

@@ -229,6 +229,26 @@ def test_usage_errors(capsys, tmp_path):
         assert data["p"] == p
 
 
+def test_edge_inputs_end_in_coded_errors(capsys):
+    mc = ["mc", "--vertex", "0", "--n", "1", "--p"]
+    cases = [
+        (["states", "--graph", "cycle:²"], "descriptor-invalid"),
+        # inside (0, 1), but 1.0 and 0.0 as floats
+        (mc + ["99999999999999999999/100000000000000000000", "--graph", "cycle:3"],
+         "probability-range"),
+        (mc + ["1/1" + "0" * 400, "--graph", "cycle:3"], "probability-range"),
+        # beyond the 12-vertex guard, rejected before any layer step
+        (["verify", "--graph", "path:13"], "enumeration-guard"),
+        (["kernel", "--kind", "lumped", "--graph", "path:13"], "enumeration-guard"),
+        (mc + ["1/2", "--graph", "path:13"], "enumeration-guard"),
+    ]
+    for argv, code_name in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: [{code_name}] "), err
+
+
 def test_origin_override(capsys):
     data = run_json(capsys, "stationary", "--graph", "cycle:3", "--origin", "1")
     entries = dict(zip(data["initial"]["states"], data["initial"]["entries"]))

@@ -2,12 +2,13 @@
 
 Polynomials have integer coefficients only.  Kronecker products are
 checked against schoolbook sums of Polynomial products, integer exact
-division against sympy's division over QQ, and the one root counter
-(Descartes bisection) and the sign certification built on it against the
-real roots sympy finds.  Certification isolates the distinct roots once and
-reads the parity of each from the signs at the ends of its interval, so
-the examples include polynomials that are not squarefree, whose roots have
-even and odd multiplicity.
+division against sympy's division over QQ, and the one Descartes
+bisection, which counts and isolates roots at once, and the sign
+certification built on it against the real roots sympy finds.
+Certification isolates the distinct roots once and reads the parity of
+each from the signs at the ends of its interval, so the examples include
+polynomials that are not squarefree, whose roots have even and odd
+multiplicity.
 """
 
 from fractions import Fraction
@@ -30,8 +31,6 @@ from layerchain.algebra import (
     SignCertificate,
     UNIT_OPEN,
     _SQUAREFREE_PRIME,
-    _count_roots,
-    _eval_sign,
     _exact_div_int,
     _interval_image,
     _isolate_roots,
@@ -199,7 +198,7 @@ def test_exact_div_agrees_with_fraction_division(f, g):
 
 
 # ---------------------------------------------------------------------------
-# Root counting by Descartes bisection.
+# Root counting and isolation by Descartes bisection.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -230,7 +229,24 @@ def test_root_counts_match_sympy(case):
     expected = poly.count_roots(a, b) - (poly.eval(a) == 0) - (poly.eval(b) == 0)
     assert root_count(q, lo, hi) == expected
     squarefree = [int(c) for c in reversed(sympy.sqf_part(poly).all_coeffs())]
-    assert _count_roots(squarefree, lo, hi) == expected
+    assert sum(1 for _ in _isolate_roots(squarefree, squarefree, lo, hi)) == expected
+
+
+@settings(max_examples=150)
+@given(root_count_cases())
+# three variations on (0, 1) but one real root: the piece is split until
+# its image has one variation
+@example((3 * Polynomial((-3, 8)) * Polynomial((1, -2, 2)), Fraction(0), Fraction(1)))
+def test_isolated_pieces_hold_one_root_each(case):
+    q, lo, hi = case
+    pieces = list(_isolate_roots(q.coeffs, _squarefree_part(q.coeffs), lo, hi))
+    ends = [lo] + [end for piece in pieces for end in (piece.lo, piece.hi)] + [hi]
+    # disjoint and left to right
+    assert ends == sorted(ends)
+    for piece in pieces:
+        assert q(piece.lo) != 0 and q(piece.hi) != 0
+        assert len(roots_inside(q, piece.lo, piece.hi)) == 1
+    assert len(pieces) == len(roots_inside(q, lo, hi))
 
 
 @settings(max_examples=150)
@@ -352,6 +368,9 @@ def sympy_verdict(q: Polynomial, interval: Interval) -> str:
 @example(
     (Polynomial((-1, 4)) * Polynomial((-1, 2)) ** 2 * Polynomial((-3, 4)) ** 2, UNIT_OPEN)
 )
+# one real root and the complex pair 1/2 +- i/2: three variations on (0, 1),
+# so the bisection splits (0, 1) and the witness is (0, 1/2)
+@example((3 * Polynomial((-3, 8)) * Polynomial((1, -2, 2)), UNIT_OPEN))
 def test_sign_certificates_match_sympy(case):
     q, interval = case
     cert = certify_sign(q, interval)
@@ -362,25 +381,6 @@ def test_sign_certificates_match_sympy(case):
         assert q(w.lo) * q(w.hi) < 0
         # one distinct root inside the witness, and of odd multiplicity
         assert [m % 2 for m in roots_inside(q, w.lo, w.hi).values()] == [1]
-
-
-def isolation_witness(q: Polynomial, interval: Interval) -> Interval:
-    """The first piece of _isolate_roots, over the squarefree part of q with
-    its p and 1-p factors stripped, at whose ends q has opposite signs."""
-    stripped = _primitive(list(q.coeffs))
-    while stripped[0] == 0:
-        stripped.pop(0)
-    while True:
-        try:
-            stripped = _exact_div_int(stripped, [1, -1])
-        except ExactDivisionError:
-            break
-    squarefree = _squarefree_part(stripped)
-    return next(
-        piece
-        for piece in _isolate_roots(q.coeffs, squarefree, interval.lo, interval.hi)
-        if _eval_sign(q.coeffs, piece.lo) != _eval_sign(q.coeffs, piece.hi)
-    )
 
 
 @settings(max_examples=150)
@@ -405,6 +405,14 @@ def isolation_witness(q: Polynomial, interval: Interval) -> Interval:
 )
 def test_one_variation_witness_matches_isolation(case):
     q, interval = case
-    assume(_sign_variations(_interval_image(q.coeffs, interval.lo, interval.hi)) == 1)
-    expected = SignCertificate(CHANGES_SIGN, interval, isolation_witness(q, interval))
-    assert certify_sign(q, interval) == expected
+    lo, hi = interval.lo, interval.hi
+    assume(_sign_variations(_interval_image(q.coeffs, lo, hi)) == 1)
+    # the image-driven bisection of q itself: one root, a simple one
+    witness = next(_isolate_roots(q.coeffs, q.coeffs, lo, hi))
+    assert certify_sign(q, interval) == SignCertificate(CHANGES_SIGN, interval, witness)
+
+
+def test_three_variation_witness():
+    q = 3 * Polynomial((-3, 8)) * Polynomial((1, -2, 2))
+    assert _sign_variations(_interval_image(q.coeffs, Fraction(0), Fraction(1))) == 3
+    assert certify_sign(q, UNIT_OPEN).witness == Interval(0, Fraction(1, 2))

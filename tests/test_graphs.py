@@ -66,6 +66,9 @@ def test_make_builtin_descriptors():
         make_builtin("torus:3")
     with pytest.raises(GraphError):
         make_builtin("cycle")
+    # a digit character that int() does not parse
+    with pytest.raises(GraphError):
+        make_builtin("cycle:²")
 
 
 def test_product_square():

@@ -18,7 +18,6 @@ from layerchain.kernels import (
     build_full_kernel,
     build_lumped_kernel,
     build_reduced_kernel,
-    config_weights,
     core_partitions,
     lumped_state_list,
     step_pattern,
@@ -27,6 +26,7 @@ from layerchain.kernels import (
 from layerchain.patterns import (
     DAGGER,
     Pattern,
+    PatternSpaceError,
     STAR,
     all_connected_pattern,
     all_singletons_pattern,
@@ -185,6 +185,13 @@ def test_successor_table_matches_step_pattern():
             for _ in range(40):
                 z = rng.randrange(1 << g.bond_count)
                 assert row[z] == step_pattern(g, source, z) == reference_step(g, source, z)
+
+
+def test_successor_table_enforces_vertex_guard():
+    # its int64 keys hold 13 digits in base 13 at most
+    with pytest.raises(PatternSpaceError) as info:
+        successor_table(path(13), [all_singletons_pattern(13)])
+    assert info.value.code == "enumeration-guard"
 
 
 @given(stepping_cases())
@@ -482,14 +489,9 @@ def test_matrix_json_round_trip():
     assert PolyMatrix.from_dict(data) == kernel
 
 
-def test_config_weights_sum_to_one():
-    from layerchain.algebra import poly_sum
-    from math import comb
-
-    width = 4
-    weights = config_weights(width)
-    total = poly_sum(comb(width, k) * weights[k] for k in range(width + 1))
-    assert total == ONE
+def test_weight_matrix_rows_are_config_weights():
+    for n, row in enumerate(kernels._weight_matrix(4).tolist()):
+        assert Polynomial(row) == P**n * OMP ** (4 - n)
 
 
 def test_bridge_reach_basic():

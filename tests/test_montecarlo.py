@@ -45,11 +45,14 @@ def test_sampler_reproducible(c2):
 
 
 def test_rejects_degenerate_p(c2):
-    for p in (0, 1, Fraction(7, 5)):
-        with pytest.raises(SamplingError):
+    # the last two lie inside (0, 1) but round to 1.0 and 0.0 as floats
+    for p in (0, 1, Fraction(7, 5), 1 - Fraction(1, 10**20), Fraction(1, 10**400)):
+        with pytest.raises(SamplingError) as info:
             sample_layer_chain(c2, p, 1, seed=0)
-        with pytest.raises(SamplingError):
+        assert info.value.code == "probability-range"
+        with pytest.raises(SamplingError) as info:
             estimate_connection(c2, p, 0, 0, 10, seed=0)
+        assert info.value.code == "probability-range"
 
 
 def test_small_p_concentrates_on_lone_origin_infection(c2):
