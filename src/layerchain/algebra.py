@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -220,8 +221,8 @@ def poly_dot_table(
         return [[Polynomial() for _ in cols] for _ in rows]
     terms = max(map(len, row_cs))
     len_a, len_b = max(map(len, left)), max(map(len, right))
-    size_a = max(abs(c) for cs in left for c in cs)
-    size_b = max(abs(c) for cs in right for c in cs)
+    size_a = max(map(abs, chain.from_iterable(left)))
+    size_b = max(map(abs, chain.from_iterable(right)))
     width = (terms * min(len_a, len_b) * size_a * size_b).bit_length() // 8 + 1
     bits = 8 * width
     half = 1 << (bits - 1)

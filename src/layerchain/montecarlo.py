@@ -6,14 +6,21 @@ disconnects everything below it, so the cut layer's pattern is fixed by its
 own horizontal bonds alone, a renewal point as in coupling from the past.
 Replaying the generated layers upward from the cut therefore yields an
 exact draw of the stationary layer partition, with no truncation bias; the
-mean scan depth is 1/(1-p)^|V|.  The infection is attached at the origin's
-block and the chain continued upward with fresh layers.
+cut lies 1/(1-p)^|V| layers down on average.  The infection is attached at
+the origin's block and the chain continued upward with fresh layers.
 
 The batch path drives the same construction through precomputed successor
 tables and inverse-CDF draws of whole layer configurations, which keeps
 100k-replica runs fast; the scalar path simulates raw bonds directly.  A
 guide table over the CDF finds each configuration in a few array passes:
 the same draws as binary search, so seeded results do not depend on it.
+The cut is one layer whose one-layer map is constant; any such layer, say
+one whose horizontal bonds join every vertex, fixes the partitions above it
+whatever lies below (backward coupling, Propp and Wilson 1996).  So the
+batch descent reads each sample's layers from layer 0 down only to the
+first constant map or the cut, and replays those.  It takes the uniforms
+the full replay from the cut would take, jumping through the generator's
+stream, so its samples and the generator's final state are the same.
 """
 
 from __future__ import annotations
@@ -154,6 +161,10 @@ class _Tables:
         core_index = {s: i for i, s in enumerate(partitions)}
         lumped_index = {s: i for i, s in enumerate(self.lumped)}
         self.core_step = core.table.columns(core_index.__getitem__)
+        # the state every source steps to under a config, or -1 where the
+        # step depends on the source
+        first = self.core_step[0]
+        self.core_const = np.where((self.core_step == first).all(axis=0), first, -1)
         infected = self.lumped[1:]
         lumped_table = successor_table(graph, infected).columns(
             lambda y: lumped_index[lump(y)]
@@ -224,35 +235,89 @@ class _ConfigDraw:
         return index
 
 
+def _exact_prefix_sums(descending: np.ndarray) -> dict[int, int]:
+    """{m: sum(descending[:m])} as exact ints, at 0 and at the end of each
+    run of equal values in a descending array of nonnegative int64 depths.
+
+    A depth can reach 2^63 - 1, so the sums are taken over Python ints, one
+    product per distinct depth.
+    """
+    ends = [*(np.flatnonzero(descending[1:] != descending[:-1]) + 1).tolist(), len(descending)]
+    values = descending[[0, *ends[:-1]]].tolist() if len(descending) else []
+    sums = {0: 0}
+    total = start = 0
+    for end, value in zip(ends, values):
+        total += (end - start) * value
+        sums[end] = total
+        start = end
+    return sums
+
+
 def _stationary_core_batch(
     tables: _Tables, p: float, samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of exact stationary partition samples; returns (core indices, depths).
 
-    depths[i] is the number of layers above the first one, scanning down from
-    layer 0, whose vertical bonds are all closed.  The cut layer's state is
-    its horizontal bonds applied to any source; the layers above it are
-    replayed with configs conditioned on some vertical bond being open.
+    depths[i] = D is the number of layers above the first one, scanning down
+    from layer 0, whose vertical bonds are all closed.  The state at layer 0
+    is f_1(...f_D(cut state)), where the cut state is the cut layer's
+    horizontal bonds applied to any source and f_c steps through the layer c
+    above layer 0, drawn conditioned on some vertical bond being open.  If
+    f_c is constant the state is f_1(...f_{c-1}(that constant)), whatever
+    lies deeper, so each sample's layers are read from layer 0 downward up
+    to its first constant map or its cut, and only those are replayed.
+
+    The uniforms are those of replaying every layer upward from the cut in
+    depth order: after the horizontal draws, block c holds one draw per
+    sample with D >= c, in descending (stable) depth order, and starts
+    sum(max(0, D - c)) draws in; the scan jumps there with PCG64.advance,
+    and rng ends sum(D) draws past the horizontal ones.
     """
     graph = tables.graph
     depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
-    draws = rng.random(samples)
-    horizontal = _ConfigDraw(graph.edge_count, p)(draws)
+    horizontal = _ConfigDraw(graph.edge_count, p)(rng.random(samples))
     conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
-    order = np.argsort(-depths, kind="stable")
-    # the negated depths ascend, so the samples still deeper than the
-    # countdown are a prefix found by one search per layer
-    negated = -depths[order]
+    # a stable sort of keys of 16 bits or less is a radix sort
+    deepest = int(depths.max()) if samples else 0
+    order = np.argsort((deepest - depths).astype(np.min_scalar_type(deepest)), kind="stable")
+    descending = depths[order]
+    # the negated depths ascend, so the samples with D >= c are a prefix of
+    # the sorted order, of length active(c)
+    negated = -descending
+    # the samples with D > c end a run of equal depths
+    prefix_sums = _exact_prefix_sums(descending)
+
+    def active(c: int) -> int:
+        return int(np.searchsorted(negated, -c, side="right"))
+
+    def offset(c: int) -> int:
+        deeper = active(c + 1)
+        return prefix_sums[deeper] - c * deeper
+
     states = tables.core_step[tables.isolated_core, horizontal[order]]
-    max_depth = int(-negated[0]) if samples else 0
+    generator = rng.bit_generator
+    base = generator.state
+    pending = np.arange(active(1))
+    history = []
+    level = 1
+    while pending.size:
+        generator.state = base
+        generator.advance(offset(level))
+        configs = conditioned(rng.random(int(pending[-1]) + 1)[pending])
+        fixed = tables.core_const[configs]
+        hit = fixed >= 0
+        states[pending[hit]] = fixed[hit]
+        pending, configs = pending[~hit], configs[~hit]
+        history.append((pending, configs))
+        level += 1
+        # a sample whose cut is the next layer down keeps its cut state
+        pending = pending[: np.searchsorted(pending, active(level))]
     flat_step = tables.core_step.ravel()
     width = tables.core_step.shape[1]
-    for countdown in range(max_depth, 0, -1):
-        active = np.searchsorted(negated, -countdown, side="right")
-        if active == 0:
-            continue
-        configs = conditioned(rng.random(active))
-        states[:active] = flat_step.take(states[:active] * width + configs)
+    for indices, configs in reversed(history):
+        states[indices] = flat_step.take(states[indices] * width + configs)
+    generator.state = base
+    generator.advance(prefix_sums[samples])
     unsorted = np.empty_like(states)
     unsorted[order] = states
     return unsorted, depths
@@ -309,22 +374,18 @@ def connection_estimates(
 
     upper, _ = _stationary_core_batch(tables, pf, samples, rng_upper)
     vertical = _ConfigDraw(graph.vertex_count, pf)
-    vertical_by_n: dict[int, np.ndarray] = {}
-    for _, n in sorted(set(targets), key=lambda t: t[1]):
-        if n not in vertical_by_n:
-            vertical_by_n[n] = vertical(rng_vertical.random(samples))
+    # reached_by_n[n][i]: bitmask of the layer-n vertices that sample i links
+    # to the infection through the layer above, 0 once the infection died
+    reached_by_n: dict[int, np.ndarray] = {}
+    for n in sorted({n for _, n in targets}):
+        configs = vertical(rng_vertical.random(samples))
+        states = trajectory[n]
+        masks = tables.reach[states - 1, upper, configs]
+        reached_by_n[n] = np.where(states > 0, masks, 0)
 
     results = []
     for vertex, n in targets:
-        states = trajectory[n]
-        infected_mask = states > 0
-        reached = np.zeros(samples, dtype=bool)
-        if infected_mask.any():
-            masks = tables.reach[
-                states[infected_mask] - 1, upper[infected_mask], vertical_by_n[n][infected_mask]
-            ]
-            reached[infected_mask] = (masks >> vertex & 1).astype(bool)
-        successes = int(reached.sum())
+        successes = int(np.count_nonzero(reached_by_n[n] >> vertex & 1))
         results.append(
             SampleStats.from_counts(
                 successes,
@@ -347,9 +408,10 @@ def estimate_connection(
 
 def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
     """Chi-square goodness of fit of sampled initial patterns against the
-    exact initial distribution; also reports the mean downward scan depth,
-    the layers scanned down to and including the first vertical cut, whose
-    expectation is 1/(1-p)^|V|."""
+    exact initial distribution; also reports mean_layers_scanned, the mean
+    number of layers down to and including the first vertical cut, a
+    geometric draw whose expectation is 1/(1-p)^|V|.  The descent reads
+    fewer layers than that when it stops at a constant layer above the cut."""
     p = _check_p(p)
     pf = float(p)
     _check_run(samples, seed)

@@ -1,3 +1,6 @@
+import functools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from layerchain.cli import main
 from layerchain.graphs import cycle, path
+from layerchain.monotonicity import connection_polynomial
 from layerchain.montecarlo import (
     SamplingError,
     _ConfigDraw,
+    _Tables,
     _config_cdf,
+    _stationary_core_batch,
     connection_estimates,
     estimate_connection,
     initial_pattern_fit,
@@ -24,6 +31,40 @@ from test_kernels import small_graphs
 
 HALF = Fraction(1, 2)
 FIT_PROBABILITIES = (Fraction(3, 10), HALF, Fraction(7, 10))
+DESCENT_PROBABILITIES = (1 / 20, 3 / 10, 1 / 2, 7 / 10, 4 / 5)
+
+tables_of = functools.lru_cache(maxsize=32)(_Tables)
+
+
+def _replay_core_batch(tables, p, samples, rng):
+    """The reference descent: every layer from layer 0 down to the vertical
+    cut, replayed upward from the cut, one block of draws per layer for the
+    samples that reach it, in descending (stable) depth order."""
+    graph = tables.graph
+    depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
+    horizontal = _ConfigDraw(graph.edge_count, p)(rng.random(samples))
+    conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
+    order = np.argsort(-depths, kind="stable")
+    descending = depths[order]
+    states = tables.core_step[tables.isolated_core, horizontal[order]]
+    for countdown in range(int(descending[0]), 0, -1):
+        active = int(np.count_nonzero(descending >= countdown))
+        configs = conditioned(rng.random(active))
+        states[:active] = tables.core_step[states[:active], configs]
+    unsorted = np.empty_like(states)
+    unsorted[order] = states
+    return unsorted, depths
+
+
+def _exact_connection(graph, pipeline, vertex, n, p):
+    _, stationary, lumped, initial = pipeline
+    scale = Fraction(stationary.normalizer(p)) ** 2
+    value = connection_polynomial(graph, vertex, n, initial, lumped, stationary)(p)
+    return float(Fraction(value) / scale)
+
+
+def _within_four_sigma(estimate, exact, samples):
+    return abs(estimate - exact) <= 4 * math.sqrt(exact * (1 - exact) / samples)
 
 
 def test_chain_starts_infected_at_origin(c2, c3):
@@ -138,6 +179,57 @@ def test_config_cdf_takes_every_draw_below_one():
                 assert np.array_equal(draw(draws), expected), (width, p, skip)
 
 
+@settings(max_examples=40)
+@given(small_graphs(), st.sampled_from(DESCENT_PROBABILITIES), st.integers(0, 3))
+@example(cycle(3), 7 / 10, 0)
+@example(path(4), 1 / 20, 1)
+def test_descent_matches_full_replay(graph, p, seed):
+    """Stopping at the first constant layer changes no sample, no depth and
+    no later draw: the generator ends where the full replay leaves it."""
+    tables = tables_of(graph)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    states, depths = _stationary_core_batch(tables, p, 300, rng)
+    expected_states, expected_depths = _replay_core_batch(tables, p, 300, reference)
+    assert np.array_equal(depths, expected_depths)
+    assert np.array_equal(states, expected_states)
+    assert np.array_equal(rng.random(4), reference.random(4))
+
+
+def test_descent_stream_offsets_exceed_int64():
+    """At (1-p)^|V| = 10^-20 every geometric depth saturates at 2^63 - 2, so
+    the draws the descent skips sum past int64; the generator still ends
+    exactly that many draws after the horizontal ones."""
+    graph, p, samples = cycle(5), 9999 / 10000, 50
+    rng = np.random.default_rng(3)
+    states, depths = _stationary_core_batch(tables_of(graph), p, samples, rng)
+    total = sum(depths.tolist())
+    assert depths.max() == 2**63 - 2 and total > 2**63
+    # every sample stops at a layer whose horizontal bonds join the cycle
+    assert len(set(states.tolist())) == 1
+    reference = np.random.default_rng(3)
+    reference.geometric((1.0 - p) ** graph.vertex_count, size=samples)
+    reference.random(samples)
+    reference.bit_generator.advance(total)
+    assert np.array_equal(rng.random(4), reference.random(4))
+
+
+def test_descent_finishes_near_p_one(c3, pipeline_c3, capsys):
+    """The vertical cut lies about 10^6 layers down at p = 99/100 on the
+    triangle; the descent stops far above it and stays exact."""
+    p = Fraction(99, 100)
+    targets = [(v, n) for v in range(3) for n in range(3)]
+    for stats in connection_estimates(c3, p, targets, 2000, seed=5):
+        vertex, n = stats.meta["vertex"], stats.meta["layer"]
+        exact = _exact_connection(c3, pipeline_c3, vertex, n, p)
+        assert _within_four_sigma(stats.estimate, exact, 2000), (vertex, n, stats.estimate, exact)
+    argv = ["mc", "--graph", "cycle:3", "--p", "99/100", "--vertex", "1", "--n", "2"]
+    assert main([*argv, "--samples", "100", "--seed", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert _within_four_sigma(data["estimate"], _exact_connection(c3, pipeline_c3, 1, 2, p), 100)
+    fit = initial_pattern_fit(c3, Fraction(95, 100), 20_000, seed=7)
+    assert fit["pvalue"] > 1e-4, fit["chi2"]
+
+
 def test_scan_depth_matches_geometric_mean(c2):
     p = Fraction(7, 10)
     fit = initial_pattern_fit(c2, p, 30000, seed=29)
@@ -162,17 +254,11 @@ def test_connection_estimates_share_session(c3):
 
 
 def test_estimates_track_exact_values(c2, pipeline_c2):
-    from layerchain.monotonicity import connection_polynomial
-
-    _, stationary, lumped, initial = pipeline_c2
     p = Fraction(3, 10)
-    scale = Fraction(stationary.normalizer(p)) ** 2
     stats = connection_estimates(c2, p, [(1, 0), (1, 1), (0, 1)], 30000, seed=13)
     for s in stats:
         v, n = s.meta["vertex"], s.meta["layer"]
-        exact = float(
-            Fraction(connection_polynomial(c2, v, n, initial, lumped, stationary)(p)) / scale
-        )
+        exact = _exact_connection(c2, pipeline_c2, v, n, p)
         deviation = abs(s.estimate - exact)
         assert deviation < 4 * s.std_error, (v, n, s.estimate, exact)
 
