@@ -1,26 +1,24 @@
 """Independent Monte Carlo verification of the exact engine.
 
-Sampling is perfect (unbiased): scanning layers downward from layer 0,
-some layer a.s. has all its |V| vertical bonds closed.  That vertical cut
-disconnects everything below it, so the cut layer's pattern is fixed by its
-own horizontal bonds alone, a renewal point as in coupling from the past.
-Replaying the generated layers upward from the cut therefore yields an
-exact draw of the stationary layer partition, with no truncation bias; the
-cut lies 1/(1-p)^|V| layers down on average.  The infection is attached at
-the origin's block and the chain continued upward with fresh layers.
+Sampling is perfect (unbiased), by backward coupling (coupling from the
+past, Propp and Wilson 1996).  Scanning layers downward from layer 0, some
+layer a.s. has a constant one-layer map: it sends every partition of the
+layer below to the same partition, as when its open vertical bonds all lie
+in one component of its horizontal bonds (a vertical cut, with every
+vertical bond closed, is one such layer).  If layer c is the first one, the
+partition at layer 0 is f_1(...f_{c-1}(const_c)) whatever lies below, so
+replaying the layers above it upward yields an exact draw of the stationary
+layer partition, with no truncation bias.  The infection is attached at the
+origin's block and the chain continued upward with fresh layers.
 
 The batch path drives the same construction through precomputed successor
 tables and inverse-CDF draws of whole layer configurations, which keeps
 100k-replica runs fast; the scalar path simulates raw bonds directly.  A
 guide table over the CDF finds each configuration in a few array passes:
-the same draws as binary search, so seeded results do not depend on it.
-The cut is one layer whose one-layer map is constant; any such layer, say
-one whose horizontal bonds join every vertex, fixes the partitions above it
-whatever lies below (backward coupling, Propp and Wilson 1996).  So the
-batch descent reads each sample's layers from layer 0 down only to the
-first constant map or the cut, and replays those.  It takes the uniforms
-the full replay from the cut would take, jumping through the generator's
-stream, so its samples and the generator's final state are the same.
+the same draws as binary search, so seeded results do not depend on it.  A
+batch session runs in chunks of _CHUNK samples, so its memory does not
+grow with the sample count; each of its random streams runs on from one
+chunk to the next.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CodedError
-from .graphs import Graph
+from .graphs import Graph, closure
 from .kernels import (
     bridge_reach_table,
     build_core,
@@ -115,13 +113,28 @@ def _draw_config(rng: np.random.Generator, width: int, p: float) -> int:
     return config
 
 
+def _fixes_partition(graph: Graph, config: int) -> bool:
+    """Whether one layer's bonds send every partition below to the same one:
+    its open vertical bonds all lie in one component of its open horizontal
+    bonds (with none open, the layer is a vertical cut)."""
+    verticals = [v for v in graph.vertices if config >> (graph.edge_count + v) & 1]
+    if not verticals:
+        return True
+    neighbours: list[list[int]] = [[] for _ in graph.vertices]
+    for index, (u, v) in enumerate(graph.edges):
+        if config >> index & 1:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    return set(verticals) <= closure(verticals[:1], neighbours.__getitem__)
+
+
 def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
     """One exact draw of the layer patterns X_0..X_n.
 
-    Layers from 0 downward are generated until one has all its vertical
-    bonds closed, then replayed upward from the all-singletons state (the
-    cut layer's own bonds first); the result at layer 0 is an unbiased
-    stationary sample, infected at the origin's block.
+    Layers from 0 downward are generated until one fixes the partition
+    above it (_fixes_partition), then replayed upward from the
+    all-singletons state (that layer's own bonds first); the result at
+    layer 0 is an unbiased stationary sample, infected at the origin's block.
     """
     p = _check_p(p)
     pf = float(p)
@@ -131,7 +144,7 @@ def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
     while True:
         config = _draw_config(rng, width, pf)
         descent.append(config)
-        if config >> graph.edge_count == 0:
+        if _fixes_partition(graph, config):
             break
     state = all_singletons_pattern(graph.vertex_count)
     for config in reversed(descent):
@@ -148,6 +161,10 @@ def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:
 # Batch sampler: precomputed tables, inverse-CDF layer draws.  The draws go
 # through a guide table and equal binary search over the CDF.
 # ---------------------------------------------------------------------------
+
+# Samples per chunk of a session, which bounds its work arrays whatever the
+# sample count.
+_CHUNK = 1 << 14
 
 
 class _Tables:
@@ -177,17 +194,12 @@ class _Tables:
             dtype=np.int64,
         )
         self.reach = bridge_reach_table(graph, infected, partitions)
-        self.isolated_core = core_index[all_singletons_pattern(graph.vertex_count)]
 
 
-def _config_cdf(width: int, p: float, skip: int = 0) -> np.ndarray:
-    """Inverse-CDF table of width-bit configs for searchsorted(side="right");
-    the first skip configs get probability zero and the rest are rescaled."""
+def _config_cdf(width: int, p: float) -> np.ndarray:
+    """Inverse-CDF table of width-bit configs for searchsorted(side="right")."""
     sizes = np.array([z.bit_count() for z in range(1 << width)], dtype=float)
     probs = p**sizes * (1.0 - p) ** (width - sizes)
-    if skip:
-        probs[:skip] = 0.0
-        probs /= probs.sum()
     cdf = np.cumsum(probs)
     # rounding can leave the total just below 1; no uniform draw in [0, 1)
     # may fall past the last config
@@ -208,8 +220,8 @@ class _ConfigDraw:
     (configs crowded into one bucket at skewed p) go through binary search.
     """
 
-    def __init__(self, width: int, p: float, skip: int = 0):
-        self.cdf = _config_cdf(width, p, skip)
+    def __init__(self, width: int, p: float):
+        self.cdf = _config_cdf(width, p)
         buckets = 16 * len(self.cdf)
         edges = np.arange(buckets + 1) / buckets
         self.scale = float(buckets)
@@ -235,110 +247,41 @@ class _ConfigDraw:
         return index
 
 
-def _exact_prefix_sums(descending: np.ndarray) -> dict[int, int]:
-    """{m: sum(descending[:m])} as exact ints, at 0 and at the end of each
-    run of equal values in a descending array of nonnegative int64 depths.
+def _top_down_batch(
+    tables: _Tables, size: int, rng: np.random.Generator, draw: _ConfigDraw
+) -> tuple[np.ndarray, int]:
+    """size exact stationary partition samples; returns (core indices, layers read).
 
-    A depth can reach 2^63 - 1, so the sums are taken over Python ints, one
-    product per distinct depth.
+    Each round draws one unconditioned config per pending sample, from one
+    uniform each in sample order; round c reads the c-th layer down from
+    layer 0, layer 0 itself included.
+    A sample stops at its first layer c whose one-layer map f_c is constant;
+    its state is f_1(...f_{c-1}(const_c)), whatever lies below, so the
+    recorded configs above it are replayed upward.  layers read counts every
+    (sample, layer) pair drawn, the constant layers included.
     """
-    ends = [*(np.flatnonzero(descending[1:] != descending[:-1]) + 1).tolist(), len(descending)]
-    values = descending[[0, *ends[:-1]]].tolist() if len(descending) else []
-    sums = {0: 0}
-    total = start = 0
-    for end, value in zip(ends, values):
-        total += (end - start) * value
-        sums[end] = total
-        start = end
-    return sums
-
-
-def _stationary_core_batch(
-    tables: _Tables, p: float, samples: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of exact stationary partition samples; returns (core indices, depths).
-
-    depths[i] = D is the number of layers above the first one, scanning down
-    from layer 0, whose vertical bonds are all closed.  The state at layer 0
-    is f_1(...f_D(cut state)), where the cut state is the cut layer's
-    horizontal bonds applied to any source and f_c steps through the layer c
-    above layer 0, drawn conditioned on some vertical bond being open.  If
-    f_c is constant the state is f_1(...f_{c-1}(that constant)), whatever
-    lies deeper, so each sample's layers are read from layer 0 downward up
-    to its first constant map or its cut, and only those are replayed.
-
-    The uniforms are those of replaying every layer upward from the cut in
-    depth order: after the horizontal draws, block c holds one draw per
-    sample with D >= c, in descending (stable) depth order, and starts
-    sum(max(0, D - c)) draws in; the scan jumps there with PCG64.advance,
-    and rng ends sum(D) draws past the horizontal ones.
-    """
-    graph = tables.graph
-    depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
-    horizontal = _ConfigDraw(graph.edge_count, p)(rng.random(samples))
-    conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
-    # a stable sort of keys of 16 bits or less is a radix sort
-    deepest = int(depths.max()) if samples else 0
-    order = np.argsort((deepest - depths).astype(np.min_scalar_type(deepest)), kind="stable")
-    descending = depths[order]
-    # the negated depths ascend, so the samples with D >= c are a prefix of
-    # the sorted order, of length active(c)
-    negated = -descending
-    # the samples with D > c end a run of equal depths
-    prefix_sums = _exact_prefix_sums(descending)
-
-    def active(c: int) -> int:
-        return int(np.searchsorted(negated, -c, side="right"))
-
-    def offset(c: int) -> int:
-        deeper = active(c + 1)
-        return prefix_sums[deeper] - c * deeper
-
-    states = tables.core_step[tables.isolated_core, horizontal[order]]
-    generator = rng.bit_generator
-    base = generator.state
-    pending = np.arange(active(1))
+    states = np.empty(size, dtype=tables.core_step.dtype)
+    pending = np.arange(size)
     history = []
-    level = 1
+    layers_read = 0
     while pending.size:
-        generator.state = base
-        generator.advance(offset(level))
-        configs = conditioned(rng.random(int(pending[-1]) + 1)[pending])
+        layers_read += pending.size
+        configs = draw(rng.random(pending.size))
         fixed = tables.core_const[configs]
         hit = fixed >= 0
         states[pending[hit]] = fixed[hit]
         pending, configs = pending[~hit], configs[~hit]
         history.append((pending, configs))
-        level += 1
-        # a sample whose cut is the next layer down keeps its cut state
-        pending = pending[: np.searchsorted(pending, active(level))]
     flat_step = tables.core_step.ravel()
     width = tables.core_step.shape[1]
     for indices, configs in reversed(history):
         states[indices] = flat_step.take(states[indices] * width + configs)
-    generator.state = base
-    generator.advance(prefix_sums[samples])
-    unsorted = np.empty_like(states)
-    unsorted[order] = states
-    return unsorted, depths
+    return states, layers_read
 
 
-def _advance_lumped(
-    tables: _Tables,
-    p: float,
-    start: np.ndarray,
-    steps: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Advance lumped-state indices; returns the trajectory [X_0, ..., X_steps]."""
-    draw = _ConfigDraw(tables.graph.bond_count, p)
-    trajectory = [start]
-    current = start
-    for _ in range(steps):
-        configs = draw(rng.random(len(current)))
-        current = tables.lumped_step[current, configs]
-        trajectory.append(current)
-    return trajectory
+def _chunk_sizes(samples: int):
+    for start in range(0, samples, _CHUNK):
+        yield min(_CHUNK, samples - start)
 
 
 def connection_estimates(
@@ -353,7 +296,9 @@ def connection_estimates(
     One sampling session is shared by all targets: the layer chain is
     advanced to the largest requested n, and each connection event combines
     the layer pattern with an independent stationary partition above it and
-    fresh vertical bonds, exactly as the connection event decomposes.
+    fresh vertical bonds, exactly as the connection event decomposes.  The
+    session runs in chunks of _CHUNK samples and keeps, per requested n, only
+    a histogram of the reached vertex masks.
     """
     p = _check_p(p)
     pf = float(p)
@@ -362,30 +307,33 @@ def connection_estimates(
         if vertex not in graph.vertices or n < 0:
             raise SamplingError("target-invalid", f"invalid target ({vertex}, {n})")
     tables = _Tables(graph)
-    chain_seq, upper_seq, vertical_seq = np.random.SeedSequence(seed).spawn(3)
-    rng_chain = np.random.default_rng(chain_seq)
-    rng_upper = np.random.default_rng(upper_seq)
-    rng_vertical = np.random.default_rng(vertical_seq)
-
-    core0, _ = _stationary_core_batch(tables, pf, samples, rng_chain)
-    start = tables.core_to_initial[core0]
-    max_n = max(n for _, n in targets)
-    trajectory = _advance_lumped(tables, pf, start, max_n, rng_chain)
-
-    upper, _ = _stationary_core_batch(tables, pf, samples, rng_upper)
+    rng_chain, rng_upper, rng_vertical = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    draw = _ConfigDraw(graph.bond_count, pf)
     vertical = _ConfigDraw(graph.vertex_count, pf)
-    # reached_by_n[n][i]: bitmask of the layer-n vertices that sample i links
-    # to the infection through the layer above, 0 once the infection died
-    reached_by_n: dict[int, np.ndarray] = {}
-    for n in sorted({n for _, n in targets}):
-        configs = vertical(rng_vertical.random(samples))
-        states = trajectory[n]
-        masks = tables.reach[states - 1, upper, configs]
-        reached_by_n[n] = np.where(states > 0, masks, 0)
+    layers = sorted({n for _, n in targets})
+    # masks_by_n[n][m]: samples whose layer-n vertices linked to the infection
+    # through the layer above are the bitmask m, 0 once the infection died
+    masks_by_n = {n: np.zeros(1 << graph.vertex_count, dtype=np.int64) for n in layers}
+    for size in _chunk_sizes(samples):
+        core0, _ = _top_down_batch(tables, size, rng_chain, draw)
+        states = tables.core_to_initial[core0]
+        upper, _ = _top_down_batch(tables, size, rng_upper, draw)
+        for n in range(layers[-1] + 1):
+            if n:
+                states = tables.lumped_step[states, draw(rng_chain.random(size))]
+            if n in masks_by_n:
+                configs = vertical(rng_vertical.random(size))
+                masks = tables.reach[states - 1, upper, configs]
+                masks_by_n[n] += np.bincount(
+                    np.where(states > 0, masks, 0), minlength=1 << graph.vertex_count
+                )
 
+    every_mask = np.arange(1 << graph.vertex_count)
     results = []
     for vertex, n in targets:
-        successes = int(np.count_nonzero(reached_by_n[n] >> vertex & 1))
+        successes = int(masks_by_n[n][every_mask >> vertex & 1 == 1].sum())
         results.append(
             SampleStats.from_counts(
                 successes,
@@ -408,18 +356,22 @@ def estimate_connection(
 
 def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
     """Chi-square goodness of fit of sampled initial patterns against the
-    exact initial distribution; also reports mean_layers_scanned, the mean
-    number of layers down to and including the first vertical cut, a
-    geometric draw whose expectation is 1/(1-p)^|V|.  The descent reads
-    fewer layers than that when it stops at a constant layer above the cut."""
+    exact initial distribution, sampled in chunks of _CHUNK; also reports
+    mean_layers_scanned, the mean number of layers the descent reads per
+    sample, down to and including the first constant layer: a geometric
+    draw whose expectation is 1/P(a layer's one-layer map is constant)."""
     p = _check_p(p)
     pf = float(p)
     _check_run(samples, seed)
     tables = _Tables(graph)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    core0, depths = _stationary_core_batch(tables, pf, samples, rng)
-    states = tables.core_to_initial[core0]
-    counts = np.bincount(states, minlength=len(tables.lumped))
+    draw = _ConfigDraw(graph.bond_count, pf)
+    counts = np.zeros(len(tables.lumped), dtype=np.int64)
+    layers_read = 0
+    for size in _chunk_sizes(samples):
+        core0, read = _top_down_batch(tables, size, rng, draw)
+        counts += np.bincount(tables.core_to_initial[core0], minlength=len(tables.lumped))
+        layers_read += read
 
     initial = Engine(graph).initial
     if tuple(initial.states) != tuple(tables.lumped):
@@ -448,7 +400,7 @@ def initial_pattern_fit(graph: Graph, p, samples: int, seed: int) -> dict:
         "counts": counts.tolist(),
         "probabilities": probabilities,
         "states": [str(s) for s in tables.lumped],
-        "mean_layers_scanned": float(depths.mean()) + 1.0,
+        "mean_layers_scanned": layers_read / samples,
         "sample_count": samples,
         "seed": seed,
         "p": str(p),

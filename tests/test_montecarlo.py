@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,11 +17,13 @@ from layerchain.cli import main
 from layerchain.graphs import cycle, path
 from layerchain.monotonicity import connection_polynomial
 from layerchain.montecarlo import (
+    _CHUNK,
     SamplingError,
     _ConfigDraw,
     _Tables,
     _config_cdf,
-    _stationary_core_batch,
+    _fixes_partition,
+    _top_down_batch,
     connection_estimates,
     estimate_connection,
     initial_pattern_fit,
@@ -36,24 +39,25 @@ DESCENT_PROBABILITIES = (1 / 20, 3 / 10, 1 / 2, 7 / 10, 4 / 5)
 tables_of = functools.lru_cache(maxsize=32)(_Tables)
 
 
-def _replay_core_batch(tables, p, samples, rng):
-    """The reference descent: every layer from layer 0 down to the vertical
-    cut, replayed upward from the cut, one block of draws per layer for the
-    samples that reach it, in descending (stable) depth order."""
-    graph = tables.graph
-    depths = rng.geometric((1.0 - p) ** graph.vertex_count, size=samples) - 1
-    horizontal = _ConfigDraw(graph.edge_count, p)(rng.random(samples))
-    conditioned = _ConfigDraw(graph.bond_count, p, skip=1 << graph.edge_count)
-    order = np.argsort(-depths, kind="stable")
-    descending = depths[order]
-    states = tables.core_step[tables.isolated_core, horizontal[order]]
-    for countdown in range(int(descending[0]), 0, -1):
-        active = int(np.count_nonzero(descending >= countdown))
-        configs = conditioned(rng.random(active))
-        states[:active] = tables.core_step[states[:active], configs]
-    unsorted = np.empty_like(states)
-    unsorted[order] = states
-    return unsorted, depths
+def _per_sample_descent(tables, p, size, rng):
+    """The reference descent, one sample at a time: round c draws one
+    uniform per sample still pending, in sample order, and maps it to a
+    config by binary search over the CDF; a sample stops at its first
+    constant layer, and its configs are composed upward from there."""
+    cdf = _config_cdf(tables.graph.bond_count, p)
+    descents = [[] for _ in range(size)]
+    pending = list(range(size))
+    while pending:
+        for i, u in zip(pending, rng.random(len(pending))):
+            descents[i].append(int(np.searchsorted(cdf, u, side="right")))
+        pending = [i for i in pending if tables.core_const[descents[i][-1]] < 0]
+    states = []
+    for configs in descents:
+        state = tables.core_const[configs[-1]]
+        for config in reversed(configs[:-1]):
+            state = tables.core_step[state, config]
+        states.append(state)
+    return np.array(states), sum(map(len, descents))
 
 
 def _exact_connection(graph, pipeline, vertex, n, p):
@@ -153,70 +157,73 @@ def test_config_cdf_takes_every_draw_below_one():
     batch = np.random.default_rng(5).random(2000)
     for width in range(10):
         for p in (0.01, 0.05, 0.3, 0.5, 0.7, 0.99):
-            for skip in {0, (1 << width) // 2}:
-                cdf = _config_cdf(width, p, skip)
-                assert np.all(np.diff(cdf) >= 0)
-                last = np.searchsorted(cdf, below_one, side="right")
-                assert last < len(cdf)
-                # the all-open config has probability at least p**width; below
-                # the 2**-53 spacing of the uniforms it may round away
-                if p**width > 2.0**-52:
-                    assert last == len(cdf) - 1
-                assert np.searchsorted(cdf, 0.0, side="right") == skip
-                draw = _ConfigDraw(width, p, skip)
-                buckets = int(draw.scale)
-                draws = np.concatenate(
-                    [
-                        [0.0, below_one],
-                        cdf,
-                        np.nextafter(cdf, 0),
-                        np.arange(buckets) / buckets,
-                        batch,
-                    ]
-                )
-                draws = draws[draws < 1.0]
-                expected = np.searchsorted(cdf, draws, side="right")
-                assert np.array_equal(draw(draws), expected), (width, p, skip)
+            cdf = _config_cdf(width, p)
+            assert np.all(np.diff(cdf) >= 0)
+            last = np.searchsorted(cdf, below_one, side="right")
+            assert last < len(cdf)
+            # the all-open config has probability at least p**width; below
+            # the 2**-53 spacing of the uniforms it may round away
+            if p**width > 2.0**-52:
+                assert last == len(cdf) - 1
+            assert np.searchsorted(cdf, 0.0, side="right") == 0
+            draw = _ConfigDraw(width, p)
+            buckets = int(draw.scale)
+            draws = np.concatenate(
+                [
+                    [0.0, below_one],
+                    cdf,
+                    np.nextafter(cdf, 0),
+                    np.arange(buckets) / buckets,
+                    batch,
+                ]
+            )
+            draws = draws[draws < 1.0]
+            expected = np.searchsorted(cdf, draws, side="right")
+            assert np.array_equal(draw(draws), expected), (width, p)
 
 
 @settings(max_examples=40)
 @given(small_graphs(), st.sampled_from(DESCENT_PROBABILITIES), st.integers(0, 3))
 @example(cycle(3), 7 / 10, 0)
 @example(path(4), 1 / 20, 1)
-def test_descent_matches_full_replay(graph, p, seed):
-    """Stopping at the first constant layer changes no sample, no depth and
-    no later draw: the generator ends where the full replay leaves it."""
+def test_descent_matches_per_sample_reference(graph, p, seed):
+    """The vectorised descent takes the same uniforms as the per-sample
+    loop, reads the same layers, and leaves the generator where it does."""
     tables = tables_of(graph)
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    states, depths = _stationary_core_batch(tables, p, 300, rng)
-    expected_states, expected_depths = _replay_core_batch(tables, p, 300, reference)
-    assert np.array_equal(depths, expected_depths)
+    states, layers_read = _top_down_batch(tables, 300, rng, _ConfigDraw(graph.bond_count, p))
+    expected_states, expected_layers = _per_sample_descent(tables, p, 300, reference)
     assert np.array_equal(states, expected_states)
+    assert layers_read == expected_layers
     assert np.array_equal(rng.random(4), reference.random(4))
 
 
-def test_descent_stream_offsets_exceed_int64():
-    """At (1-p)^|V| = 10^-20 every geometric depth saturates at 2^63 - 2, so
-    the draws the descent skips sum past int64; the generator still ends
-    exactly that many draws after the horizontal ones."""
-    graph, p, samples = cycle(5), 9999 / 10000, 50
-    rng = np.random.default_rng(3)
-    states, depths = _stationary_core_batch(tables_of(graph), p, samples, rng)
-    total = sum(depths.tolist())
-    assert depths.max() == 2**63 - 2 and total > 2**63
-    # every sample stops at a layer whose horizontal bonds join the cycle
-    assert len(set(states.tolist())) == 1
-    reference = np.random.default_rng(3)
-    reference.geometric((1.0 - p) ** graph.vertex_count, size=samples)
-    reference.random(samples)
-    reference.bit_generator.advance(total)
-    assert np.array_equal(rng.random(4), reference.random(4))
+@settings(max_examples=30)
+@given(small_graphs())
+def test_constant_layers_are_raw_bond_cuts(graph):
+    """A config's one-layer map on the partitions is constant exactly when
+    its open vertical bonds all lie in one component of its open horizontal
+    bonds, the raw-bond test of the scalar sampler."""
+    tables = tables_of(graph)
+    constant = tables.core_const >= 0
+    for config in range(1 << graph.bond_count):
+        assert constant[config] == _fixes_partition(graph, config), (graph.describe(), config)
 
 
 def test_descent_finishes_near_p_one(c3, pipeline_c3, capsys):
     """The vertical cut lies about 10^6 layers down at p = 99/100 on the
-    triangle; the descent stops far above it and stays exact."""
+    triangle; both descents stop far above it and stay exact."""
     p = Fraction(99, 100)
+    samples = 300
+    counts = {}
+    for seed in range(samples):
+        first = sample_layer_chain(c3, p, 2, seed=seed)[0]
+        counts[str(first)] = counts.get(str(first), 0) + 1
+    exact = initial_pattern_fit(c3, p, 100, seed=0)
+    for state, probability in zip(exact["states"], exact["probabilities"]):
+        observed = counts.get(state, 0) / samples
+        margin = 5 * (probability * (1 - probability) / samples) ** 0.5
+        assert abs(observed - probability) <= margin, (state, observed, probability)
     targets = [(v, n) for v in range(3) for n in range(3)]
     for stats in connection_estimates(c3, p, targets, 2000, seed=5):
         vertex, n = stats.meta["vertex"], stats.meta["layer"]
@@ -230,11 +237,46 @@ def test_descent_finishes_near_p_one(c3, pipeline_c3, capsys):
     assert fit["pvalue"] > 1e-4, fit["chi2"]
 
 
-def test_scan_depth_matches_geometric_mean(c2):
-    p = Fraction(7, 10)
-    fit = initial_pattern_fit(c2, p, 30000, seed=29)
-    expected = 1.0 / (1.0 - float(p)) ** c2.vertex_count
-    assert expected / 1.2 < fit["mean_layers_scanned"] < expected * 1.2
+def test_scan_depth_matches_geometric_mean(c2, c3):
+    """The layers read per sample are geometric in the probability that a
+    layer's one-layer map is constant, summed exactly over those configs."""
+    samples = 30_000
+    for graph, p in ((c2, Fraction(7, 10)), (c3, Fraction(1, 2))):
+        fit = initial_pattern_fit(graph, p, samples, seed=29)
+        const = sum(
+            p ** config.bit_count() * (1 - p) ** (graph.bond_count - config.bit_count())
+            for config in np.flatnonzero(tables_of(graph).core_const >= 0).tolist()
+        )
+        mean = 1 / float(const)
+        spread = math.sqrt((1 - float(const)) / samples) * mean
+        assert abs(fit["mean_layers_scanned"] - mean) < 5 * spread, (graph.describe(), mean)
+
+
+@pytest.mark.parametrize("session", ["connection_estimates", "initial_pattern_fit"])
+def test_session_memory_does_not_grow_with_samples(c3, session):
+    """A session streams its samples in chunks: past four chunks its peak
+    traced allocation stays below a bound that a 65k-sample array of
+    per-sample states would pass, and the last, partial chunk counts."""
+    samples = 4 * _CHUNK + 7
+    targets = [(0, 0), (1, 1), (2, 3)]
+
+    def run(size):
+        if session == "connection_estimates":
+            return connection_estimates(c3, Fraction(7, 10), targets, size, seed=3)
+        return initial_pattern_fit(c3, Fraction(7, 10), size, seed=3)
+
+    run(10)  # the first fit imports scipy, which is no part of the session
+    tracemalloc.start()
+    try:
+        result = run(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    if session == "connection_estimates":
+        assert result[0].successes == samples
+    else:
+        assert sum(result["counts"]) == samples
 
 
 def test_estimate_certain_event(c2):
