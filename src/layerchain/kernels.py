@@ -10,15 +10,15 @@ Three chains are built: the full chain on all patterns, the connectivity
 chain on the uninfected partitions reachable from the all-singletons state,
 and the lumped chain on infected states plus one absorbing class.  Every
 transition is one layer step, which joins the lower layer's blocks to the
-upper layer through the open vertical bonds.  The tables (successor_table,
-bridge_reach_table) take every step at once: _join labels the components
-of a whole batch of two-layer graphs with one numpy union-find, the array
-form of cluster labelling (Hoshen & Kopelman, Phys. Rev. B 14, 1976) with
-the larger root hooked under the smaller (Shiloach & Vishkin, J.
-Algorithms 3, 1982).  Kernel entries then count the configurations of each
-cell by open bonds and weight the counts with one integer product.
-step_pattern keeps the scalar union-find of one step, _join_layers: it is
-the raw-bond reference sampler's step and the tables' cross-check.
+upper layer through the open vertical bonds.  _join is the one layer step:
+it labels the components of a batch of two-layer graphs with one numpy
+union-find, the array form of cluster labelling (Hoshen & Kopelman, Phys.
+Rev. B 14, 1976) with the larger root hooked under the smaller (Shiloach &
+Vishkin, J. Algorithms 3, 1982).  The tables (successor_table,
+bridge_reach_table) take every step at once; step_pattern, the raw-bond
+reference sampler's step, joins a batch of one.  Kernel entries count the
+configurations of each cell by open bonds and weight the counts with one
+integer product.
 
 An automorphism of G commutes with the layer step, so the connectivity and
 lumped chains are strongly lumpable onto the orbits of a group of
@@ -65,68 +65,8 @@ def _block_ids(pattern: Pattern) -> list[int]:
     return ids
 
 
-def _join_layers(k: int, block_id: Sequence[int], links, verticals: int):
-    """Join a lower layer, given as block ids, to an upper layer through the
-    open vertical bonds; returns the find function of the joined union-find.
-
-    Nodes 0..k-1 are the upper layer's vertices and node k + i is block i of
-    the lower layer (at most k + 1 blocks), collapsed to one node.  links
-    are the pairs of upper vertices joined within the upper layer; bit v of
-    verticals joins upper vertex v to the lower block holding v.
-    """
-    parent = list(range(2 * k + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    for v in range(k):
-        if verticals >> v & 1:
-            ru, rv = find(v), find(k + block_id[v])
-            if ru != rv:
-                parent[rv] = ru
-    return find
-
-
-def _open_edges(graph: Graph, bits: int) -> list[tuple[int, int]]:
-    return [edge for index, edge in enumerate(graph.edges) if bits >> index & 1]
-
-
-def _step_blocks(k: int, block_id: Sequence[int], links, verticals: int) -> tuple:
-    """Canonical blocks of the successor of a lower layer: the upper layer's
-    vertices grouped by connection, the marker joining the group linked to
-    the lower layer's marker block or standing alone.
-    """
-    find = _join_layers(k, block_id, links, verticals)
-    star_root = find(k)
-    groups: dict[int, list[int]] = {}
-    for v in range(k):
-        groups.setdefault(find(v), []).append(v)
-    blocks = [
-        (STAR, *members) if root == star_root else tuple(members)
-        for root, members in groups.items()
-    ]
-    if star_root not in groups:
-        blocks.append((STAR,))
-    return tuple(sorted(blocks))
-
-
-def step_pattern(graph: Graph, source: Pattern, bits: int) -> Pattern:
-    """Deterministic successor pattern of a source pattern under one layer's
-    bonds, packed into a bitmask of width b (bit i set: bond i open)."""
-    links = _open_edges(graph, bits)
-    verticals = bits >> graph.edge_count
-    return Pattern(_step_blocks(graph.vertex_count, _block_ids(source), links, verticals))
-
-
 # ---------------------------------------------------------------------------
-# The batched layer step: one union-find over many two-layer graphs.
+# The layer step: one union-find over a batch of two-layer graphs.
 # ---------------------------------------------------------------------------
 
 # Two-layer graphs joined per numpy batch, which bounds the union-find's
@@ -160,13 +100,12 @@ def _roots(parent: np.ndarray) -> np.ndarray:
         parent = up
 
 
-def _horizontal_forests(graph: Graph) -> np.ndarray:
-    """forests[h, v]: the smallest vertex joined to v by the horizontal
-    edges open in bitmask h."""
-    k, count = graph.vertex_count, 1 << graph.edge_count
+def _horizontal_forests(graph: Graph, masks: np.ndarray) -> np.ndarray:
+    """forests[r, v]: the smallest vertex joined to v by the horizontal
+    edges open in bitmask masks[r]."""
+    k, count = graph.vertex_count, len(masks)
     base = np.arange(0, count * k, k)
     parent = (base[:, None] + np.arange(k)).ravel()
-    masks = np.arange(count)
     for index, (u, v) in enumerate(graph.edges):
         rows = np.flatnonzero(masks >> index & 1)
         _union(parent, base[rows] + u, base[rows] + v)
@@ -176,10 +115,10 @@ def _horizontal_forests(graph: Graph) -> np.ndarray:
 def _join(lower: np.ndarray, upper: np.ndarray, verticals: np.ndarray) -> np.ndarray:
     """Component labels of a batch of two-layer graphs, one per row.
 
-    The node layout is _join_layers': nodes 0..k-1 are the upper layer's
-    vertices and node k + i is block i of the lower layer, block 0 holding
-    the marker.  lower[r, v] is the lower block holding vertex v, upper[r]
-    labels each upper vertex with the smallest vertex of its upper
+    Nodes 0..k-1 are the upper layer's vertices and node k + i is block i
+    of the lower layer (at most k + 1 blocks), collapsed to one node, block
+    0 holding the marker.  lower[r, v] is the lower block holding vertex v,
+    upper[r] labels each upper vertex with the smallest vertex of its upper
     component, and bit v of verticals[r] joins upper vertex v to its lower
     block.  Returns roots[r, node], the smallest node of its component.
     """
@@ -203,17 +142,38 @@ def _chunks(total: int):
         yield np.arange(start, min(start + _CHUNK, total))
 
 
+def _pattern_from_roots(roots: Sequence[int], k: int) -> Pattern:
+    """The successor pattern of one joined two-layer graph: roots[v] labels
+    the component of upper vertex v and roots[k] that of the marker, which
+    joins the upper vertices it reaches or stands alone.  An upper root is
+    below k, so any label of k or more leaves the marker alone."""
+    groups: dict[int, list[int]] = {roots[k]: [STAR]}
+    for v, root in enumerate(roots[:k]):
+        groups.setdefault(root, []).append(v)
+    return Pattern(groups.values())
+
+
 def _pattern_from_key(key: int, k: int) -> Pattern:
-    """Decode a successor key: base-(k+1) digits holding the root of each
-    upper vertex, then min(root of the marker, k)."""
+    """Decode a successor key: the roots of the upper vertices, then
+    min(root of the marker, k), as base-(k+1) digits."""
     digits = []
     for _ in range(k + 1):
         key, digit = divmod(key, k + 1)
         digits.append(digit)
-    groups: dict[int, list[int]] = {digits[k]: [STAR]}
-    for v, root in enumerate(digits[:k]):
-        groups.setdefault(root, []).append(v)
-    return Pattern(groups.values())
+    return _pattern_from_roots(digits, k)
+
+
+def step_pattern(graph: Graph, source: Pattern, bits: int) -> Pattern:
+    """Deterministic successor pattern of a source pattern under one layer's
+    bonds, packed into a bitmask of width b (bit i set: bond i open).
+
+    The step joins a batch of one two-layer graph.  Its edge mask is held as
+    a Python int, so any graph steps, past the enumeration guard too.
+    """
+    k, e = graph.vertex_count, graph.edge_count
+    upper = _horizontal_forests(graph, np.array([bits & ((1 << e) - 1)], dtype=object))
+    lower = np.array([_block_ids(source)], dtype=np.intp)
+    return _pattern_from_roots(_join(lower, upper, np.array([bits >> e]))[0].tolist(), k)
 
 
 @functools.cache
@@ -236,8 +196,8 @@ def weigh_configs(
     Configurations are counted per cell and open-bond count, and the
     counts weighted with one integer product.  A coefficient is at most
     sum_n C(width, n) C(width-n, d-n) = C(width, d) 2^d <= 3^width in
-    absolute value, within int64 for every width whose 2^width
-    configurations can be enumerated.
+    absolute value, below 2^34 in int64 for every width the 21-bond guard
+    allows.
     """
     keys = cells * (width + 1) + np.bitwise_count(configs)
     counts = np.bincount(keys, minlength=size * (width + 1)).reshape(size, width + 1)
@@ -365,13 +325,14 @@ def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
     The upper forest of a config is the component labelling of its open
     horizontal edges.  A successor is read as one integer key, the root of
     each upper vertex and then min(root of the marker, k) in base k + 1,
-    below 13^13 < 2^63 under the 12-vertex guard, which a larger graph
-    fails with PatternSpaceError; each distinct key becomes one Pattern.
+    below 13^13 < 2^63 under the 12-vertex guard; each distinct key becomes
+    one Pattern.  A graph past that guard or the 21-bond guard fails with
+    PatternSpaceError.
     """
     k = _check_guard(graph)
     e, b = graph.edge_count, graph.bond_count
     lowers = np.array([_block_ids(x) for x in sources], dtype=np.intp).reshape(-1, k)
-    forests = _horizontal_forests(graph)
+    forests = _horizontal_forests(graph, np.arange(1 << e))
     powers = (k + 1) ** np.arange(k + 1, dtype=np.int64)
     ids: dict[int, int] = {}
     index = np.empty(len(sources) << b, dtype=np.int32)

@@ -72,7 +72,7 @@ from .kernels import (
     lumped_state_list,
     weigh_configs,
 )
-from .patterns import Pattern
+from .patterns import Pattern, _check_guard
 
 
 class OnsetCapExceeded(RuntimeError):
@@ -502,6 +502,7 @@ class Engine:
 
     @cached_property
     def core(self) -> Core:
+        _check_guard(self.graph)  # before automorphisms: K12 has 12! of them
         return build_core(self.graph, automorphisms(self.graph, fix_origin=False))
 
     @cached_property

@@ -306,6 +306,8 @@ def connection_estimates(
     for vertex, n in targets:
         if vertex not in graph.vertices or n < 0:
             raise SamplingError("target-invalid", f"invalid target ({vertex}, {n})")
+    if not targets:
+        return []
     tables = _Tables(graph)
     rng_chain, rng_upper, rng_vertical = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)

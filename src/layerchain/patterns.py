@@ -17,6 +17,8 @@ from .errors import CodedError
 STAR = -1
 
 _GUARD_VERTICES = 12
+# A table steps all 2^b layer configurations of each source; K6 has 21 bonds.
+_GUARD_BONDS = 21
 
 
 class PatternSpaceError(CodedError):
@@ -153,11 +155,19 @@ def all_connected_pattern(vertex_count: int) -> Pattern:
 
 
 def _check_guard(graph_or_count) -> int:
-    """The vertex count, or PatternSpaceError above the 12-vertex guard."""
-    k = graph_or_count if isinstance(graph_or_count, int) else graph_or_count.vertex_count
+    """The vertex count, or PatternSpaceError above the 12-vertex guard or,
+    for a graph, above the 21-bond guard."""
+    if isinstance(graph_or_count, int):
+        k, b = graph_or_count, 0
+    else:
+        k, b = graph_or_count.vertex_count, graph_or_count.bond_count
     if k > _GUARD_VERTICES:
         raise PatternSpaceError(
             "enumeration-guard", f"pattern enumeration guard: {k} > {_GUARD_VERTICES} vertices"
+        )
+    if b > _GUARD_BONDS:
+        raise PatternSpaceError(
+            "enumeration-guard", f"layer configuration guard: {b} > {_GUARD_BONDS} bonds"
         )
     return k
 

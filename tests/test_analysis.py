@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -223,9 +224,11 @@ def test_initial_respects_origin(c3):
 
 def brute_force_min_bonds(graph, source, target, kind, max_steps=4):
     """Oracle: enumerate every config sequence up to max_steps, track the
-    minimal layer cost over complete walks ending at the target."""
+    minimal layer cost over complete walks ending at the target.  Each
+    (state, config) step is taken once and cached."""
     b = graph.bond_count
     best = None
+    step = functools.cache(lambda state, z: step_pattern(graph, state, z))
 
     def explore(state, steps, current_min):
         nonlocal best
@@ -235,7 +238,7 @@ def brute_force_min_bonds(graph, source, target, kind, max_steps=4):
         if steps == max_steps:
             return
         for z in range(1 << b):
-            nxt = step_pattern(graph, state, z)
+            nxt = step(state, z)
             if not nxt.infected:
                 continue
             cost = bin(z).count("1") if kind == "open" else b - bin(z).count("1")

@@ -14,6 +14,7 @@ from layerchain.schemas import (
     ONSET_CERTIFICATE_SCHEMA,
     VECTOR_SCHEMA,
 )
+from test_kernels import complete_graph
 
 
 def run_cli(capsys, *argv):
@@ -229,8 +230,17 @@ def test_usage_errors(capsys, tmp_path):
         assert data["p"] == p
 
 
-def test_edge_inputs_end_in_coded_errors(capsys):
+def _complete_graph_file(directory, k: int) -> str:
+    path = directory / f"complete{k}.json"
+    path.write_text(json.dumps({"vertices": k, "edges": complete_graph(k).edges}))
+    return str(path)
+
+
+def test_edge_inputs_end_in_coded_errors(capsys, tmp_path):
     mc = ["mc", "--vertex", "0", "--n", "1", "--p"]
+    # K7 (28 bonds) and K8 (36) are past the 21-bond guard, rejected before
+    # the 2^b configurations of a table or the automorphisms of the graph
+    complete = [_complete_graph_file(tmp_path, k) for k in (7, 8)]
     cases = [
         (["states", "--graph", "cycle:²"], "descriptor-invalid"),
         # inside (0, 1), but 1.0 and 0.0 as floats
@@ -241,6 +251,11 @@ def test_edge_inputs_end_in_coded_errors(capsys):
         (["verify", "--graph", "path:13"], "enumeration-guard"),
         (["kernel", "--kind", "lumped", "--graph", "path:13"], "enumeration-guard"),
         (mc + ["1/2", "--graph", "path:13"], "enumeration-guard"),
+        *(
+            (argv + ["--graph", graph], "enumeration-guard")
+            for graph in complete
+            for argv in (["states"], ["verify"], mc + ["1/2"])
+        ),
     ]
     for argv, code_name in cases:
         code, out, err = run_cli(capsys, *argv)

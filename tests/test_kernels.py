@@ -116,6 +116,10 @@ def search(start, successors) -> set:
     return seen
 
 
+def complete_graph(k: int) -> Graph:
+    return Graph(k, tuple((u, v) for u in range(k) for v in range(u + 1, k)), 0)
+
+
 @st.composite
 def small_graphs(draw, max_vertices: int = 4) -> Graph:
     """A random connected graph: a random spanning tree plus random chords."""
@@ -198,6 +202,23 @@ def test_successor_table_enforces_vertex_guard():
 def test_step_pattern_matches_two_layer_search(case):
     graph, source, bits = case
     assert step_pattern(graph, source, bits) == reference_step(graph, source, bits)
+
+
+@pytest.mark.parametrize("graph", [path(14), complete_graph(12)], ids=["path14", "K12"])
+def test_step_pattern_needs_no_guard(graph):
+    # path:14 is past the 12-vertex guard; K12 has 78 bonds, past the bond
+    # guard and past 63 bits
+    rng = random.Random(graph.bond_count)
+    k = graph.vertex_count
+    for _ in range(40):
+        labels = [rng.randrange(1 + rng.randrange(k + 1)) for _ in range(k + 1)]
+        blocks = {labels[0]: [STAR]}
+        for v in range(k):
+            blocks.setdefault(labels[v + 1], []).append(v)
+        source = Pattern(blocks.values())
+        density = rng.random()
+        bits = sum(1 << i for i in range(graph.bond_count) if rng.random() < density)
+        assert step_pattern(graph, source, bits) == reference_step(graph, source, bits)
 
 
 def check_successor_table(graph: Graph, sources) -> None:

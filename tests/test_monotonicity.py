@@ -31,9 +31,9 @@ from layerchain.monotonicity import (
     verify_conjecture,
     verify_expected_count_monotonicity,
 )
-from layerchain.patterns import Pattern, STAR
+from layerchain.patterns import Pattern, PatternSpaceError, STAR
 from layerchain.schemas import CONJECTURE_CERTIFICATE_SCHEMA, ONSET_CERTIFICATE_SCHEMA
-from test_kernels import small_graphs
+from test_kernels import complete_graph, small_graphs
 
 HALF = Fraction(1, 2)
 
@@ -459,3 +459,14 @@ def test_certificates_round_trip_through_the_schema(graph):
         again.validate()
         jsonschema.validate(json.loads(text), ONSET_CERTIFICATE_SCHEMA)
         assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+def test_engine_checks_the_guard_before_automorphisms(monkeypatch):
+    # K12 is within the vertex guard but has 12! automorphisms and 78 bonds
+    def refuse(graph, fix_origin):
+        raise AssertionError("automorphisms searched")
+
+    monkeypatch.setattr(monotonicity, "automorphisms", refuse)
+    with pytest.raises(PatternSpaceError) as info:
+        Engine(complete_graph(12)).core
+    assert info.value.code == "enumeration-guard"

@@ -295,6 +295,20 @@ def test_connection_estimates_share_session(c3):
         assert 0 <= s.estimate <= 1
 
 
+def test_connection_estimates_without_targets(c3):
+    # no table is built: path:13 is past the enumeration guard
+    assert connection_estimates(path(13), HALF, [], 10, seed=0) == []
+    cases = [
+        (0, 10, 0, "probability-range"),
+        (HALF, 0, 0, "samples-invalid"),
+        (HALF, 10, -1, "seed-invalid"),
+    ]
+    for p, samples, seed, code in cases:
+        with pytest.raises(SamplingError) as info:
+            connection_estimates(c3, p, [], samples, seed)
+        assert info.value.code == code
+
+
 def test_estimates_track_exact_values(c2, pipeline_c2):
     p = Fraction(3, 10)
     stats = connection_estimates(c2, p, [(1, 0), (1, 1), (0, 1)], 30000, seed=13)

@@ -2,6 +2,7 @@ import pytest
 
 from layerchain.graphs import cycle
 from layerchain.patterns import (
+    _check_guard,
     DAGGER,
     Pattern,
     PatternSpaceError,
@@ -15,6 +16,7 @@ from layerchain.patterns import (
     lump,
     state_from_string,
 )
+from test_kernels import complete_graph
 
 
 def partitions_oracle(items):
@@ -55,6 +57,15 @@ def test_enumeration_sorted_unique_and_valid():
 def test_enumeration_guard():
     with pytest.raises(PatternSpaceError):
         enumerate_patterns(13)
+
+
+def test_bond_guard():
+    # K6 has 21 bonds and builds; K7 has 28 and cycle:11 22
+    assert _check_guard(complete_graph(6)) == 6
+    for graph in (complete_graph(7), cycle(11)):
+        with pytest.raises(PatternSpaceError) as info:
+            _check_guard(graph)
+        assert info.value.code == "enumeration-guard"
 
 
 def test_infected_split_counts():
