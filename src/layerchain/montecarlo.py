@@ -18,7 +18,10 @@ guide table over the CDF finds each configuration in a few array passes:
 the same draws as binary search, so seeded results do not depend on it.  A
 batch session runs in chunks of _CHUNK samples, so its memory does not
 grow with the sample count; each of its random streams runs on from one
-chunk to the next.
+chunk to the next.  Within a chunk the descent reads layer 0 for every
+sample and carries only the indices of the samples still pending below
+it, and each layer of the chain is read with flat gathers from the
+tables, whose row 0 is the absorbed state.
 """
 
 from __future__ import annotations
@@ -168,7 +171,14 @@ _CHUNK = 1 << 14
 
 
 class _Tables:
-    """Structural tables of one graph shared by all batch runs."""
+    """Structural tables of one graph shared by all batch runs.
+
+    lumped_step[s, z] is the lumped state that lumped state s steps to under
+    config z, and reach[s, u, z] the bitmask of bridge_reach_table for lumped
+    state s below the core partition u and vertical config z.  Row 0 of both
+    is the absorbed state, with the infection dead: it steps to itself and
+    reaches no vertex.  A session reads them with flat takes on their ravels.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -193,12 +203,13 @@ class _Tables:
             [lumped_index[attach_infection(w, graph.origin)] for w in partitions],
             dtype=np.int64,
         )
-        self.reach = bridge_reach_table(graph, infected, partitions)
+        reach = bridge_reach_table(graph, infected, partitions)
+        self.reach = np.concatenate([np.zeros_like(reach[:1]), reach])
 
 
 def _config_cdf(width: int, p: float) -> np.ndarray:
     """Inverse-CDF table of width-bit configs for searchsorted(side="right")."""
-    sizes = np.array([z.bit_count() for z in range(1 << width)], dtype=float)
+    sizes = np.bitwise_count(np.arange(1 << width)).astype(float)
     probs = p**sizes * (1.0 - p) ** (width - sizes)
     cdf = np.cumsum(probs)
     # rounding can leave the total just below 1; no uniform draw in [0, 1)
@@ -233,8 +244,8 @@ class _ConfigDraw:
         # the float-to-integer cast truncates, which is floor for u >= 0
         buckets = np.empty(len(draws), dtype=np.intp)
         np.multiply(draws, self.scale, out=buckets, casting="unsafe")
-        index = self.guide[buckets]
-        pending = np.flatnonzero(self.split[buckets])
+        index = self.guide.take(buckets)
+        pending = np.flatnonzero(self.split.take(buckets))
         if pending.size:
             u = draws[pending]
             found = index[pending]
@@ -259,23 +270,30 @@ def _top_down_batch(
     its state is f_1(...f_{c-1}(const_c)), whatever lies below, so the
     recorded configs above it are replayed upward.  layers read counts every
     (sample, layer) pair drawn, the constant layers included.
+    Layer 0 is read for the whole chunk at once, and most samples stop
+    there; the later rounds and the replay carry only the indices of the
+    samples still pending.
     """
-    states = np.empty(size, dtype=tables.core_step.dtype)
-    pending = np.arange(size)
+    configs = draw(rng.random(size))
+    states = tables.core_const.take(configs)
+    pending = np.flatnonzero(states < 0)
+    configs = configs[pending]
     history = []
-    layers_read = 0
+    layers_read = size
     while pending.size:
+        history.append((pending, configs))
         layers_read += pending.size
         configs = draw(rng.random(pending.size))
-        fixed = tables.core_const[configs]
-        hit = fixed >= 0
-        states[pending[hit]] = fixed[hit]
-        pending, configs = pending[~hit], configs[~hit]
-        history.append((pending, configs))
+        fixed = tables.core_const.take(configs)
+        states[pending] = fixed
+        kept = np.flatnonzero(fixed < 0)
+        pending, configs = pending[kept], configs[kept]
     flat_step = tables.core_step.ravel()
     width = tables.core_step.shape[1]
     for indices, configs in reversed(history):
-        states[indices] = flat_step.take(states[indices] * width + configs)
+        cells = np.multiply(states[indices], width, dtype=np.intp)
+        cells += configs
+        states[indices] = flat_step.take(cells)
     return states, layers_read
 
 
@@ -317,22 +335,27 @@ def connection_estimates(
     layers = sorted({n for _, n in targets})
     # masks_by_n[n][m]: samples whose layer-n vertices linked to the infection
     # through the layer above are the bitmask m, 0 once the infection died
-    masks_by_n = {n: np.zeros(1 << graph.vertex_count, dtype=np.int64) for n in layers}
+    k = graph.vertex_count
+    masks_by_n = {n: np.zeros(1 << k, dtype=np.int64) for n in layers}
+    flat_step, flat_reach = tables.lumped_step.ravel(), tables.reach.ravel()
+    width, uppers = tables.lumped_step.shape[1], tables.reach.shape[1]
     for size in _chunk_sizes(samples):
         core0, _ = _top_down_batch(tables, size, rng_chain, draw)
         states = tables.core_to_initial[core0]
         upper, _ = _top_down_batch(tables, size, rng_upper, draw)
         for n in range(layers[-1] + 1):
             if n:
-                states = tables.lumped_step[states, draw(rng_chain.random(size))]
+                cells = np.multiply(states, width, dtype=np.intp)
+                cells += draw(rng_chain.random(size))
+                states = flat_step.take(cells)
             if n in masks_by_n:
-                configs = vertical(rng_vertical.random(size))
-                masks = tables.reach[states - 1, upper, configs]
-                masks_by_n[n] += np.bincount(
-                    np.where(states > 0, masks, 0), minlength=1 << graph.vertex_count
-                )
+                cells = np.multiply(states, uppers, dtype=np.intp)
+                cells += upper
+                cells <<= k
+                cells += vertical(rng_vertical.random(size))
+                masks_by_n[n] += np.bincount(flat_reach.take(cells), minlength=1 << k)
 
-    every_mask = np.arange(1 << graph.vertex_count)
+    every_mask = np.arange(1 << k)
     results = []
     for vertex, n in targets:
         successes = int(masks_by_n[n][every_mask >> vertex & 1 == 1].sum())

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from layerchain import montecarlo
 from layerchain.cli import main
 from layerchain.graphs import cycle, path
+from layerchain.kernels import bridge_reach_table, build_core
 from layerchain.monotonicity import connection_polynomial
 from layerchain.montecarlo import (
     _CHUNK,
@@ -58,6 +60,37 @@ def _per_sample_descent(tables, p, size, rng):
             state = tables.core_step[state, config]
         states.append(state)
     return np.array(states), sum(map(len, descents))
+
+
+def _reference_session(graph, p, targets, samples, seed):
+    """The successes of connection_estimates by the reference chunk loop:
+    per-sample descents, binary-search draws, the 2-D lumped_step and the
+    3-D bridge_reach_table read at states - 1, masked where the infection
+    died."""
+    tables = tables_of(graph)
+    k = graph.vertex_count
+    reach = bridge_reach_table(graph, tables.lumped[1:], build_core(graph).orbits.states)
+    rng_chain, rng_upper, rng_vertical = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    chain_cdf, vertical_cdf = _config_cdf(graph.bond_count, p), _config_cdf(k, p)
+    layers = sorted({n for _, n in targets})
+    masks_by_n = {n: np.zeros(1 << k, dtype=np.int64) for n in layers}
+    for start in range(0, samples, montecarlo._CHUNK):
+        size = min(montecarlo._CHUNK, samples - start)
+        core0, _ = _per_sample_descent(tables, p, size, rng_chain)
+        states = tables.core_to_initial[core0]
+        upper, _ = _per_sample_descent(tables, p, size, rng_upper)
+        for n in range(layers[-1] + 1):
+            if n:
+                configs = np.searchsorted(chain_cdf, rng_chain.random(size), side="right")
+                states = tables.lumped_step[states, configs]
+            if n in masks_by_n:
+                configs = np.searchsorted(vertical_cdf, rng_vertical.random(size), side="right")
+                masks = reach[states - 1, upper, configs]
+                masks_by_n[n] += np.bincount(np.where(states > 0, masks, 0), minlength=1 << k)
+    every_mask = np.arange(1 << k)
+    return [int(masks_by_n[n][every_mask >> v & 1 == 1].sum()) for v, n in targets]
 
 
 def _exact_connection(graph, pipeline, vertex, n, p):
@@ -186,6 +219,7 @@ def test_config_cdf_takes_every_draw_below_one():
 @given(small_graphs(), st.sampled_from(DESCENT_PROBABILITIES), st.integers(0, 3))
 @example(cycle(3), 7 / 10, 0)
 @example(path(4), 1 / 20, 1)
+@example(path(1), 1 / 2, 2)  # every layer is constant: no round past layer 0
 def test_descent_matches_per_sample_reference(graph, p, seed):
     """The vectorised descent takes the same uniforms as the per-sample
     loop, reads the same layers, and leaves the generator where it does."""
@@ -196,6 +230,27 @@ def test_descent_matches_per_sample_reference(graph, p, seed):
     assert np.array_equal(states, expected_states)
     assert layers_read == expected_layers
     assert np.array_equal(rng.random(4), reference.random(4))
+
+
+@settings(max_examples=40)
+@given(
+    small_graphs(),
+    st.sampled_from(DESCENT_PROBABILITIES),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+    st.integers(1, 70),
+)
+@example(cycle(3), 7 / 10, 0, [(0, 0), (1, 2), (2, 3)], 70)
+@example(path(1), 1 / 2, 1, [(0, 0), (0, 2)], 33)
+def test_session_matches_reference_chunk_loop(graph, p, seed, targets, samples):
+    """connection_estimates counts the same successes as the reference
+    chunk loop, over chunks of 16 samples and a last, partial one."""
+    targets = [(v % graph.vertex_count, n) for v, n in targets]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_CHUNK", 16)
+        stats = connection_estimates(graph, p, targets, samples, seed)
+        expected = _reference_session(graph, p, targets, samples, seed)
+    assert [s.successes for s in stats] == expected, (graph.describe(), p, seed, targets)
 
 
 @settings(max_examples=30)
