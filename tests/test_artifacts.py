@@ -82,6 +82,23 @@ CASES = (
             ("mc", "--p", "7/10", "--vertex", "1", "--n", "2", "--samples", "2000", "--seed", "7"),
         ),
     ]
+    # extremal step bounds past six bonds, and extremal constants between
+    # two given patterns of one
+    + [
+        (graph, ("extremal", "--kind", kind))
+        for graph in ("cycle:4", "path:4")
+        for kind in ("open", "closed")
+    ]
+    + [
+        (
+            "cycle:4",
+            ("extremal", "--kind", "open", "--source", "*,0|1|2|3", "--target", "*,0,2|1|3"),
+        ),
+        (
+            "cycle:4",
+            ("extremal", "--kind", "closed", "--source", "*,0,2|1|3", "--target", "*,0|1,3|2"),
+        ),
+    ]
 )
 
 
