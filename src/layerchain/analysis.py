@@ -12,10 +12,9 @@ vector whose entries and normalizer are certified positive on (0, 1).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -278,19 +277,6 @@ class ExtremalReport:
         }
 
 
-def _infected_successors(graph: Graph, seeds: Sequence[Pattern]) -> dict[Pattern, list]:
-    """Successor table rows for every infected pattern reachable from the seeds."""
-    table: dict[Pattern, list] = {}
-
-    def infected_successors(x: Pattern) -> list[Pattern]:
-        step = successor_table(graph, [x])
-        table[x] = step[0]
-        return [y for y in step.patterns if y.infected]
-
-    closure(seeds, infected_successors)
-    return table
-
-
 def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str) -> ExtremalReport:
     """Minimal bond count of a layer on walks source -> target, and the
     shortest walk length containing such a layer.
@@ -299,8 +285,6 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
     bonds.  Walks between infected patterns stay infected throughout, so the
     search runs over infected patterns only.
     """
-    if kind not in ("open", "closed"):
-        raise ValueError("kind must be 'open' or 'closed'")
     if {source.vertex_count, target.vertex_count} != {graph.vertex_count}:
         message = f"source and target must have the graph's {graph.vertex_count} vertices"
         raise ChainAnalysisError("pattern-size", message)
@@ -308,90 +292,83 @@ def extremal_constants(graph: Graph, source: Pattern, target: Pattern, kind: str
         raise ChainAnalysisError(
             "endpoint-uninfected", "extremal constants require infected endpoints"
         )
-    moves = _cheapest_moves(graph, _infected_successors(graph, [source]), kind)
-    return _extremal(moves, _predecessors(moves), source, target, kind)
-
-
-def _cheapest_moves(
-    graph: Graph, table: dict[Pattern, list], kind: str
-) -> dict[Pattern, dict[Pattern, int]]:
-    """moves[u][v]: the fewest open (kind "open") or closed bonds of any
-    layer taking u to the infected pattern v."""
-    b = graph.bond_count
-    costs = [z.bit_count() if kind == "open" else b - z.bit_count() for z in range(1 << b)]
-    moves: dict[Pattern, dict[Pattern, int]] = {}
-    for u, row in table.items():
-        cheapest = moves[u] = {}
-        for cost, v in zip(costs, row):
-            if v.infected and cost < cheapest.get(v, b + 1):
-                cheapest[v] = cost
-    return moves
-
-
-def _predecessors(moves: dict[Pattern, dict[Pattern, int]]) -> dict[Pattern, dict[Pattern, int]]:
-    """predecessors[v][u]: the cost of the cheapest move from u to v."""
-    predecessors: dict[Pattern, dict[Pattern, int]] = {u: {} for u in moves}
-    for u, row in moves.items():
-        for v, cost in row.items():
-            predecessors[v][u] = cost
-    return predecessors
-
-
-def _extremal(
-    moves: dict[Pattern, dict[Pattern, int]],
-    predecessors: dict[Pattern, dict[Pattern, int]],
-    source: Pattern,
-    target: Pattern,
-    kind: str,
-) -> ExtremalReport:
-    """extremal_constants over the cheapest moves of the infected patterns
-    reachable from source (moves holds exactly those) and their predecessors."""
-    if target not in moves:
+    patterns, cost = _moves(graph, kind)
+    dist = _distances(cost <= graph.bond_count)
+    s, t = patterns.index(source), patterns.index(target)
+    if dist[s, t] < 0:
         raise ChainAnalysisError("target-unreachable", f"{target} is not reachable from {source}")
+    m, l = _walk_constants(cost, dist, s, graph.bond_count)
+    return ExtremalReport(str(source), str(target), kind, int(m[t]), int(l[t]))
 
-    co_reach = closure([target], predecessors.__getitem__)
-    minimum = min(
-        (cost for v in co_reach for cost in predecessors[v].values()),
-        default=None,
-    )
-    if minimum is None:
-        raise ChainAnalysisError("no-transition", "no infected transition found")
 
-    # shortest walk containing a minimal layer: BFS over (pattern, seen-flag).
-    # A move flags the walk iff its cost is the minimum; a cheaper move
-    # leaves the co-reach set, and a dearer move to the same pattern is
-    # dominated by the flagged one.
-    start = (source, False)
-    goal = (target, True)
-    distance = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        u, flag = node
-        for v, cost in moves[u].items():
-            nxt = (v, flag or cost == minimum)
-            if nxt not in distance:
-                distance[nxt] = distance[node] + 1
-                queue.append(nxt)
-    if goal not in distance:
-        raise ChainAnalysisError("no-walk", "no walk with a minimal layer found")
-    return ExtremalReport(str(source), str(target), kind, minimum, distance[goal])
+def _moves(graph: Graph, kind: str) -> tuple[list[Pattern], np.ndarray]:
+    """The infected patterns, and cost[u, v]: the fewest open (kind "open")
+    or closed bonds of any layer taking pattern u to pattern v, or
+    graph.bond_count + 1 where no layer does."""
+    if kind not in ("open", "closed"):
+        raise ValueError("kind must be 'open' or 'closed'")
+    infected = [x for x in enumerate_patterns(graph) if x.infected]
+    position = {x: i for i, x in enumerate(infected)}
+    columns = successor_table(graph, infected).columns(lambda y: position.get(y, -1))
+    b, n = graph.bond_count, len(infected)
+    counts = np.bitwise_count(np.arange(1 << b))
+    # an uninfected successor, column -1, lands in a spare last column
+    cost = np.full((n, n + 1), b + 1)
+    rows = np.arange(n)[:, None]
+    np.minimum.at(cost, (rows, columns), counts if kind == "open" else b - counts)
+    return infected, cost[:, :n]
+
+
+def _distances(adjacent: np.ndarray) -> np.ndarray:
+    """dist[u, v]: the fewest moves from u to v, or -1 where there is no
+    walk; a breadth-first search from every pattern at once, one level per
+    matrix product."""
+    n = len(adjacent)
+    dist = np.full((n, n), -1)
+    np.fill_diagonal(dist, 0)
+    step = adjacent.astype(np.float32)
+    frontier = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ step > 0) & (dist < 0)
+        dist[frontier] = level
+    return dist
+
+
+def _walk_constants(
+    cost: np.ndarray, dist: np.ndarray, s: int, bonds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """m[t] and l[t] for every pattern t reachable from pattern s: the
+    fewest bonds of a move (u, v) on a walk s -> t, and the length of the
+    shortest walk through such a move, dist[s, u] + 1 + dist[v, t].
+
+    A layer with every vertical bond open and every horizontal bond closed
+    maps each pattern to itself, so once t is reachable from s the move
+    (t, t) lies on a walk s -> t, and some move of cost at most bonds does.
+    """
+    n = len(cost)
+    far = 2 * n  # longer than every walk below
+    reach = np.flatnonzero(dist[s] >= 0)
+    # arrive[c, v]: the shortest walk from s whose last move enters v at
+    # cost c; the pairs with no move fill row bonds + 1, which is dropped
+    arrive = np.full((bonds + 2, n), far)
+    np.minimum.at(arrive, (cost[reach], np.arange(n)), dist[s, reach, None] + 1)
+    leave = np.where(dist >= 0, dist, far)
+    # walks[c, t]: the shortest walk s -> t through a move of cost c
+    walks = (arrive[: bonds + 1, :, None] + leave).min(axis=1)
+    m = (walks < far).argmax(axis=0)
+    return m, walks[m, np.arange(n)]
 
 
 def extremal_step_bound(graph: Graph, kind: str) -> int:
     """Maximum, over reachable infected pattern pairs, of the minimal walk length."""
-    infected = [x for x in enumerate_patterns(graph) if x.infected]
-    moves = _cheapest_moves(graph, _infected_successors(graph, infected), kind)
-    best = 0
-    for source in infected:
-        seen = closure([source], moves.__getitem__)
-        rows = {x: moves[x] for x in seen}
-        predecessors = _predecessors(rows)
-        for target in seen:
-            best = max(best, _extremal(rows, predecessors, source, target, kind).min_steps)
-    return best
+    patterns, cost = _moves(graph, kind)
+    b = graph.bond_count
+    dist = _distances(cost <= b)
+    return max(
+        int(_walk_constants(cost, dist, s, b)[1][dist[s] >= 0].max()) for s in range(len(patterns))
+    )
 
 
 # ---------------------------------------------------------------------------

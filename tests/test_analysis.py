@@ -1,12 +1,13 @@
 import functools
 import json
 import math
+from collections import deque
 from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from layerchain.algebra import (
     Interval,
@@ -20,7 +21,9 @@ from layerchain.algebra import (
 )
 from layerchain.analysis import (
     ChainAnalysisError,
+    ExtremalReport,
     PolyVector,
+    _moves,
     estimate_decay_rate,
     extremal_constants,
     extremal_step_bound,
@@ -28,12 +31,13 @@ from layerchain.analysis import (
     reachable,
     stationary_distribution,
 )
-from layerchain.graphs import cycle, path
+from layerchain.graphs import closure, cycle, path
 from layerchain.kernels import (
     PolyMatrix,
     build_lumped_kernel,
     build_reduced_kernel,
     step_pattern,
+    successor_table,
 )
 from layerchain.patterns import (
     DAGGER,
@@ -303,14 +307,99 @@ def test_extremal_step_bound(c2):
     assert extremal_step_bound(c2, "closed") >= 1
 
 
+def test_extremal_kind_is_open_or_closed(c2):
+    star = all_connected_pattern(2)
+    with pytest.raises(ValueError):
+        extremal_constants(c2, star, star, "half")
+    with pytest.raises(ValueError):
+        extremal_step_bound(c2, "half")
+
+
 @pytest.mark.parametrize(
     "graph,open_steps,closed_steps",
-    [(cycle(3), 3, 2), (path(3), 3, 2), (path(4), 4, 5)],
-    ids=["cycle:3", "path:3", "path:4"],
+    [(cycle(3), 3, 2), (path(3), 3, 2), (path(4), 4, 5), (cycle(4), 4, 3)],
+    ids=["cycle:3", "path:3", "path:4", "cycle:4"],
 )
 def test_extremal_step_bound_values(graph, open_steps, closed_steps):
     assert extremal_step_bound(graph, "open") == open_steps
     assert extremal_step_bound(graph, "closed") == closed_steps
+
+
+def reference_moves(graph, kind) -> dict:
+    """moves[u][v]: the fewest open (kind "open") or closed bonds of any
+    layer taking the infected pattern u to the infected pattern v, read off
+    the successor table rows."""
+    infected = [x for x in enumerate_patterns(graph) if x.infected]
+    table = successor_table(graph, infected)
+    b = graph.bond_count
+    costs = [z.bit_count() if kind == "open" else b - z.bit_count() for z in range(1 << b)]
+    moves = {}
+    for i, u in enumerate(infected):
+        cheapest = moves[u] = {}
+        for cost, v in zip(costs, table[i]):
+            if v.infected and cost < cheapest.get(v, b + 1):
+                cheapest[v] = cost
+    return moves
+
+
+def reference_extremal(moves, source):
+    """The walks from source: a function taking a target to the (m, l) of
+    extremal_constants, by a search over (pattern, flag) pairs, or to the
+    error code.  m is the cheapest move from a pattern reachable from source
+    into one that reaches target, and l the length of the shortest walk
+    source -> target whose flag is set by a move of cost m."""
+    reached = closure([source], moves.__getitem__)
+    predecessors = {u: {} for u in reached}
+    for u in reached:
+        for v, cost in moves[u].items():
+            predecessors[v][u] = cost
+
+    def walk(target):
+        if target not in reached:
+            return "target-unreachable"
+        co_reach = closure([target], predecessors.__getitem__)
+        minimum = min(
+            (cost for v in co_reach for cost in predecessors[v].values()),
+            default=None,
+        )
+        if minimum is None:
+            return "no-transition"
+        start, goal = (source, False), (target, True)
+        distance = {start: 0}
+        queue = deque([start])
+        while queue and goal not in distance:
+            node = queue.popleft()
+            u, flag = node
+            for v, cost in moves[u].items():
+                nxt = (v, flag or cost == minimum)
+                if nxt not in distance:
+                    distance[nxt] = distance[node] + 1
+                    queue.append(nxt)
+        return (minimum, distance[goal]) if goal in distance else "no-walk"
+
+    return walk
+
+
+@settings(max_examples=20)
+@given(small_graphs(), st.sampled_from(("open", "closed")), st.data())
+def test_extremal_matches_reference_search(graph, kind, data):
+    moves = reference_moves(graph, kind)
+    infected = list(moves)
+    drawn = st.tuples(st.sampled_from(infected), st.sampled_from(infected))
+    for source, target in data.draw(st.lists(drawn, min_size=1, max_size=4)):
+        expected = reference_extremal(moves, source)(target)
+        try:
+            got = extremal_constants(graph, source, target, kind)
+        except ChainAnalysisError as error:
+            assert error.code == expected
+        else:
+            assert got == ExtremalReport(str(source), str(target), kind, *expected)
+    walks = (w for s in infected for w in map(reference_extremal(moves, s), infected))
+    assert extremal_step_bound(graph, kind) == max(w[1] for w in walks if isinstance(w, tuple))
+    # the layer with every vertical bond open and every horizontal bond
+    # closed maps each pattern to itself
+    self_move = graph.vertex_count if kind == "open" else graph.edge_count
+    assert (np.diag(_moves(graph, kind)[1]) <= self_move).all()
 
 
 # ---------------------------------------------------------------------------
