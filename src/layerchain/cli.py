@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .analysis import (
     estimate_decay_rate,
@@ -60,8 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _graph_from_args(args) -> Graph:
     spec = args.graph
-    if spec is None:
-        raise UsageError("argument-missing", "--graph is required")
     origin = args.origin
     if os.path.exists(spec):
         try:
@@ -98,10 +97,6 @@ def _nonnegative(value: int, flag: str, code: str) -> int:
     return value
 
 
-def _layer_index(args) -> int:
-    return _nonnegative(args.n, "--n", "layer-negative")
-
-
 def _emit(artifact, args, as_text: bool = False) -> None:
     payload = artifact if as_text else json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -115,6 +110,7 @@ def _emit(artifact, args, as_text: bool = False) -> None:
 
 
 def _cmd_states(args) -> int:
+    """Enumerate chain state spaces and their sizes."""
     graph = _graph_from_args(args)
     patterns = enumerate_patterns(graph)
     infected = [x for x in patterns if x.infected]
@@ -137,6 +133,7 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    """Emit a transition kernel as exact polynomials."""
     graph = _graph_from_args(args)
     builder = {
         "full": build_full_kernel,
@@ -148,12 +145,14 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
+    """Stationary and initial distributions."""
     engine = Engine(_graph_from_args(args))
     _emit({"stationary": engine.stationary.to_dict(), "initial": engine.initial.to_dict()}, args)
     return EXIT_OK
 
 
 def _cmd_onset(args) -> int:
+    """Onset certificate of pattern monotonicity."""
     graph = _graph_from_args(args)
     cap = _nonnegative(args.cap, "--cap", "cap-negative")
     try:
@@ -166,6 +165,7 @@ def _cmd_onset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Full conjecture certificate for a graph."""
     graph = _graph_from_args(args)
     cap = _nonnegative(args.cap, "--cap", "cap-negative")
     certificate = verify_conjecture(graph, cap)
@@ -177,55 +177,48 @@ def _cmd_verify(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _scaled_artifact(engine: Engine, poly, p, value_key: str, **fields) -> dict:
+    """The artifact of a polynomial scaled by the stationary normalizer
+    squared, with its value at p under value_key when p is given."""
+    normalizer = engine.stationary.normalizer
+    artifact = {
+        "graph": engine.graph.describe(),
+        **fields,
+        "scaled_polynomial": poly.to_strings(),
+        "normalizer": normalizer.to_strings(),
+    }
+    if p is not None:
+        artifact["p"] = str(p)
+        artifact[value_key] = str(Fraction(poly(p)) / Fraction(normalizer(p)) ** 2)
+    return artifact
+
+
 def _cmd_connection(args) -> int:
+    """Exact connection-probability polynomial."""
     graph = _graph_from_args(args)
-    if args.vertex is None or args.n is None:
-        raise UsageError("argument-missing", "connection requires --vertex and --n")
     if args.vertex not in graph.vertices:
         last = graph.vertex_count - 1
         raise UsageError("vertex-out-of-range", f"--vertex {args.vertex} is outside 0..{last}")
-    n = _layer_index(args)
+    n = _nonnegative(args.n, "--n", "layer-negative")
     p = None if args.p is None else _probability(args.p)
     engine = Engine(graph)
     poly = engine.connection(args.vertex, n)
-    artifact = {
-        "graph": graph.describe(),
-        "vertex": args.vertex,
-        "n": args.n,
-        "scaled_polynomial": poly.to_strings(),
-        "normalizer": engine.stationary.normalizer.to_strings(),
-    }
-    if p is not None:
-        scale = Fraction(engine.stationary.normalizer(p))
-        artifact["p"] = str(p)
-        artifact["probability"] = str(Fraction(poly(p)) / scale**2)
-    _emit(artifact, args)
+    _emit(_scaled_artifact(engine, poly, p, "probability", vertex=args.vertex, n=n), args)
     return EXIT_OK
 
 
 def _cmd_expected(args) -> int:
+    """Exact expected-infected-count polynomial."""
     graph = _graph_from_args(args)
-    if args.n is None:
-        raise UsageError("argument-missing", "expected requires --n")
-    n = _layer_index(args)
+    n = _nonnegative(args.n, "--n", "layer-negative")
     p = None if args.p is None else _probability(args.p)
     engine = Engine(graph)
-    poly = engine.expected(n)
-    artifact = {
-        "graph": graph.describe(),
-        "n": args.n,
-        "scaled_polynomial": poly.to_strings(),
-        "normalizer": engine.stationary.normalizer.to_strings(),
-    }
-    if p is not None:
-        scale = Fraction(engine.stationary.normalizer(p))
-        artifact["p"] = str(p)
-        artifact["expected_count"] = str(Fraction(poly(p)) / scale**2)
-    _emit(artifact, args)
+    _emit(_scaled_artifact(engine, engine.expected(n), p, "expected_count", n=n), args)
     return EXIT_OK
 
 
 def _cmd_extremal(args) -> int:
+    """Minimal per-layer bond counts over walks."""
     graph = _graph_from_args(args)
     if (args.source is None) != (args.target is None):
         raise UsageError("argument-missing", "--source and --target must be given together")
@@ -244,9 +237,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    """Numeric decay-rate estimate of the infected block."""
     graph = _graph_from_args(args)
-    if args.p is None:
-        raise UsageError("argument-missing", "decay requires --p")
     p = _fraction(args.p, "--p")
     kernel = build_lumped_kernel(graph)
     estimate = estimate_decay_rate(kernel, p)
@@ -264,6 +256,7 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    """Exact rational table of the bounded-degree criterion."""
     rows = degree_bound_report(_nonnegative(args.max_degree, "--max-degree", "degree-negative"))
     table = [
         {
@@ -289,14 +282,12 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_expected_mono(args) -> int:
+    """Certify expected-count monotonicity on the degree interval."""
     graph = _graph_from_args(args)
-    if args.n is None:
-        raise UsageError("argument-missing", "expected-mono requires --n (largest step checked)")
-    n = _layer_index(args)
-    delta = args.max_degree_override
-    if delta is not None:
-        _nonnegative(delta, "--max-degree", "degree-negative")
-    certs = verify_expected_count_monotonicity(graph, n, delta)
+    n = _nonnegative(args.n, "--n", "layer-negative")
+    if args.max_degree is not None:
+        _nonnegative(args.max_degree, "--max-degree", "degree-negative")
+    certs = verify_expected_count_monotonicity(graph, n, args.max_degree)
     _emit(
         {
             "graph": graph.describe(),
@@ -310,9 +301,8 @@ def _cmd_expected_mono(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    """Monte Carlo connection estimate."""
     graph = _graph_from_args(args)
-    if args.p is None or args.vertex is None or args.n is None:
-        raise UsageError("argument-missing", "mc requires --p, --vertex and --n")
     p = _fraction(args.p, "--p")
     stats = estimate_connection(graph, p, args.vertex, args.n, args.samples, args.seed)
     _emit({"graph": graph.describe(), "approximate": True, **stats.to_dict()}, args)
@@ -320,29 +310,64 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    """Chi-square fit of sampled initial patterns."""
     graph = _graph_from_args(args)
-    if args.p is None:
-        raise UsageError("argument-missing", "fit requires --p")
     p = _fraction(args.p, "--p")
     result = initial_pattern_fit(graph, p, args.samples, args.seed)
     _emit({"graph": graph.describe(), "approximate": True, **result}, args)
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    """A subcommand: its handler, whose docstring is the help text, the _FLAGS
+    it reads (space-separated, a trailing ! marks a required one), and the
+    flags of this command alone as name -> add_argument keywords."""
+
+    handler: Callable[[argparse.Namespace], int]
+    flags: str
+    options: dict = {}
+
+
+_FLAGS = {
+    "graph": {"help": "cycle:k, path:k, or a JSON graph file"},
+    "origin": {"type": int, "help": "origin vertex override"},
+    "n": {"type": int, "help": "layer index"},
+    "vertex": {"type": int, "help": "target vertex"},
+    "p": {"help": "bond probability, e.g. 1/2"},
+    "samples": {"type": int, "default": 100000, "help": "Monte Carlo sample count"},
+    "seed": {"type": int, "default": 0, "help": "random seed"},
+    "cap": {"type": int, "default": 64, "help": "onset search cap"},
+    "source": {"help": "source pattern string"},
+    "target": {"help": "target pattern string"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+}
+
 _COMMANDS = {
-    "states": _cmd_states,
-    "kernel": _cmd_kernel,
-    "stationary": _cmd_stationary,
-    "onset": _cmd_onset,
-    "verify": _cmd_verify,
-    "connection": _cmd_connection,
-    "expected": _cmd_expected,
-    "expected-mono": _cmd_expected_mono,
-    "extremal": _cmd_extremal,
-    "decay": _cmd_decay,
-    "bound": _cmd_bound,
-    "mc": _cmd_mc,
-    "fit": _cmd_fit,
+    "states": _Command(_cmd_states, "graph! origin"),
+    "kernel": _Command(
+        _cmd_kernel,
+        "graph! origin",
+        {"kind": {"choices": ("full", "reduced", "lumped"), "default": "lumped"}},
+    ),
+    "stationary": _Command(_cmd_stationary, "graph! origin"),
+    "onset": _Command(_cmd_onset, "graph! origin cap"),
+    "verify": _Command(_cmd_verify, "graph! origin cap"),
+    "connection": _Command(_cmd_connection, "graph! origin vertex! n! p"),
+    "expected": _Command(_cmd_expected, "graph! origin n! p"),
+    "expected-mono": _Command(
+        _cmd_expected_mono,
+        "graph! origin n!",
+        {"max-degree": {"type": int, "help": "degree threshold override"}},
+    ),
+    "extremal": _Command(
+        _cmd_extremal,
+        "graph! origin source target",
+        {"kind": {"choices": ("open", "closed"), "default": "open"}},
+    ),
+    "decay": _Command(_cmd_decay, "graph! origin p!"),
+    "bound": _Command(_cmd_bound, "format", {"max-degree": {"type": int, "default": 5}}),
+    "mc": _Command(_cmd_mc, "graph! origin p! vertex! n! samples seed"),
+    "fit": _Command(_cmd_fit, "graph! origin p! samples seed"),
 }
 
 
@@ -352,48 +377,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact monotonicity certificates for percolation on layered graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("states", "enumerate chain state spaces and their sizes"),
-        ("kernel", "emit a transition kernel as exact polynomials"),
-        ("stationary", "stationary and initial distributions"),
-        ("onset", "onset certificate of pattern monotonicity"),
-        ("verify", "full conjecture certificate for a graph"),
-        ("connection", "exact connection-probability polynomial"),
-        ("expected", "exact expected-infected-count polynomial"),
-        ("expected-mono", "certify expected-count monotonicity on the degree interval"),
-        ("extremal", "minimal per-layer bond counts over walks"),
-        ("decay", "numeric decay-rate estimate of the infected block"),
-        ("bound", "exact rational table of the bounded-degree criterion"),
-        ("mc", "Monte Carlo connection estimate"),
-        ("fit", "chi-square fit of sampled initial patterns"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--graph", help="cycle:k, path:k, or a JSON graph file")
-        p.add_argument("--origin", type=int, default=None, help="origin vertex override")
-        p.add_argument("--n", type=int, default=None, help="layer index")
-        p.add_argument("--vertex", type=int, default=None, help="target vertex")
-        p.add_argument("--p", default=None, help="bond probability, e.g. 1/2")
-        p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--cap", type=int, default=64, help="onset search cap")
-        p.add_argument("--out", default=None, help="artifact output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name == "kernel":
-            p.add_argument("--kind", choices=("full", "reduced", "lumped"), default="lumped")
-        if name == "extremal":
-            p.add_argument("--kind", choices=("open", "closed"), default="open")
-            p.add_argument("--source", default=None, help="source pattern string")
-            p.add_argument("--target", default=None, help="target pattern string")
-        if name == "bound":
-            p.add_argument("--max-degree", type=int, default=5, dest="max_degree")
-        if name == "expected-mono":
-            p.add_argument(
-                "--max-degree",
-                type=int,
-                default=None,
-                dest="max_degree_override",
-                help="degree threshold override",
-            )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.handler.__doc__)
+        required = p.add_argument_group("required")
+        for flag in command.flags.split():
+            key = flag.rstrip("!")
+            (required if flag.endswith("!") else p).add_argument(f"--{key}", **_FLAGS[key])
+        for key, keywords in command.options.items():
+            p.add_argument(f"--{key}", **keywords)
+        p.add_argument("--out", help="artifact output path (default stdout)")
     return parser
 
 
@@ -403,9 +395,15 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit:  # --help, after printing it
             return EXIT_OK
-        if args.format == "csv" and args.command != "bound":
-            raise UsageError("format-invalid", "--format csv is only supported by bound")
-        return _COMMANDS[args.command](args)
+        command = _COMMANDS[args.command]
+        missing = [
+            f"--{flag[:-1]}"
+            for flag in command.flags.split()
+            if flag.endswith("!") and getattr(args, flag[:-1]) is None
+        ]
+        if missing:
+            raise UsageError("argument-missing", f"{args.command} requires {', '.join(missing)}")
+        return command.handler(args)
     except CodedError as exc:
         print(f"error: [{exc.code}] {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,6 +71,8 @@ class Graph:
             raise GraphError("disconnected", "graph is not connected")
 
     def _connected(self) -> bool:
+        if len(self.edges) < self.vertex_count - 1:  # too few for a spanning tree
+            return False
         neighbours: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             neighbours[u].append(v)

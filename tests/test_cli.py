@@ -190,7 +190,9 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decay", "--graph", "cycle:2", "--p", "zebra")
     assert code == 1
     code, _, err = run_cli(capsys, "states", "--graph", "cycle:2", "--format", "csv")
-    assert code == 1 and err.startswith("error: [format-invalid] ")
+    assert code == 1 and err.startswith("error: [argument-invalid] ")
+    code, out, err = run_cli(capsys, "bound", "--max-degree", "-1")
+    assert code == 1 and out == "" and err.startswith("error: [degree-negative] ")
     code, _, _ = run_cli(capsys, "definitely-not-a-command")
     assert code == 1
     cases = [
@@ -214,7 +216,6 @@ def test_usage_errors(capsys, tmp_path):
         (["extremal", "--source", "*,1|0", "--target", "*,1|0,2"], "pattern-size"),
         (["extremal", "--source", "*,1|0,2"], "argument-missing"),
         (["extremal", "--target", "*,1|0,2"], "argument-missing"),
-        (["bound", "--max-degree", "-1"], "degree-negative"),
         (["states", "--out", str(tmp_path / "missing" / "x.json")], "output-unwritable"),
         (["states", "--out", str(tmp_path)], "output-unwritable"),
     ]
@@ -290,7 +291,7 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and out.startswith("usage: layerchain")
     code, out, _ = run_cli(capsys, "verify", "--help")
-    assert code == 0 and "--cap" in out
+    assert code == 0 and "--cap" in out and "--samples" not in out
 
 
 def _parses_as_int(text: str) -> bool:
@@ -303,11 +304,36 @@ def _parses_as_int(text: str) -> bool:
 
 _WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
 _NOT_INT = st.text(min_size=1, max_size=6).filter(lambda t: not _parses_as_int(t))
+_WELL_TYPED = {
+    "--graph": "cycle:2",
+    "--origin": "0",
+    "--n": "1",
+    "--vertex": "1",
+    "--p": "1/2",
+    "--samples": "5",
+    "--seed": "0",
+    "--cap": "4",
+    "--source": "*,0|1",
+    "--target": "*,0|1",
+    "--format": "json",
+    "--kind": "open",
+    "--max-degree": "3",
+}
+
+
+def _foreign_flag(command: str):
+    """A well-typed flag that only other commands read."""
+    entry = _COMMANDS[command]
+    reads = {"--" + flag.rstrip("!") for flag in entry.flags.split()}
+    reads |= {"--" + flag for flag in entry.options}
+    foreign = sorted(set(_WELL_TYPED) - reads)
+    return st.sampled_from(foreign).map(lambda flag: [command, flag, _WELL_TYPED[flag]])
 
 
 def _malformed_argv():
     """Command lines that argparse itself rejects, so none runs a command;
-    --threads is among them, since certification runs in-process."""
+    --threads is among them, since certification runs in-process, and so is
+    any flag that the command does not read."""
     command = st.sampled_from(sorted(_COMMANDS))
     int_flag = st.sampled_from(("--n", "--vertex", "--samples", "--seed", "--cap", "--origin"))
     return st.one_of(
@@ -321,6 +347,7 @@ def _malformed_argv():
         st.tuples(st.sampled_from(("onset", "verify")), st.integers(-3, 8)).map(
             lambda t: [t[0], "--graph", "cycle:2", "--threads", str(t[1])]
         ),
+        command.flatmap(_foreign_flag),
         st.just([]),
     )
 

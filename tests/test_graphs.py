@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
+from layerchain import graphs
 from layerchain.graphs import (
     Graph,
     GraphError,
@@ -120,6 +121,21 @@ def test_load_error_codes():
         with pytest.raises(GraphError) as err:
             load_graph(document)
         assert err.value.code == code, document
+
+
+def test_too_few_edges_are_disconnected_before_any_search(monkeypatch):
+    assert path(1).vertex_count == 1
+
+    def refuse(starts, successors):
+        raise AssertionError("closure searched")
+
+    monkeypatch.setattr(graphs, "closure", refuse)
+    with pytest.raises(GraphError) as err:
+        Graph(10**6, ())
+    assert err.value.code == "disconnected"
+    with pytest.raises(GraphError) as err:
+        Graph(10**6, (), origin=-1)
+    assert err.value.code == "origin-out-of-range"
 
 
 def test_load_rejects_booleans():
