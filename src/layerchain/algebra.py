@@ -6,7 +6,9 @@ live in.  A Fraction, a float or any other non-int coefficient or scalar
 is rejected; evaluation at a rational point stays exact.  Exact division
 is integer long division, and dot products and matrix products use
 Kronecker substitution (each polynomial packed into one big integer, at a
-slot width proven from the coefficient sizes).
+slot width proven from the coefficient sizes).  The Taylor shift behind
+every change of basis runs on the same packing: one Horner pass on big
+integers, unpacked by the same slot decoder.
 
 Sign questions on subintervals of [0, 1] rest on Descartes' rule of signs
 on the interval mapped onto (0, oo) by the one Taylor shift (_shift_basis).
@@ -25,10 +27,11 @@ sign-changing (with an isolating witness interval), or negative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -223,13 +226,9 @@ def poly_dot_table(
     len_a, len_b = max(map(len, left)), max(map(len, right))
     size_a = max(map(abs, chain.from_iterable(left)))
     size_b = max(map(abs, chain.from_iterable(right)))
-    width = (terms * min(len_a, len_b) * size_a * size_b).bit_length() // 8 + 1
+    width = _slot_width(terms * min(len_a, len_b) * size_a * size_b)
     bits = 8 * width
-    half = 1 << (bits - 1)
     slots = len_a + len_b - 1
-    # adding half to every slot makes each one nonnegative, so the bytes of
-    # the biased total are the slots side by side
-    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
 
     def pack(cs: tuple) -> int:
         acc = 0
@@ -239,21 +238,37 @@ def poly_dot_table(
 
     packed_rows = [[pack(cs) for cs in row] for row in row_cs]
     packed_cols = [[pack(cs) for cs in col] for col in col_cs]
-    table = []
-    for prow in packed_rows:
-        line = []
-        for pcol in packed_cols:
-            data = (sum(map(mul, prow, pcol)) + bias).to_bytes(width * slots, "little")
-            line.append(
-                Polynomial(
-                    [
-                        int.from_bytes(data[k : k + width], "little") - half
-                        for k in range(0, width * slots, width)
-                    ]
-                )
-            )
-        table.append(line)
-    return table
+    return [
+        [Polynomial(_unpack(sum(map(mul, prow, pcol)), width, slots)) for pcol in packed_cols]
+        for prow in packed_rows
+    ]
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for signed integers of absolute value at most bound:
+    at least one bit more than the bound's bit length."""
+    return bound.bit_length() // 8 + 1
+
+
+@functools.lru_cache(maxsize=256)
+def _bias(width: int, slots: int) -> int:
+    """Half a slot in each of the slots."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
+
+
+def _unpack(value: int, width: int, slots: int) -> list[int]:
+    """The signed slots of value = sum_k s_k 2^(8 width k), lowest first,
+    for |s_k| < 2^(8 width - 1).
+
+    Adding half a slot to every slot makes each one nonnegative, so the
+    bytes of the biased value are the slots side by side.
+    """
+    half = 1 << (8 * width - 1)
+    data = (value + _bias(width, slots)).to_bytes(width * slots, "little")
+    return [
+        int.from_bytes(data[k : k + width], "little") - half
+        for k in range(0, width * slots, width)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +537,25 @@ def _shift_basis(cs: Sequence[int], degree: int, sign: int) -> list[int]:
     """Coefficients of sum_i c_i x^i (1 + sign*x)^(degree - i), for sign 1 or -1.
 
     With sign = 1 this takes q(p) to the count basis (1+x)^degree q(x/(1+x)),
-    and with sign = -1 it takes D(x) back to (1-p)^degree D(p/(1-p)): the
-    reversed coefficients are Taylor-shifted by sign.  A shift by -1 is a
-    shift by +1 between two negations of the odd coefficients, so the inner
-    loop only adds.
+    and with sign = -1 it takes D(x) back to (1-p)^degree D(p/(1-p)).  With
+    y = 1/x the sum is x^degree f(y + sign) for f(y) = sum_i c_i y^(degree-i),
+    a Taylor shift of the reversed coefficients.  It is one Horner pass at
+    y = X = 2^bits on big integers, acc -> acc X + sign acc + c, and the
+    value of the shifted polynomial at X is unpacked once.  Each shifted
+    coefficient is at most 2^degree sum_i |c_i| in absolute value, and the
+    slots are wider than that bound.
     """
-    out = [0] * (degree + 1 - len(cs)) + list(reversed(cs))
-    if sign < 0:
-        out[1::2] = [-c for c in out[1::2]]
-    for i in range(degree):
-        for j in range(degree - 1, i - 1, -1):
-            out[j] += out[j + 1]
-    if sign < 0:
-        out[1::2] = [-c for c in out[1::2]]
-    return out[::-1]
+    width = _slot_width(sum(map(abs, cs)) << max(degree, 0))
+    bits = 8 * width
+    coefficients = chain(cs, repeat(0, degree + 1 - len(cs)))
+    acc = 0
+    if sign > 0:
+        for c in coefficients:
+            acc = (acc << bits) + acc + c
+    else:
+        for c in coefficients:
+            acc = (acc << bits) - acc + c
+    return _unpack(acc, width, degree + 1)[::-1]
 
 
 def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:

@@ -53,7 +53,8 @@ def reachable(kernel: PolyMatrix, source) -> set:
     """States reachable from source via structurally positive kernel entries."""
     rows = kernel.entries
     seen = closure(
-        [kernel.index(source)], lambda i: [j for j, e in enumerate(rows[i]) if not e.is_zero]
+        [kernel.index(source)],
+        lambda frontier: [j for i in frontier for j, e in enumerate(rows[i]) if not e.is_zero],
     )
     return {kernel.states[i] for i in seen}
 

@@ -9,7 +9,8 @@ error code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterable
 
 from .errors import CodedError
 
@@ -23,19 +24,29 @@ class GraphError(CodedError):
     """Invalid graph input."""
 
 
-def closure(starts: Iterable, successors: Callable[[Any], Iterable]) -> set:
+def closure(starts: Iterable, successors: Callable[[list], Iterable]) -> set:
     """Every node reachable from the starts, the starts included, by repeated successors.
 
-    successors is called once for each node reached.
+    The search runs one breadth-first level at a time: successors is called
+    once per level with the list of nodes first reached there, and returns
+    their successors.
     """
     seen = set(starts)
     frontier = list(seen)
     while frontier:
-        for node in successors(frontier.pop()):
+        level = []
+        for node in successors(frontier):
             if node not in seen:
                 seen.add(node)
-                frontier.append(node)
+                level.append(node)
+        frontier = level
     return seen
+
+
+def neighbours_of(adjacency) -> Callable[[list], Iterable]:
+    """closure's successors for adjacency lists: adjacency[node] lists the
+    successors of node, in a list indexed by node or a dict keyed by it."""
+    return lambda frontier: chain.from_iterable(map(adjacency.__getitem__, frontier))
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,7 @@ class Graph:
         for u, v in self.edges:
             neighbours[u].append(v)
             neighbours[v].append(u)
-        return len(closure([0], neighbours.__getitem__)) == self.vertex_count
+        return len(closure([0], neighbours_of(neighbours))) == self.vertex_count
 
     # -- queries -------------------------------------------------------------
 

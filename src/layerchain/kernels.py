@@ -44,6 +44,7 @@ from .patterns import (
     DAGGER,
     Pattern,
     PatternClass,
+    PatternSpaceError,
     STAR,
     all_singletons_pattern,
     attach_infection,
@@ -319,6 +320,28 @@ class Successors:
         return Successors(tuple(position), index)
 
 
+def _check_table(rows: int, bonds: int) -> None:
+    """PatternSpaceError unless a table of rows times 2^bonds cells fits the
+    int32 index range of a successor table."""
+    if rows << bonds > np.iinfo(np.int32).max:
+        raise PatternSpaceError(
+            "enumeration-guard",
+            f"successor table guard: {rows} sources times 2^{bonds} configurations"
+            " exceed the int32 index range",
+        )
+
+
+def _bell(n: int) -> int:
+    """The Bell number B_n, the last entry of row n of the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        following = [row[-1]]
+        for x in row:
+            following.append(following[-1] + x)
+        row = following
+    return row[0]
+
+
 def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
     """The successor of every source under every config, by the batched join.
 
@@ -326,11 +349,13 @@ def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
     horizontal edges.  A successor is read as one integer key, the root of
     each upper vertex and then min(root of the marker, k) in base k + 1,
     below 13^13 < 2^63 under the 12-vertex guard; each distinct key becomes
-    one Pattern.  A graph past that guard or the 21-bond guard fails with
-    PatternSpaceError.
+    one Pattern.  A graph past that guard or the 21-bond guard, or a table
+    past the int32 index range, fails with PatternSpaceError before anything
+    is allocated.
     """
     k = _check_guard(graph)
     e, b = graph.edge_count, graph.bond_count
+    _check_table(len(sources), b)
     lowers = np.array([_block_ids(x) for x in sources], dtype=np.intp).reshape(-1, k)
     forests = _horizontal_forests(graph, np.arange(1 << e))
     powers = (k + 1) ** np.arange(k + 1, dtype=np.int64)
@@ -427,7 +452,12 @@ def _rows_from_table(
 
 
 def build_full_kernel(graph: Graph) -> PolyMatrix:
-    """Transition matrix of the pattern chain on all partitions of V plus {*}."""
+    """Transition matrix of the pattern chain on all partitions of V plus {*}.
+
+    Its successor table has Bell(k+1) rows, one per pattern, which is
+    checked against the table's index range before they are enumerated.
+    """
+    _check_table(_bell(_check_guard(graph) + 1), graph.bond_count)
     states = enumerate_patterns(graph)
     columns = {s: i for i, s in enumerate(states)}
     rows = _rows_from_table(graph, successor_table(graph, states), columns)
@@ -450,6 +480,8 @@ def build_core(graph: Graph, group: Optional[Sequence[tuple[int, ...]]] = None) 
 
     The successors of a relabelled partition are the relabelled successors,
     so the core is the union of the orbits of the representatives reached.
+    The search steps one breadth-first level of representatives per
+    successor table.
     """
     if group is None:
         group = (tuple(graph.vertices),)
@@ -463,15 +495,20 @@ def build_core(graph: Graph, group: Optional[Sequence[tuple[int, ...]]] = None) 
             representative.update(dict.fromkeys(orbit, rep))
         return rep
 
-    tables: dict[Pattern, Successors] = {}
+    levels: list[Successors] = []
+    stepped: list[Pattern] = []
 
-    def successors(rep: Pattern) -> set[Pattern]:
-        tables[rep] = successor_table(graph, [rep])
-        return {canonical(y) for y in tables[rep].patterns}
+    def successors(frontier: list[Pattern]) -> set[Pattern]:
+        levels.append(successor_table(graph, frontier))
+        stepped.extend(frontier)
+        return {canonical(y) for y in levels[-1].patterns}
 
     closure([canonical(all_singletons_pattern(graph.vertex_count))], successors)
     orbits = Orbits(sorted(representative), group)
-    return Core(orbits, Successors.stack([tables[rep] for rep in orbits.representatives]))
+    table = Successors.stack(levels)
+    row = {rep: i for i, rep in enumerate(stepped)}
+    order = [row[rep] for rep in orbits.representatives]
+    return Core(orbits, Successors(table.patterns, table.index[order]))
 
 
 def core_partitions(graph: Graph) -> list[Pattern]:

@@ -17,6 +17,13 @@ layer distribution, the stationary distribution of the layer above, and
 the vertical bonds between them, so that one polynomial per vertex and
 step certifies the monotonicity of the connection probability itself.
 
+The vector onset and the connection drops are read the same way: the row
+of orbit totals steps through the count-basis block modulo word primes,
+each drop's signs are read off its coefficients, and only a drop with
+mixed signs is rebuilt as an integer polynomial and certified, so
+verify_conjecture makes no exact layer step.  The exact stepper
+(Engine.weights_at) serves the connection and expected-count polynomials.
+
 Every stage runs on automorphism orbits.  The stationary vector is solved
 on the Aut(G) orbits of the connectivity chain and expanded to one entry
 per partition.  The lumped chain is stepped on the orbits of Aut_o, the
@@ -30,11 +37,13 @@ orbits, while the step certificates and connection drops stay per state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,6 +51,7 @@ import numpy as np
 from .algebra import (
     IDENTICALLY_ZERO,
     Interval,
+    NEGATIVE,
     NONNEGATIVE_VERDICTS,
     POSITIVE,
     Polynomial,
@@ -158,28 +168,52 @@ def _reduce(a: np.ndarray, q: int) -> None:
 class _PowerModPrime:
     """M^n modulo one word prime q: one float64 matrix per coefficient of x.
 
-    The prime is small enough that every entry of the unreduced product,
-    summed over all coefficients of the factor, stays below 2^52, so the
-    BLAS float64 products and their sum are exact and reduced once.
+    The stack starts from the identity, or from a given start, a row of
+    orbit totals for the layer weights; times multiplies any stack by M.
+    The prime is small enough that every entry of the
+    unreduced product, summed over all coefficients of the factor, stays
+    below 2^52, so the BLAS float64 products and their sum are exact and
+    reduced once.
     """
 
-    def __init__(self, q: int, counts: np.ndarray):
+    def __init__(self, q: int, counts: np.ndarray, start: Optional[np.ndarray] = None):
         self.q = q
         self.factor = (counts % q).astype(np.float64)
-        self.power = np.eye(counts.shape[1])[None]
+        self.taps = [(t, b) for t, b in enumerate(self.factor) if b.any()]
+        if start is None:
+            self.power = np.eye(counts.shape[1])[None]
+        else:
+            self.power = (start % q).astype(np.float64)
 
     def step(self) -> None:
-        """M^(n+1) from M^n: C_s = sum_t A_(s-t) B_t mod q, one product per t."""
-        a = self.power
-        flat = a.reshape(-1, a.shape[1])
-        product = np.empty_like(flat)
-        out = np.zeros((len(a) + len(self.factor) - 1,) + a.shape[1:])
-        for t, b in enumerate(self.factor):
-            if b.any():
-                np.matmul(flat, b, out=product)
-                out[t : t + len(a)] += product.reshape(a.shape)
+        """M^(n+1) from M^n."""
+        self.power = self.times(self.power)
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        """A M modulo q for a stack of residues a[s, i, j]: C_s = sum_t
+        A_(s-t) B_t mod q, one product per t."""
+        length, rows = a.shape[:2]
+        flat = a.reshape(-1, a.shape[-1])
+        product = np.empty((len(flat), self.factor.shape[-1]))
+        out = np.zeros((length + len(self.factor) - 1, rows, product.shape[1]))
+        for t, b in self.taps:
+            np.matmul(flat, b, out=product)
+            out[t : t + length] += product.reshape(length, rows, -1)
         _reduce(out, self.q)
-        self.power = out
+        return out
+
+
+def _prime_limit(counts: np.ndarray) -> int:
+    """A bound below which every prime keeps _PowerModPrime exact with this
+    factor, a stack of count matrices counts[t, i, j] >= 0.
+
+    An entry of a product summed over t is below q times the largest
+    column total of the factor, and below q^2 rows (w+1) once the factor is
+    reduced.
+    """
+    terms = counts.shape[0] * counts.shape[1]
+    column = int(counts.sum(axis=(0, 1)).max())
+    return min(2**31, max(2**52 // max(column, 1), math.isqrt(2**52 // terms)))
 
 
 def _signed_coefficients(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
@@ -202,6 +236,45 @@ def _signed_coefficients(digits: list[np.ndarray], primes: list[int]) -> np.ndar
     return negative
 
 
+class _Signed:
+    """Count-basis polynomials given by their coefficients modulo word
+    primes: coefficient t of entry e is residues[t][e], an integer in
+    (-P/2, P/2) for P the product of the primes.
+
+    has_positive and has_negative say, per entry, whether some coefficient
+    is positive or negative.  A polynomial whose count-basis coefficients at
+    any degree at least its own have no sign variation has no root in
+    (0, oo), so an entry with no negative coefficient is positive on (0, 1)
+    in p (or identically zero), and a nonzero one with no positive
+    coefficient is negative.
+    """
+
+    def __init__(self, residues: list[np.ndarray], primes: list[int]):
+        self.primes = primes
+        self.digits = list(residues)
+        self.negative = _signed_coefficients(self.digits, primes)
+        nonzero = self.digits[0] != 0
+        for v in self.digits[1:]:
+            nonzero |= v != 0
+        self.has_negative = self.negative.any(axis=0)
+        self.has_positive = (nonzero & ~self.negative).any(axis=0)
+
+    @property
+    def degree(self) -> int:
+        return len(self.digits[0]) - 1
+
+    def coefficients(self, mask: np.ndarray) -> list[list[int]]:
+        """The integer coefficients of the entries where mask is set, in
+        np.nonzero order: the mixed-radix digits summed (Garner)."""
+        entries = (slice(None),) + np.nonzero(mask)
+        values = np.zeros((len(self.digits[0]), int(mask.sum())), dtype=object)
+        radix = 1
+        for v, q in zip(self.digits, self.primes):
+            values += v[entries].astype(object) * radix
+            radix *= q
+        return np.where(self.negative[entries], values - radix, values).T.tolist()
+
+
 def _difference(now: np.ndarray, later: np.ndarray, w: int, q: int) -> np.ndarray:
     """(1+x)^w M^n - M^(n+1) modulo q, as int64, from the coefficient
     stacks of M^n and M^(n+1) modulo q.
@@ -220,49 +293,118 @@ def _difference(now: np.ndarray, later: np.ndarray, w: int, q: int) -> np.ndarra
     return d.astype(np.int64)
 
 
+_POSITIVE = SignCertificate(POSITIVE, UNIT_OPEN)
+_ZERO = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
+_NEGATIVE = SignCertificate(NEGATIVE, UNIT_OPEN)
+
+
 def _step_certificates(
-    digits: list[np.ndarray], primes: list[int], cache: _CertCache
+    residues: list[np.ndarray], primes: list[int], cache: _CertCache
 ) -> Optional[list[list[SignCertificate]]]:
     """The certificate grid of one step's differences D_n, given by their
-    residues modulo the primes (replaced by their digits), or None when
-    some entry is negative somewhere on (0, 1).
+    residues modulo the primes, or None when some entry is negative
+    somewhere on (0, 1).
 
     The sign of D_n at x > 0 is the sign of the p-difference at x/(1+x), so
-    an entry with no negative coefficient is positive (or identically zero)
-    and a nonzero one with no positive coefficient is negative.  Entries
+    one-signed entries are read off their coefficients (_Signed).  Entries
     with mixed signs are rebuilt as integers, screened at five exact probes
     and certified in the p basis.
     """
-    negative = _signed_coefficients(digits, primes)
-    nonzero = digits[0] != 0
-    for v in digits[1:]:
-        nonzero |= v != 0
-    has_negative = negative.any(axis=0)
-    has_positive = (nonzero & ~negative).any(axis=0)
-    if (has_negative & ~has_positive).any():
+    signed = _Signed(residues, primes)
+    if (signed.has_negative & ~signed.has_positive).any():
         return None
-    positive = SignCertificate(POSITIVE, UNIT_OPEN)
-    zero = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
-    certs = [[positive if p else zero for p in row] for row in has_positive.tolist()]
-    rows, cols = np.nonzero(has_negative)
+    certs = [[_POSITIVE if p else _ZERO for p in row] for row in signed.has_positive.tolist()]
+    rows, cols = np.nonzero(signed.has_negative)
     if not len(rows):
         return certs
-    values = np.zeros((len(digits[0]), len(rows)), dtype=object)
-    radix = 1
-    for v, q in zip(digits, primes):
-        values += v[:, rows, cols].astype(object) * radix
-        radix *= q
-    values = np.where(negative[:, rows, cols], values - radix, values)
-    mixed = values.T.tolist()
+    mixed = signed.coefficients(signed.has_negative)
     if any(_eval_sign(cs, x) < 0 for cs in mixed for x in _PROBES):
         return None
-    degree = len(values) - 1
     for i, j, cs in zip(rows.tolist(), cols.tolist(), mixed):
-        cert = cache.certify(Polynomial(_shift_basis(cs, degree, -1)))
+        cert = cache.certify(Polynomial(_shift_basis(cs, signed.degree, -1)))
         if cert.verdict not in NONNEGATIVE_VERDICTS:
             return None
         certs[i][j] = cert
     return certs
+
+
+def _drop_certificates(
+    residues: list[np.ndarray],
+    primes: list[int],
+    degrees: Sequence[int],
+    divisors: Sequence[int],
+    cache: _CertCache,
+) -> list[list[SignCertificate]]:
+    """The certificate of each drop d_ne / divisors[e], given the count-basis
+    coefficients of d_ne at degree degrees[n] modulo the primes
+    (residues[t][n, e], zero past that degree).
+
+    One-signed entries are read off their coefficients (_Signed) and carry
+    no witness, as certify_sign gives them.  Only entries with mixed signs
+    are rebuilt: Garner, back to the p basis, the exact division by the
+    positive divisor, and one certificate through the cache.
+    """
+    signed = _Signed(residues, primes)
+    certs = [
+        [(_POSITIVE if p else _NEGATIVE) if p or n else _ZERO for p, n in zip(*flags)]
+        for flags in zip(signed.has_positive.tolist(), signed.has_negative.tolist())
+    ]
+    mixed = signed.has_negative & signed.has_positive
+    rows, cols = np.nonzero(mixed)
+    for n, e, cs in zip(rows.tolist(), cols.tolist(), signed.coefficients(mixed)):
+        drop = Polynomial(_shift_basis(cs[: degrees[n] + 1], degrees[n], -1))
+        certs[n][e] = cache.certify(drop.exact_div(Polynomial((divisors[e],))))
+    return certs
+
+
+def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarray:
+    """counts[t, i, j]: coefficient t of (1+x)^degree q_ij(x/(1+x)), for
+    polys[i][j] = q_ij of degree at most degree.
+
+    Coefficient t is sum_d c_d C(degree - d, t - d).  Every count, and
+    every sum of counts, is at most 2^degree times the sum of all |c_d|:
+    one int64 product with the binomials when that stays below 2^62, else
+    one Taylor shift per nonzero entry."""
+    shape = (len(polys), len(polys[0]) if polys else 0)
+    coefficients = chain.from_iterable(q.coeffs for row in polys for q in row)
+    if sum(map(abs, coefficients)) << degree < 2**62:
+        coeffs = np.zeros(shape + (degree + 1,), dtype=np.int64)
+        for i, row in enumerate(polys):
+            for j, q in enumerate(row):
+                coeffs[i, j, : len(q.coeffs)] = q.coeffs
+        return np.moveaxis(coeffs @ _binomials(degree), 2, 0)
+    counts = np.zeros((degree + 1,) + shape, dtype=object)
+    for i, row in enumerate(polys):
+        for j, q in enumerate(row):
+            if q.coeffs:
+                counts[:, i, j] = _shift_basis(q.coeffs, degree, 1)
+    return counts
+
+
+@functools.cache
+def _binomials(degree: int) -> np.ndarray:
+    """b[d, t] = C(degree - d, t - d), the count basis of p^d in row d;
+    read-only."""
+    b = np.array(
+        [[math.comb(degree - d, t - d) if t >= d else 0 for t in range(degree + 1)]
+         for d in range(degree + 1)],
+        dtype=np.int64,
+    )
+    b.flags.writeable = False
+    return b
+
+
+def _count_block(kernel: PolyMatrix) -> np.ndarray:
+    """The infected block of the kernel in the count basis, counts[t, y, x]:
+    with w its largest entry degree, each entry q becomes
+    M(x) = (1+x)^w q(x/(1+x)), whose coefficients count configurations by
+    open bonds; a negative count raises ValueError."""
+    infected = _infected_indices(kernel)
+    block = [[kernel.entries[y][x] for x in infected] for y in infected]
+    counts = _count_basis(block, max(max(q.degree for row in block for q in row), 0))
+    if (counts < 0).any():
+        raise ValueError("the infected block has a negative count in x = p/(1-p)")
+    return counts
 
 
 def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
@@ -273,36 +415,24 @@ def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[Sign
     block of a power is the power of the infected block, and only the block
     is multiplied.  Raises OnsetCapExceeded if no step up to the cap passes.
 
-    The block is taken to the count basis: with w its largest entry degree,
-    each entry q becomes M(x) = (1+x)^w q(x/(1+x)), whose coefficients count
-    configurations by open bonds; a negative count raises ValueError.  Then
-    D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
-    and with S the largest row total of M(1) every coefficient of D_n is at
-    most 2^w S^n + S^(n+1) in absolute value.  The powers are computed
-    modulo as many word primes as that bound needs (_PowerModPrime), and
-    the signs of the coefficients are read off their mixed-radix digits.
-    A verdict depends only on the p-difference, so the certificates are
-    those of certifying each difference on (0, 1).
+    The block is taken to the count basis (_count_block), M(x) with w its
+    largest entry degree.  Then D_n = (1+x)^w M^n - M^(n+1) is
+    (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)), and with S the largest row
+    total of M(1) every coefficient of D_n is at most 2^w S^n + S^(n+1) in
+    absolute value.  The powers are computed modulo as many word primes as
+    that bound needs (_PowerModPrime), and the signs of the coefficients
+    are read off their mixed-radix digits.  A verdict depends only on the
+    p-difference, so the certificates are those of certifying each
+    difference on (0, 1).
     """
-    infected = _infected_indices(kernel)
-    if not infected:
+    if not _infected_indices(kernel):
         if cap < 0:
             raise OnsetCapExceeded(cap)
         return 0, []
-    block = [[kernel.entries[y][x].coeffs for x in infected] for y in infected]
-    w = max(max(len(cs) for row in block for cs in row) - 1, 0)
-    counts = np.array(
-        [[_shift_basis(cs, w, 1) for cs in row] for row in block], dtype=object
-    ).transpose(2, 0, 1)
-    if (counts < 0).any():
-        raise ValueError("the infected block has a negative count in x = p/(1-p)")
-    size = len(infected)
+    counts = _count_block(kernel)
+    w = len(counts) - 1
     total = int(counts.sum(axis=(0, 2)).max())
-    # an entry of a product summed over t is below q times the largest
-    # column total of M(1), and below q^2 size (w+1) once B is reduced
-    column = int(counts.sum(axis=(0, 1)).max())
-    limit = min(2**31, max(2**52 // max(column, 1), math.isqrt(2**52 // (size * (w + 1)))))
-    primes = _primes_below(limit)
+    primes = _primes_below(_prime_limit(counts))
     powers: list[_PowerModPrime] = []
     cache = _CertCache()
     for step in range(cap + 1):
@@ -321,6 +451,61 @@ def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[Sign
         if certs is not None:
             return step, certs
     raise OnsetCapExceeded(cap)
+
+
+class _CountLayers:
+    """The orbit totals of the infected orbits, layer by layer, in the count
+    basis and modulo word primes.
+
+    T_0 is the row start[t, 0, i], and T_(n+1) = T_n M for the count-basis
+    infected block M of degree w: one _PowerModPrime per prime, started from
+    T_0, keeping every layer it has reached.  Primes are taken below limit,
+    largest first, as the bounds of the drops ask for them; a prime taken
+    late is stepped up from T_0.
+
+    M has no negative count, so with S the largest row total of M(1) the
+    coefficients of T_n sum to at most l1(T_0) S^n in absolute value, and
+    every coefficient of D_n = (1+x)^w T_n - T_(n+1) is at most
+    l1(T_0) S^n (2^w + S) (bound).  T_n has degree e0 + n w, for e0 that
+    of T_0, so D_n has degree e0 + (n+1) w (degree).
+    """
+
+    def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int):
+        self.start = start
+        self.counts = counts
+        self.w = len(counts) - 1
+        self.l1 = int(np.abs(start).sum())
+        self.total = int(counts.sum(axis=(0, 2)).max())
+        self.candidates = _primes_below(limit)
+        self.primes: list[int] = []
+        self.layers: list[tuple[_PowerModPrime, list[np.ndarray]]] = []
+
+    def bound(self, n: int) -> int:
+        return self.l1 * self.total**n * (2**self.w + self.total)
+
+    def degree(self, n: int) -> int:
+        return len(self.start) - 1 + (n + 1) * self.w
+
+    def drops(self, steps: int, bound: int) -> list[np.ndarray]:
+        """D_0, ..., D_(steps-1) modulo every prime taken, after taking
+        enough primes for integers of absolute value at most bound: per
+        prime one int64 stack d[t, n, i], zero past the degree of D_n."""
+        while math.prod(self.primes) <= 2 * bound:
+            power = _PowerModPrime(next(self.candidates), self.counts, self.start)
+            self.primes.append(power.q)
+            self.layers.append((power, [power.power]))
+        out = []
+        for power, layers in self.layers:
+            while len(layers) <= steps:
+                power.step()
+                layers.append(power.power)
+            now = np.zeros((len(layers[steps - 1]), steps, layers[0].shape[2]))
+            later = np.zeros((len(layers[steps]), steps, layers[0].shape[2]))
+            for n in range(steps):
+                now[: len(layers[n]), n] = layers[n][:, 0]
+                later[: len(layers[n + 1]), n] = layers[n + 1][:, 0]
+            out.append(_difference(now, later, self.w, power.q))
+        return out
 
 
 @dataclass
@@ -415,11 +600,11 @@ class OnsetCertificate:
 def _advance(
     kernel: PolyMatrix, weights: Sequence[Polynomial], sizes: Sequence[int]
 ) -> list[Polynomial]:
-    """One layer step of per-state weights held on orbit representatives:
-    the orbit sums step through the orbit kernel, and orbit-mates share
-    their orbit's sum equally.  The weights are invariant under the group of
-    the orbits, so each share is exact in Z[p]; one that is not raises
-    ExactDivisionError."""
+    """One exact layer step of per-state weights held on orbit
+    representatives: the orbit sums step through the orbit kernel, and
+    orbit-mates share their orbit's sum equally.  The weights are invariant
+    under the group of the orbits, so each share is exact in Z[p]; one that
+    is not raises ExactDivisionError."""
     sums = kernel.vecmat([w * size for w, size in zip(weights, sizes)])
     return [s.exact_div(Polynomial((size,))) for s, size in zip(sums, sizes)]
 
@@ -433,17 +618,16 @@ def vector_onset(
     for each step below the matrix-level step; the reported onset is the
     smallest index from which all of those certificates are nonnegative.
 
-    The layer weight drops are the engine's own (Engine.weight_drop), so
-    the connection drops below the onset reuse them.  The states of an orbit
-    carry equal weight, so one certificate per orbit covers them all.
+    The drops are the engine's own (Engine.drop_certificates): the layers
+    are stepped in the count basis modulo word primes, and a drop is
+    rebuilt exactly only when its coefficients have mixed signs.  The
+    states of an orbit carry equal weight, so one certificate per orbit
+    covers them all.
     """
     orbits = engine.orbits
     infected = engine.infected_indices
     cache = _CertCache()
-    orbit_certs: list[dict[int, SignCertificate]] = []
-    for n in range(matrix_step):
-        drop = engine.weight_drop(n)
-        orbit_certs.append({i: cache.certify(d) for i, d in zip(infected, drop)})
+    orbit_certs = [dict(zip(infected, row)) for row in engine.drop_certificates(matrix_step, cache)]
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
     position = {i: j for j, i in enumerate(states)}
     step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
@@ -470,6 +654,22 @@ def vector_onset(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _BridgeCounts:
+    """The bridge rows of one vertex per vertex orbit in the count basis,
+    scaled to orbit totals: counts[t, i, r] is coefficient t of
+    (1+x)^degree scale bridge[r][i] (x/(1+x)) / size_i, scale the lcm of the
+    infected orbit sizes.  column[v] is the row of vertex v's orbit, bound
+    the largest sum of the absolute coefficients of one entry, and factors
+    the counts modulo each prime used so far."""
+
+    counts: np.ndarray
+    scale: int
+    column: list[int]
+    bound: int
+    factors: dict[int, _PowerModPrime] = field(default_factory=dict)
+
+
 class Engine:
     """The exact pipeline of one graph, run on automorphism orbits.
 
@@ -489,16 +689,19 @@ class Engine:
     - bridge: one column per infected orbit.
 
     Layer weights are held per orbit: every state of an orbit carries its
-    representative's weight.  weights_at steps them and weight_drop takes
-    each layer's drop, each once, for both the onset and the connection
-    drops.  Distributions and connection
-    polynomials are scaled by powers of the stationary normalizer.
+    representative's weight.  Two steppers take them from layer to layer.
+    weights_at is the one exact one, in Z[p], for connection and expected.
+    The certificates of verify_conjecture never step an exact layer:
+    drop_certificates and connection_certificates read every drop off the
+    orbit totals in the count basis modulo word primes (_CountLayers), and
+    rebuild exactly only the drops whose coefficients have mixed signs.
+    Distributions and connection polynomials are scaled by powers of the
+    stationary normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
         self.graph = graph
         self.label = label or graph.describe()
-        self._drops: dict[int, list[Polynomial]] = {}
 
     @cached_property
     def core(self) -> Core:
@@ -570,10 +773,52 @@ class Engine:
             raise ValueError("initial distribution and kernel have different state spaces")
         return [[self.initial.entries[members[0]] for members in orbits.members]]
 
+    @cached_property
+    def _sizes(self) -> list[int]:
+        """The size of each infected orbit, in infected_indices order."""
+        return [len(self.orbits.members[i]) for i in self.infected_indices]
+
+    @cached_property
+    def _layers(self) -> _CountLayers:
+        """The orbit totals size_i weights_at(n)[i] of the infected orbits in
+        the count basis modulo word primes.
+
+        T_0 is taken to the count basis at the largest degree of its
+        entries.  The primes keep both the layer steps and the product of a
+        drop with the bridge counts exact (_PowerModPrime): every entry of
+        that product is below q^2 times the rows and coefficients of the
+        bridge counts.
+        """
+        totals = [self._weights[0][i] * size for i, size in zip(self.infected_indices, self._sizes)]
+        start = _count_basis([totals], max(max(t.degree for t in totals), 0))
+        counts = _count_block(self.kernel)
+        # a bridge entry is a stationary entry times one layer's vertical bonds
+        bridge_degree = max(q.degree for q in self.stationary.entries) + self.graph.vertex_count
+        limit = min(_prime_limit(counts), math.isqrt(2**52 // (len(totals) * (bridge_degree + 1))))
+        return _CountLayers(start, counts, limit)
+
+    @cached_property
+    def _bridge_counts(self) -> _BridgeCounts:
+        """The bridge rows of each vertex orbit's smallest vertex in the
+        count basis.  The group of the orbits fixes the origin and the
+        initial distribution, so the vertices of one orbit have equal
+        connection drops."""
+        group = self.orbits.group
+        representative = [min(perm[v] for perm in group) for v in self.graph.vertices]
+        distinct = sorted(set(representative))
+        scale = math.lcm(*self._sizes)
+        rows = [
+            [self.bridge[r][i] * (scale // size) for r in distinct]
+            for i, size in enumerate(self._sizes)
+        ]
+        counts = _count_basis(rows, max(max(q.degree for row in rows for q in row), 0))
+        bound = int(np.abs(counts).sum(axis=0).max())
+        return _BridgeCounts(counts, scale, [distinct.index(r) for r in representative], bound)
+
     def onset(self, cap: int = 64) -> OnsetCertificate:
         """Matrix-level onset on the orbit kernel (matrix_onset), refined
         along the initial distribution (vector_onset) on the engine's own
-        layer weights.  Certification runs in-process.
+        layer drops.  Certification runs in-process.
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
@@ -582,23 +827,54 @@ class Engine:
 
     def weights_at(self, n: int) -> list[Polynomial]:
         """Scaled distribution of the layer pattern after n steps: the
-        weight of each state of each orbit, in orbit order.  The one place
-        layer weights are stepped; each layer is stepped once and kept."""
+        weight of each state of each orbit, in orbit order.  The one exact
+        layer stepper (_advance); each layer is stepped once and kept."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         while len(self._weights) <= n:
             self._weights.append(_advance(self.kernel, self._weights[-1], self.orbits.sizes))
         return self._weights[n]
 
-    def weight_drop(self, n: int) -> list[Polynomial]:
-        """weights_at(n) - weights_at(n + 1) on the infected orbits, in
-        infected_indices order; each layer's drop is built once and kept
-        for both the vector onset and the connection drops."""
-        drop = self._drops.get(n)
-        if drop is None:
-            now, later = self.weights_at(n), self.weights_at(n + 1)
-            drop = self._drops[n] = [now[i] - later[i] for i in self.infected_indices]
-        return drop
+    def drop_certificates(self, steps: int, cache: _CertCache) -> list[list[SignCertificate]]:
+        """Certificates of weights_at(n) - weights_at(n + 1) for n < steps,
+        on the infected orbits, in infected_indices order.
+
+        The drops of the orbit totals, D_n = (1+x)^w T_n - T_(n+1), are read
+        modulo as many primes as the bound of the last one asks for
+        (_CountLayers); a drop with mixed signs is rebuilt and divided by
+        its orbit size."""
+        if not steps:
+            return []
+        layers = self._layers
+        drops = layers.drops(steps, layers.bound(steps - 1))
+        degrees = [layers.degree(n) for n in range(steps)]
+        return _drop_certificates(drops, layers.primes, degrees, self._sizes, cache)
+
+    def connection_certificates(
+        self, steps: int, cache: _CertCache
+    ) -> list[list[SignCertificate]]:
+        """Certificates of connection(v, n) - connection(v, n + 1) for n <
+        steps and every vertex v.
+
+        One product per prime takes the drops D_n against the bridge counts
+        of every vertex orbit: (1+x)^(e_n + b) scale times the connection
+        drops in the count basis, for e_n the degree of D_n and b that of
+        the bridge counts.  Their coefficients are at most the bound of D_n
+        times the largest absolute sum of one bridge entry.  A drop with
+        mixed signs is rebuilt and divided by the scale."""
+        if not steps:
+            return []
+        layers, bridge = self._layers, self._bridge_counts
+        drops = layers.drops(steps, layers.bound(steps - 1) * bridge.bound)
+        residues = []
+        for q, d in zip(layers.primes, drops):
+            if q not in bridge.factors:
+                bridge.factors[q] = _PowerModPrime(q, bridge.counts)
+            residues.append(bridge.factors[q].times(d.astype(np.float64)).astype(np.int64))
+        degrees = [layers.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
+        scales = [bridge.scale] * bridge.counts.shape[2]
+        certs = _drop_certificates(residues, layers.primes, degrees, scales, cache)
+        return [[row[r] for r in bridge.column] for row in certs]
 
     def connection(self, vertex: int, n: int) -> Polynomial:
         """Connection probability from the origin to (vertex, n), scaled by
@@ -607,20 +883,6 @@ class Engine:
             raise ValueError(f"vertex {vertex} not in graph")
         weights = self.weights_at(n)
         return poly_dot([weights[i] for i in self.infected_indices], self.bridge[vertex])
-
-    def connection_drops(self, n: int) -> list[Polynomial]:
-        """connection(v, n) - connection(v, n + 1) for every vertex v.
-
-        The group of the orbits fixes the origin and the initial
-        distribution, so the vertices of one orbit have equal drops: one
-        dot-product table takes the layer's weight drop against the bridge
-        row of each orbit's smallest vertex."""
-        group = self.orbits.group
-        representative = [min(perm[v] for perm in group) for v in self.graph.vertices]
-        distinct = sorted(set(representative))
-        rows = [self.bridge[r] for r in distinct]
-        drops = dict(zip(distinct, poly_dot_table([self.weight_drop(n)], rows)[0]))
-        return [drops[r] for r in representative]
 
     def expected(self, n: int) -> Polynomial:
         """Expected number of infected vertices at layer n, scaled by the
@@ -742,21 +1004,16 @@ def verify_conjecture(
         onset_cert = engine.onset(cap)
     except OnsetCapExceeded:
         return ConjectureCertificate(engine.label, INCONCLUSIVE, None)
-    cache = _CertCache()
-    connection_certs: list[list[SignCertificate]] = []
-    witness = None
-    for n in range(onset_cert.onset):
-        row = []
-        for v, drop in zip(graph.vertices, engine.connection_drops(n)):
-            cert = cache.certify(drop)
-            row.append(cert)
-            if witness is None and cert.verdict not in NONNEGATIVE_VERDICTS:
-                witness = {
-                    "vertex": v,
-                    "n": n,
-                    "certificate": cert.to_dict(),
-                }
-        connection_certs.append(row)
+    connection_certs = engine.connection_certificates(onset_cert.onset, _CertCache())
+    witness = next(
+        (
+            {"vertex": v, "n": n, "certificate": cert.to_dict()}
+            for n, row in enumerate(connection_certs)
+            for v, cert in zip(graph.vertices, row)
+            if cert.verdict not in NONNEGATIVE_VERDICTS
+        ),
+        None,
+    )
     verdict = PROVEN if witness is None else COUNTEREXAMPLE
     certificate = ConjectureCertificate(
         graph=engine.label,

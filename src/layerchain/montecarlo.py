@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CodedError
-from .graphs import Graph, closure
+from .graphs import Graph, closure, neighbours_of
 from .kernels import (
     bridge_reach_table,
     build_core,
@@ -128,7 +128,7 @@ def _fixes_partition(graph: Graph, config: int) -> bool:
         if config >> index & 1:
             neighbours[u].append(v)
             neighbours[v].append(u)
-    return set(verticals) <= closure(verticals[:1], neighbours.__getitem__)
+    return set(verticals) <= closure(verticals[:1], neighbours_of(neighbours))
 
 
 def sample_layer_chain(graph: Graph, p, n: int, seed: int) -> list[Pattern]:

@@ -31,7 +31,7 @@ from layerchain.analysis import (
     reachable,
     stationary_distribution,
 )
-from layerchain.graphs import closure, cycle, path
+from layerchain.graphs import closure, cycle, neighbours_of, path
 from layerchain.kernels import (
     PolyMatrix,
     build_lumped_kernel,
@@ -348,7 +348,7 @@ def reference_extremal(moves, source):
     error code.  m is the cheapest move from a pattern reachable from source
     into one that reaches target, and l the length of the shortest walk
     source -> target whose flag is set by a move of cost m."""
-    reached = closure([source], moves.__getitem__)
+    reached = closure([source], neighbours_of(moves))
     predecessors = {u: {} for u in reached}
     for u in reached:
         for v, cost in moves[u].items():
@@ -357,7 +357,7 @@ def reference_extremal(moves, source):
     def walk(target):
         if target not in reached:
             return "target-unreachable"
-        co_reach = closure([target], predecessors.__getitem__)
+        co_reach = closure([target], neighbours_of(predecessors))
         minimum = min(
             (cost for v in co_reach for cost in predecessors[v].values()),
             default=None,

@@ -1,7 +1,8 @@
 """Property tests: each Z[p] routine against a slow reference.
 
 Polynomials have integer coefficients only.  Kronecker products are
-checked against schoolbook sums of Polynomial products, integer exact
+checked against schoolbook sums of Polynomial products, the big-integer
+Taylor shift against the quadratic one, integer exact
 division against sympy's division over QQ, and the one Descartes
 bisection, which counts and isolates roots at once, and the sign
 certification built on it against the real roots sympy finds.
@@ -35,6 +36,7 @@ from layerchain.algebra import (
     _interval_image,
     _isolate_roots,
     _primitive,
+    _shift_basis,
     _sign_variations,
     _squarefree_mod_prime,
     _squarefree_part,
@@ -103,6 +105,36 @@ def test_kronecker_matmul_matches_schoolbook(pair):
     a, b = pair
     assert a @ b == schoolbook_matmul(a, b)
     assert b.vecmat(a.entries[0]) == list(schoolbook_matmul(a, b).entries[0])
+
+
+def reference_shift_basis(cs, degree, sign):
+    """sum_i c_i x^i (1 + sign*x)^(degree - i) by the quadratic Taylor
+    shift of the reversed coefficients; a shift by -1 is a shift by +1
+    between two negations of the odd coefficients."""
+    out = [0] * (degree + 1 - len(cs)) + list(reversed(cs))
+    if sign < 0:
+        out[1::2] = [-c for c in out[1::2]]
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            out[j] += out[j + 1]
+    if sign < 0:
+        out[1::2] = [-c for c in out[1::2]]
+    return out[::-1]
+
+
+@given(
+    st.lists(st.one_of(st.just(0), small, st.integers(-(2**70), 2**70)), max_size=24),
+    st.integers(0, 6),
+    st.sampled_from((1, -1)),
+)
+@example([], 0, 1)
+@example([], 3, -1)
+@example([0, 0, 0], 2, 1)
+def test_shift_basis_matches_the_quadratic_shift(cs, extra, sign):
+    """One Horner pass on big integers, unpacked once, gives the double
+    loop's coefficients at every degree from len(cs) - 1 up."""
+    degree = max(len(cs) - 1, 0) + extra
+    assert _shift_basis(cs, degree, sign) == reference_shift_basis(cs, degree, sign)
 
 
 # ---------------------------------------------------------------------------

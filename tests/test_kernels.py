@@ -198,6 +198,20 @@ def test_successor_table_enforces_vertex_guard():
     assert info.value.code == "enumeration-guard"
 
 
+def test_successor_table_checks_its_index_range(monkeypatch):
+    """K6 has 21 bonds, inside both guards, so 1024 sources make 2^31 cells,
+    one past the int32 index range: refused before any array is built."""
+
+    def refuse(*args):
+        raise AssertionError("forests built")
+
+    monkeypatch.setattr(kernels, "_horizontal_forests", refuse)
+    with pytest.raises(PatternSpaceError) as info:
+        successor_table(complete_graph(6), [all_singletons_pattern(6)] * 1024)
+    assert info.value.code == "enumeration-guard"
+    assert [kernels._bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+
+
 @given(stepping_cases())
 def test_step_pattern_matches_two_layer_search(case):
     graph, source, bits = case

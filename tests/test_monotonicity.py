@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
@@ -10,9 +11,12 @@ from layerchain.algebra import (
     Interval,
     NONNEGATIVE_VERDICTS,
     Polynomial,
+    UNIT_OPEN,
     _eval_sign,
+    _shift_basis,
+    _sign_variations,
     certify_sign,
-    poly_dot,
+    poly_dot_table,
     poly_sum,
 )
 from layerchain.analysis import initial_distribution, stationary_distribution
@@ -127,6 +131,48 @@ def reference_matrix_onset(kernel, cap=64):
     raise monotonicity.OnsetCapExceeded(cap)
 
 
+def reference_vector_onset(engine, matrix_step, matrix_certificates):
+    """The vector onset in the p basis: exact layer weights
+    (Engine.weights_at), each drop certified on (0, 1), each distinct
+    polynomial once.  Below the onset, each connection drop is the dot
+    product of the layer's weight drop with the bridge row of the smallest
+    vertex of its vertex orbit.  Returns the onset certificate and the
+    connection certificates."""
+    orbits = engine.orbits
+    infected = engine.infected_indices
+    cache = monotonicity._CertCache()
+    drops, orbit_certs = [], []
+    for n in range(matrix_step):
+        now, later = engine.weights_at(n), engine.weights_at(n + 1)
+        drops.append([now[i] - later[i] for i in infected])
+        orbit_certs.append({i: cache.certify(d) for i, d in zip(infected, drops[-1])})
+    states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
+    position = {i: j for j, i in enumerate(states)}
+    step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
+    onset = max(
+        (n + 1 for n, row in enumerate(step_certs) if not all(c.nonnegative for c in row)),
+        default=0,
+    )
+    certificate = OnsetCertificate(
+        graph=engine.label,
+        states=[str(orbits.states[i]) for i in states],
+        matrix_step=matrix_step,
+        onset=onset,
+        step_certificates=step_certs,
+        matrix_orbits=[[position[i] for i in orbits.members[o]] for o in infected],
+        matrix_certificates=matrix_certificates,
+    )
+    representative = [min(perm[v] for perm in orbits.group) for v in engine.graph.vertices]
+    distinct = sorted(set(representative))
+    rows = [engine.bridge[r] for r in distinct]
+    cache = monotonicity._CertCache()
+    connection = []
+    for n in range(onset):
+        by_vertex = dict(zip(distinct, poly_dot_table([drops[n]], rows)[0]))
+        connection.append([cache.certify(by_vertex[r]) for r in representative])
+    return certificate, connection
+
+
 def _onset_dict(result):
     step, certs = result
     return step, [[c.to_dict() for c in row] for row in certs]
@@ -199,58 +245,55 @@ def test_vector_onset_rejects_mismatched_states(c2, pipeline_c2, pipeline_c3):
         vector_onset(engine, 1, [])
 
 
-def test_verify_steps_each_layer_once(monkeypatch, c2, c4):
-    """The onset and the connection drops share the engine's layer weights:
-    the four-cycle has matrix step 5, so its layers are stepped five times.
-    Certification runs in-process, so a worker count other than 1 is
-    refused."""
-    steps = []
-    advance = monotonicity._advance
+def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
+    """verify_conjecture reads every layer drop and connection drop in the
+    count basis modulo word primes, so it never steps a layer exactly
+    (_advance), and only a drop whose count-basis coefficients have mixed
+    signs reaches certify_sign; connection still steps exactly, once per
+    layer.  Certification runs in-process, so a worker count other than 1
+    is refused."""
+    steps, certified = [], []
+    advance, certify = monotonicity._advance, monotonicity.certify_sign
 
-    def counted(*args):
+    def counted_advance(*args):
         steps.append(1)
         return advance(*args)
 
-    monkeypatch.setattr(monotonicity, "_advance", counted)
+    def counted_certify(q, interval):
+        certified.append(q)
+        return certify(q, interval)
+
+    monkeypatch.setattr(monotonicity, "_advance", counted_advance)
+    monkeypatch.setattr(monotonicity, "certify_sign", counted_certify)
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
-    assert len(steps) == 5
+    assert steps == []
+    # a one-signed count basis at the polynomial's own degree stays one-signed
+    # at every higher degree
+    assert all(_sign_variations(_shift_basis(q.coeffs, q.degree, 1)) for q in certified)
+    engine = Engine(c4)
+    engine.connection(1, 3)
+    assert len(steps) == 3
     with pytest.raises(ValueError):
         verify_conjecture(c2, workers=2)
 
 
-def test_connection_drops_take_one_row_per_vertex_orbit(monkeypatch, c4):
-    """The connection drops reuse the vector onset's weight drops and take
-    one bridge row per vertex orbit: on the four-cycle the reflection fixing
-    the origin swaps 1 and 3, so each layer below the onset takes one table
-    of three products and no new subtraction."""
+def test_connection_drops_read_one_bridge_row_per_vertex_orbit(c4):
+    """On the four-cycle the reflection fixing the origin swaps 1 and 3, so
+    the connection certificates take the count-basis bridge rows of three
+    vertex orbits, and each layer's certificates are those of the exact
+    connection drops."""
     engine = Engine(c4)
     onset = engine.onset().onset
-    engine.bridge
-    calls, subtractions = [], []
-    table = monotonicity.poly_dot_table
-    subtract = Polynomial.__sub__
-
-    def counted_table(rows, cols):
-        calls.append(len(rows) * len(cols))
-        return table(rows, cols)
-
-    def counted_dot(left, right):
-        calls.append(1)
-        return poly_dot(left, right)
-
-    def counted_subtract(a, b):
-        subtractions.append(1)
-        return subtract(a, b)
-
-    monkeypatch.setattr(monotonicity, "poly_dot_table", counted_table)
-    monkeypatch.setattr(monotonicity, "poly_dot", counted_dot)
-    monkeypatch.setattr(Polynomial, "__sub__", counted_subtract)
-    drops = [engine.connection_drops(n) for n in range(onset)]
+    bridge = engine._bridge_counts
     assert onset == 4
-    assert calls == [3] * onset
-    assert subtractions == []
-    assert all(row[1] == row[3] for row in drops)
+    assert bridge.counts.shape[2] == 3 and bridge.column == [0, 1, 2, 1]
+    certificates = engine.connection_certificates(onset, monotonicity._CertCache())
+    assert len(certificates) == onset
+    for n, row in enumerate(certificates):
+        exact = [engine.connection(v, n) - engine.connection(v, n + 1) for v in c4.vertices]
+        assert exact[1] == exact[3]
+        assert row == [certify_sign(drop, UNIT_OPEN) for drop in exact]
 
 
 def test_probability_drop_sums_to_zero(pipeline_c2, pipeline_c3):
@@ -419,12 +462,61 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     assert on_orbits.states == per_state.states
     kept = per_state.step_certificates[: on_orbits.matrix_step]
     assert on_orbits.step_certificates == kept
-    for n in range(on_orbits.onset + 1):
-        assert engine.connection_drops(n) == reference.connection_drops(n)
+    cache = monotonicity._CertCache()
+    steps = on_orbits.onset + 1
+    assert engine.connection_certificates(steps, cache) == reference.connection_certificates(
+        steps, cache
+    )
     last = graph.vertex_count - 1
     assert engine.connection(last, 1) == connection_polynomial(
         graph, last, 1, initial, lumped, stationary
     )
+
+
+@settings(max_examples=12)  # each example runs both paths on two engines
+@given(small_graphs())
+def test_vector_onset_matches_the_p_basis_reference(graph):
+    """The count-basis layer drops modulo word primes give the step
+    certificates, onset and connection certificates of exact layer weights
+    in p, on orbits and per state."""
+    stationary = stationary_distribution(build_reduced_kernel(graph))
+    lumped = build_lumped_kernel(graph)
+    initial = initial_distribution(stationary, graph)
+    for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
+        step, matrix_certs = matrix_onset(engine.kernel, CAP)
+        onset = vector_onset(engine, step, matrix_certs)
+        reference, connection = reference_vector_onset(engine, step, matrix_certs)
+        assert onset.to_dict() == reference.to_dict()
+        cache = monotonicity._CertCache()
+        assert engine.connection_certificates(onset.onset, cache) == connection
+
+
+def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
+    """On path:4 the layer drops below matrix step 8 need five primes below
+    the engine's limit, and the connection drops below onset 6 two more; the
+    primes are taken largest first, each once."""
+    engine = Engine(path(4))
+    primes = []
+    real = monotonicity._PowerModPrime
+
+    def spy(q, counts, start=None):
+        if start is not None:  # a layer stepper, not a bridge factor
+            primes.append(q)
+        return real(q, counts, start)
+
+    monkeypatch.setattr(monotonicity, "_PowerModPrime", spy)
+    onset = engine.onset()
+    layers = engine._layers
+    assert (onset.matrix_step, onset.onset) == (8, 6)
+    bound = layers.bound(onset.matrix_step - 1)
+    assert len(primes) == 5 and primes == layers.primes
+    assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
+    # the bridge product sums 35 infected orbits times 50 coefficients
+    assert primes == sorted(primes, reverse=True) and primes[0] < math.isqrt(2**52 // (35 * 50))
+    engine.connection_certificates(onset.onset, monotonicity._CertCache())
+    bound = layers.bound(onset.onset - 1) * engine._bridge_counts.bound
+    assert len(primes) == 7 and len(set(primes)) == 7
+    assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
 
 
 def test_matrix_step_falls_on_the_orbits_of_a_star():
