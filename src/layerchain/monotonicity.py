@@ -4,25 +4,21 @@ conjecture verification, and the bounded-degree arithmetic checks.
 Two layers of onset are computed.  The matrix-level onset is the first
 step at which every infected-to-infected entry of the n-step kernel
 dominates the (n+1)-step entry on (0,1); once it holds at one step it
-holds at every later step, so it also caps the search.  It is found in the
-count basis p = x/(1+x), where every kernel entry times (1+x)^w counts bond
-configurations by open bonds: the powers are exact modulo word primes in
-numpy (float64 BLAS products, combined by Garner's mixed-radix CRT under an
-a-priori coefficient bound), a difference with no negative coefficient is
-positive as read, and only differences with mixed signs are screened at
-five exact probes and certified in the p basis.  The vector-level
+holds at every later step, so it also caps the search.  The vector-level
 onset refines this along the actual initial distribution and is the
 reported onset index.  Connection probabilities are assembled from the
 layer distribution, the stationary distribution of the layer above, and
 the vertical bonds between them, so that one polynomial per vertex and
 step certifies the monotonicity of the connection probability itself.
 
-The vector onset and the connection drops are read the same way: the row
-of orbit totals steps through the count-basis block modulo word primes,
-each drop's signs are read off its coefficients, and only a drop with
-mixed signs is rebuilt as an integer polynomial and certified, so
-verify_conjecture makes no exact layer step.  The exact stepper
-(Engine.weights_at) serves the connection and expected-count polynomials.
+Every drop these certify is read in the count basis modulo word primes
+(residues): the kernel powers, and the row of orbit totals layer by layer,
+step through the count-basis infected block.  A drop whose coefficients
+have one sign is positive, negative or zero as read, and only one with
+mixed signs is rebuilt and certified in p (a matrix difference after a
+screen at five exact probes).  So verify_conjecture makes no exact layer
+step; the exact stepper, Engine.weights_at, serves the connection and
+expected-count polynomials.
 
 Every stage runs on automorphism orbits.  The stationary vector is solved
 on the Aut(G) orbits of the connectivity chain and expanded to one entry
@@ -37,28 +33,21 @@ orbits, while the step certificates and connection drops stay per state.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
-    IDENTICALLY_ZERO,
     Interval,
-    NEGATIVE,
     NONNEGATIVE_VERDICTS,
-    POSITIVE,
     Polynomial,
     SignCertificate,
     UNIT_OPEN,
-    _eval_sign,
-    _shift_basis,
     certify_sign,
     poly_dot,
     poly_dot_table,
@@ -83,6 +72,16 @@ from .kernels import (
     weigh_configs,
 )
 from .patterns import Pattern, _check_guard
+from .residues import (
+    _CountLayers,
+    _PowerModPrime,
+    _count_basis,
+    _difference,
+    _drop_certificates,
+    _prime_limit,
+    _primes_below,
+    _step_certificates,
+)
 
 
 class OnsetCapExceeded(RuntimeError):
@@ -114,284 +113,6 @@ class _CertCache:
             cert = certify_sign(q, UNIT_OPEN)
             self.seen[q.coeffs] = cert
         return cert
-
-
-# x = p/(1-p) at p = 1/2, 1/4, 3/4, 1/10 and 9/10
-_PROBES = (Fraction(1), Fraction(1, 3), Fraction(3), Fraction(1, 9), Fraction(9))
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, deterministic below
-    3.3 * 10^24."""
-    if n < 2:
-        return False
-    for base in _MILLER_RABIN_BASES:
-        if n % base == 0:
-            return n == base
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in _MILLER_RABIN_BASES:
-        x = pow(base, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below(limit: int) -> Iterator[int]:
-    """The primes below limit, largest first."""
-    for n in range(limit - 1, 1, -1):
-        if _is_prime(n):
-            yield n
-
-
-def _reduce(a: np.ndarray, q: int) -> None:
-    """a mod q in place, for float64 integers in [0, 2^52).
-
-    Below 2^52 the quotient a/q is rounded by less than 1/(2q), while a
-    quotient that is not an integer lies at least 1/q from every integer,
-    so its floor is exact.
-    """
-    quotient = a / q
-    np.floor(quotient, out=quotient)
-    quotient *= q
-    a -= quotient
-
-
-class _PowerModPrime:
-    """M^n modulo one word prime q: one float64 matrix per coefficient of x.
-
-    The stack starts from the identity, or from a given start, a row of
-    orbit totals for the layer weights; times multiplies any stack by M.
-    The prime is small enough that every entry of the
-    unreduced product, summed over all coefficients of the factor, stays
-    below 2^52, so the BLAS float64 products and their sum are exact and
-    reduced once.
-    """
-
-    def __init__(self, q: int, counts: np.ndarray, start: Optional[np.ndarray] = None):
-        self.q = q
-        self.factor = (counts % q).astype(np.float64)
-        self.taps = [(t, b) for t, b in enumerate(self.factor) if b.any()]
-        if start is None:
-            self.power = np.eye(counts.shape[1])[None]
-        else:
-            self.power = (start % q).astype(np.float64)
-
-    def step(self) -> None:
-        """M^(n+1) from M^n."""
-        self.power = self.times(self.power)
-
-    def times(self, a: np.ndarray) -> np.ndarray:
-        """A M modulo q for a stack of residues a[s, i, j]: C_s = sum_t
-        A_(s-t) B_t mod q, one product per t."""
-        length, rows = a.shape[:2]
-        flat = a.reshape(-1, a.shape[-1])
-        product = np.empty((len(flat), self.factor.shape[-1]))
-        out = np.zeros((length + len(self.factor) - 1, rows, product.shape[1]))
-        for t, b in self.taps:
-            np.matmul(flat, b, out=product)
-            out[t : t + length] += product.reshape(length, rows, -1)
-        _reduce(out, self.q)
-        return out
-
-
-def _prime_limit(counts: np.ndarray) -> int:
-    """A bound below which every prime keeps _PowerModPrime exact with this
-    factor, a stack of count matrices counts[t, i, j] >= 0.
-
-    An entry of a product summed over t is below q times the largest
-    column total of the factor, and below q^2 rows (w+1) once the factor is
-    reduced.
-    """
-    terms = counts.shape[0] * counts.shape[1]
-    column = int(counts.sum(axis=(0, 1)).max())
-    return min(2**31, max(2**52 // max(column, 1), math.isqrt(2**52 // terms)))
-
-
-def _signed_coefficients(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Replace the residues of integers modulo the primes by Garner's
-    mixed-radix digits, in place, and return where each integer is negative.
-
-    The integers lie in (-P/2, P/2) for P the product of the primes, and x
-    mod P is negative exactly when its digits exceed those of (P-1)/2,
-    compared from the most significant digit.  Every product of a digit and
-    an inverse stays below 2^62, so the digits are computed in int64.
-    """
-    for k, q in enumerate(primes):
-        for j in range(k):
-            digits[k] = (digits[k] - digits[j]) % q * pow(primes[j], -1, q) % q
-    half = (math.prod(primes) - 1) // 2
-    negative = np.zeros(digits[0].shape, dtype=bool)
-    for v, q in zip(digits, primes):
-        half, h = divmod(half, q)
-        negative = np.where(v != h, v > h, negative)
-    return negative
-
-
-class _Signed:
-    """Count-basis polynomials given by their coefficients modulo word
-    primes: coefficient t of entry e is residues[t][e], an integer in
-    (-P/2, P/2) for P the product of the primes.
-
-    has_positive and has_negative say, per entry, whether some coefficient
-    is positive or negative.  A polynomial whose count-basis coefficients at
-    any degree at least its own have no sign variation has no root in
-    (0, oo), so an entry with no negative coefficient is positive on (0, 1)
-    in p (or identically zero), and a nonzero one with no positive
-    coefficient is negative.
-    """
-
-    def __init__(self, residues: list[np.ndarray], primes: list[int]):
-        self.primes = primes
-        self.digits = list(residues)
-        self.negative = _signed_coefficients(self.digits, primes)
-        nonzero = self.digits[0] != 0
-        for v in self.digits[1:]:
-            nonzero |= v != 0
-        self.has_negative = self.negative.any(axis=0)
-        self.has_positive = (nonzero & ~self.negative).any(axis=0)
-
-    @property
-    def degree(self) -> int:
-        return len(self.digits[0]) - 1
-
-    def coefficients(self, mask: np.ndarray) -> list[list[int]]:
-        """The integer coefficients of the entries where mask is set, in
-        np.nonzero order: the mixed-radix digits summed (Garner)."""
-        entries = (slice(None),) + np.nonzero(mask)
-        values = np.zeros((len(self.digits[0]), int(mask.sum())), dtype=object)
-        radix = 1
-        for v, q in zip(self.digits, self.primes):
-            values += v[entries].astype(object) * radix
-            radix *= q
-        return np.where(self.negative[entries], values - radix, values).T.tolist()
-
-
-def _difference(now: np.ndarray, later: np.ndarray, w: int, q: int) -> np.ndarray:
-    """(1+x)^w M^n - M^(n+1) modulo q, as int64, from the coefficient
-    stacks of M^n and M^(n+1) modulo q.
-
-    Each multiplication by 1 + x at most doubles the largest entry, so
-    entries stay below 2^20 q < 2^51 between reductions."""
-    d = np.zeros_like(later)
-    d[: len(now)] = now
-    for j, k in enumerate(range(len(now), len(now) + w)):
-        d[1 : k + 1] += d[:k]  # times 1 + x
-        if j % 20 == 19:
-            _reduce(d, q)
-    d -= later
-    d += q
-    _reduce(d, q)
-    return d.astype(np.int64)
-
-
-_POSITIVE = SignCertificate(POSITIVE, UNIT_OPEN)
-_ZERO = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
-_NEGATIVE = SignCertificate(NEGATIVE, UNIT_OPEN)
-
-
-def _step_certificates(
-    residues: list[np.ndarray], primes: list[int], cache: _CertCache
-) -> Optional[list[list[SignCertificate]]]:
-    """The certificate grid of one step's differences D_n, given by their
-    residues modulo the primes, or None when some entry is negative
-    somewhere on (0, 1).
-
-    The sign of D_n at x > 0 is the sign of the p-difference at x/(1+x), so
-    one-signed entries are read off their coefficients (_Signed).  Entries
-    with mixed signs are rebuilt as integers, screened at five exact probes
-    and certified in the p basis.
-    """
-    signed = _Signed(residues, primes)
-    if (signed.has_negative & ~signed.has_positive).any():
-        return None
-    certs = [[_POSITIVE if p else _ZERO for p in row] for row in signed.has_positive.tolist()]
-    rows, cols = np.nonzero(signed.has_negative)
-    if not len(rows):
-        return certs
-    mixed = signed.coefficients(signed.has_negative)
-    if any(_eval_sign(cs, x) < 0 for cs in mixed for x in _PROBES):
-        return None
-    for i, j, cs in zip(rows.tolist(), cols.tolist(), mixed):
-        cert = cache.certify(Polynomial(_shift_basis(cs, signed.degree, -1)))
-        if cert.verdict not in NONNEGATIVE_VERDICTS:
-            return None
-        certs[i][j] = cert
-    return certs
-
-
-def _drop_certificates(
-    residues: list[np.ndarray],
-    primes: list[int],
-    degrees: Sequence[int],
-    divisors: Sequence[int],
-    cache: _CertCache,
-) -> list[list[SignCertificate]]:
-    """The certificate of each drop d_ne / divisors[e], given the count-basis
-    coefficients of d_ne at degree degrees[n] modulo the primes
-    (residues[t][n, e], zero past that degree).
-
-    One-signed entries are read off their coefficients (_Signed) and carry
-    no witness, as certify_sign gives them.  Only entries with mixed signs
-    are rebuilt: Garner, back to the p basis, the exact division by the
-    positive divisor, and one certificate through the cache.
-    """
-    signed = _Signed(residues, primes)
-    certs = [
-        [(_POSITIVE if p else _NEGATIVE) if p or n else _ZERO for p, n in zip(*flags)]
-        for flags in zip(signed.has_positive.tolist(), signed.has_negative.tolist())
-    ]
-    mixed = signed.has_negative & signed.has_positive
-    rows, cols = np.nonzero(mixed)
-    for n, e, cs in zip(rows.tolist(), cols.tolist(), signed.coefficients(mixed)):
-        drop = Polynomial(_shift_basis(cs[: degrees[n] + 1], degrees[n], -1))
-        certs[n][e] = cache.certify(drop.exact_div(Polynomial((divisors[e],))))
-    return certs
-
-
-def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarray:
-    """counts[t, i, j]: coefficient t of (1+x)^degree q_ij(x/(1+x)), for
-    polys[i][j] = q_ij of degree at most degree.
-
-    Coefficient t is sum_d c_d C(degree - d, t - d).  Every count, and
-    every sum of counts, is at most 2^degree times the sum of all |c_d|:
-    one int64 product with the binomials when that stays below 2^62, else
-    one Taylor shift per nonzero entry."""
-    shape = (len(polys), len(polys[0]) if polys else 0)
-    coefficients = chain.from_iterable(q.coeffs for row in polys for q in row)
-    if sum(map(abs, coefficients)) << degree < 2**62:
-        coeffs = np.zeros(shape + (degree + 1,), dtype=np.int64)
-        for i, row in enumerate(polys):
-            for j, q in enumerate(row):
-                coeffs[i, j, : len(q.coeffs)] = q.coeffs
-        return np.moveaxis(coeffs @ _binomials(degree), 2, 0)
-    counts = np.zeros((degree + 1,) + shape, dtype=object)
-    for i, row in enumerate(polys):
-        for j, q in enumerate(row):
-            if q.coeffs:
-                counts[:, i, j] = _shift_basis(q.coeffs, degree, 1)
-    return counts
-
-
-@functools.cache
-def _binomials(degree: int) -> np.ndarray:
-    """b[d, t] = C(degree - d, t - d), the count basis of p^d in row d;
-    read-only."""
-    b = np.array(
-        [[math.comb(degree - d, t - d) if t >= d else 0 for t in range(degree + 1)]
-         for d in range(degree + 1)],
-        dtype=np.int64,
-    )
-    b.flags.writeable = False
-    return b
 
 
 def _count_block(kernel: PolyMatrix) -> np.ndarray:
@@ -447,65 +168,10 @@ def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[Sign
             now = power.power
             power.step()
             residues.append(_difference(now, power.power, w, power.q))
-        certs = _step_certificates(residues, [power.q for power in powers], cache)
+        certs = _step_certificates(residues, [power.q for power in powers], cache.certify)
         if certs is not None:
             return step, certs
     raise OnsetCapExceeded(cap)
-
-
-class _CountLayers:
-    """The orbit totals of the infected orbits, layer by layer, in the count
-    basis and modulo word primes.
-
-    T_0 is the row start[t, 0, i], and T_(n+1) = T_n M for the count-basis
-    infected block M of degree w: one _PowerModPrime per prime, started from
-    T_0, keeping every layer it has reached.  Primes are taken below limit,
-    largest first, as the bounds of the drops ask for them; a prime taken
-    late is stepped up from T_0.
-
-    M has no negative count, so with S the largest row total of M(1) the
-    coefficients of T_n sum to at most l1(T_0) S^n in absolute value, and
-    every coefficient of D_n = (1+x)^w T_n - T_(n+1) is at most
-    l1(T_0) S^n (2^w + S) (bound).  T_n has degree e0 + n w, for e0 that
-    of T_0, so D_n has degree e0 + (n+1) w (degree).
-    """
-
-    def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int):
-        self.start = start
-        self.counts = counts
-        self.w = len(counts) - 1
-        self.l1 = int(np.abs(start).sum())
-        self.total = int(counts.sum(axis=(0, 2)).max())
-        self.candidates = _primes_below(limit)
-        self.primes: list[int] = []
-        self.layers: list[tuple[_PowerModPrime, list[np.ndarray]]] = []
-
-    def bound(self, n: int) -> int:
-        return self.l1 * self.total**n * (2**self.w + self.total)
-
-    def degree(self, n: int) -> int:
-        return len(self.start) - 1 + (n + 1) * self.w
-
-    def drops(self, steps: int, bound: int) -> list[np.ndarray]:
-        """D_0, ..., D_(steps-1) modulo every prime taken, after taking
-        enough primes for integers of absolute value at most bound: per
-        prime one int64 stack d[t, n, i], zero past the degree of D_n."""
-        while math.prod(self.primes) <= 2 * bound:
-            power = _PowerModPrime(next(self.candidates), self.counts, self.start)
-            self.primes.append(power.q)
-            self.layers.append((power, [power.power]))
-        out = []
-        for power, layers in self.layers:
-            while len(layers) <= steps:
-                power.step()
-                layers.append(power.power)
-            now = np.zeros((len(layers[steps - 1]), steps, layers[0].shape[2]))
-            later = np.zeros((len(layers[steps]), steps, layers[0].shape[2]))
-            for n in range(steps):
-                now[: len(layers[n]), n] = layers[n][:, 0]
-                later[: len(layers[n + 1]), n] = layers[n + 1][:, 0]
-            out.append(_difference(now, later, self.w, power.q))
-        return out
 
 
 @dataclass
@@ -848,7 +514,7 @@ class Engine:
         layers = self._layers
         drops = layers.drops(steps, layers.bound(steps - 1))
         degrees = [layers.degree(n) for n in range(steps)]
-        return _drop_certificates(drops, layers.primes, degrees, self._sizes, cache)
+        return _drop_certificates(drops, layers.primes, degrees, self._sizes, cache.certify)
 
     def connection_certificates(
         self, steps: int, cache: _CertCache
@@ -873,7 +539,7 @@ class Engine:
             residues.append(bridge.factors[q].times(d.astype(np.float64)).astype(np.int64))
         degrees = [layers.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
         scales = [bridge.scale] * bridge.counts.shape[2]
-        certs = _drop_certificates(residues, layers.primes, degrees, scales, cache)
+        certs = _drop_certificates(residues, layers.primes, degrees, scales, cache.certify)
         return [[row[r] for r in bridge.column] for row in certs]
 
     def connection(self, vertex: int, n: int) -> Polynomial:

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from layerchain import monotonicity
+from layerchain import monotonicity, residues
 from layerchain.algebra import (
     Interval,
     NONNEGATIVE_VERDICTS,
@@ -497,14 +497,13 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     primes are taken largest first, each once."""
     engine = Engine(path(4))
     primes = []
-    real = monotonicity._PowerModPrime
+    real = residues._PowerModPrime
 
     def spy(q, counts, start=None):
-        if start is not None:  # a layer stepper, not a bridge factor
-            primes.append(q)
+        primes.append(q)
         return real(q, counts, start)
 
-    monkeypatch.setattr(monotonicity, "_PowerModPrime", spy)
+    monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the layer steppers
     onset = engine.onset()
     layers = engine._layers
     assert (onset.matrix_step, onset.onset) == (8, 6)
