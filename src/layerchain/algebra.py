@@ -27,7 +27,6 @@ sign-changing (with an isolating witness interval), or negative.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,10 +237,9 @@ def poly_dot_table(
 
     packed_rows = [[pack(cs) for cs in row] for row in row_cs]
     packed_cols = [[pack(cs) for cs in col] for col in col_cs]
-    return [
-        [Polynomial(_unpack(sum(map(mul, prow, pcol)), width, slots)) for pcol in packed_cols]
-        for prow in packed_rows
-    ]
+    products = (sum(map(mul, prow, pcol)) for prow in packed_rows for pcol in packed_cols)
+    flat = [Polynomial(cs) for cs in _unpack(products, width, slots)]
+    return [flat[i : i + len(cols)] for i in range(0, len(flat), len(cols))]
 
 
 def _slot_width(bound: int) -> int:
@@ -250,25 +248,21 @@ def _slot_width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-@functools.lru_cache(maxsize=256)
-def _bias(width: int, slots: int) -> int:
-    """Half a slot in each of the slots."""
-    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
-
-
-def _unpack(value: int, width: int, slots: int) -> list[int]:
-    """The signed slots of value = sum_k s_k 2^(8 width k), lowest first,
-    for |s_k| < 2^(8 width - 1).
+def _unpack(values: Iterable[int], width: int, slots: int) -> Iterator[list[int]]:
+    """The signed slots of each value = sum_k s_k 2^(8 width k), lowest
+    first, for |s_k| < 2^(8 width - 1).
 
     Adding half a slot to every slot makes each one nonnegative, so the
     bytes of the biased value are the slots side by side.
     """
     half = 1 << (8 * width - 1)
-    data = (value + _bias(width, slots)).to_bytes(width * slots, "little")
-    return [
-        int.from_bytes(data[k : k + width], "little") - half
-        for k in range(0, width * slots, width)
-    ]
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    for value in values:
+        data = (value + bias).to_bytes(width * slots, "little")
+        yield [
+            int.from_bytes(data[k : k + width], "little") - half
+            for k in range(0, width * slots, width)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +549,7 @@ def _shift_basis(cs: Sequence[int], degree: int, sign: int) -> list[int]:
     else:
         for c in coefficients:
             acc = (acc << bits) - acc + c
-    return _unpack(acc, width, degree + 1)[::-1]
+    return next(_unpack([acc], width, degree + 1))[::-1]
 
 
 def _interval_image(cs: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
