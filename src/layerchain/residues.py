@@ -12,7 +12,6 @@ read; only one with mixed signs is rebuilt as integers and certified in p.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import chain
@@ -288,26 +287,18 @@ def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarr
         for i, row in enumerate(polys):
             for j, q in enumerate(row):
                 coeffs[i, j, : len(q.coeffs)] = q.coeffs
-        return np.moveaxis(coeffs @ _binomials(degree), 2, 0)
+        # row d: the count basis of p^d
+        binomials = [
+            [math.comb(degree - d, t - d) if t >= d else 0 for t in range(degree + 1)]
+            for d in range(degree + 1)
+        ]
+        return np.moveaxis(coeffs @ np.array(binomials, dtype=np.int64), 2, 0)
     counts = np.zeros((degree + 1,) + shape, dtype=object)
     for i, row in enumerate(polys):
         for j, q in enumerate(row):
             if q.coeffs:
                 counts[:, i, j] = _shift_basis(q.coeffs, degree, 1)
     return counts
-
-
-@functools.cache
-def _binomials(degree: int) -> np.ndarray:
-    """b[d, t] = C(degree - d, t - d), the count basis of p^d in row d;
-    read-only."""
-    b = np.array(
-        [[math.comb(degree - d, t - d) if t >= d else 0 for t in range(degree + 1)]
-         for d in range(degree + 1)],
-        dtype=np.int64,
-    )
-    b.flags.writeable = False
-    return b
 
 
 class _CountLayers:

@@ -2,8 +2,8 @@
 
 Polynomials have integer coefficients only.  Kronecker products are
 checked against schoolbook sums of Polynomial products, the big-integer
-Taylor shift against the quadratic one, integer exact
-division against sympy's division over QQ, and the one Descartes
+Taylor shift and the count-basis stacks against the quadratic shift,
+integer exact division against sympy's division over QQ, and the one Descartes
 bisection, which counts and isolates roots at once, and the sign
 certification built on it against the real roots sympy finds.
 Certification isolates the distinct roots once and reads the parity of
@@ -46,6 +46,7 @@ from layerchain.algebra import (
     root_count,
 )
 from layerchain.kernels import PolyMatrix
+from layerchain.residues import _count_basis
 
 small = st.integers(-5, 5)
 wide = st.integers(-(2**80), 2**80)
@@ -135,6 +136,33 @@ def test_shift_basis_matches_the_quadratic_shift(cs, extra, sign):
     loop's coefficients at every degree from len(cs) - 1 up."""
     degree = max(len(cs) - 1, 0) + extra
     assert _shift_basis(cs, degree, sign) == reference_shift_basis(cs, degree, sign)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.lists(st.one_of(small, st.integers(-(2**70), 2**70)), max_size=6),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 4),
+)
+@example([[[2**62, 1], [3]]], 0)
+def test_count_basis_matches_one_shift_per_entry(rows, extra):
+    """The count-basis stack, by one int64 product with the binomials while
+    every count fits and by Taylor shifts past that, holds each entry's
+    shifted coefficients."""
+    width = max(map(len, rows))
+    polys = [[Polynomial(cs) for cs in row + [[]] * (width - len(row))] for row in rows]
+    degree = max(max(q.degree for row in polys for q in row), 0) + extra
+    counts = _count_basis(polys, degree)
+    assert counts.shape == (degree + 1, len(polys), width)
+    for i, row in enumerate(polys):
+        for j, q in enumerate(row):
+            assert [int(c) for c in counts[:, i, j]] == reference_shift_basis(q.coeffs, degree, 1)
 
 
 # ---------------------------------------------------------------------------

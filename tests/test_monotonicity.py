@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -516,6 +517,47 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     bound = layers.bound(onset.onset - 1) * engine._bridge_counts.bound
     assert len(primes) == 7 and len(set(primes)) == 7
     assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
+
+
+class _AllMixed(residues._Signed):
+    """Marks every entry as having coefficients of both signs."""
+
+    def __init__(self, stacks, primes):
+        super().__init__(stacks, primes)
+        self.has_negative = self.has_positive = np.ones_like(self.has_negative)
+
+
+def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
+    """Every layer and connection drop rebuilt from its residues (Garner,
+    back to p, divided by its orbit size or the bridge scale) is the exact
+    drop, and certifies as in the p-basis reference.  No graph with at most
+    four vertices has a connection drop with mixed signs, so the rebuild is
+    forced for every entry, on cycle:4 and on the star with the origin on a
+    leaf (orbits of two states, bridge scale 2)."""
+    for graph in (cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3)), 1)):
+        engine = Engine(graph)
+        step, matrix_certs = matrix_onset(engine.kernel)
+        reference, connection = reference_vector_onset(engine, step, matrix_certs)
+        layer, link = monotonicity._CertCache(), monotonicity._CertCache()
+        with monkeypatch.context() as patch:
+            patch.setattr(residues, "_Signed", _AllMixed)
+            onset = vector_onset(engine, step, matrix_certs)
+            engine.drop_certificates(step, layer)
+            rebuilt = engine.connection_certificates(onset.onset, link)
+        assert engine._bridge_counts.scale == 2
+        assert onset.to_dict() == reference.to_dict()
+        assert rebuilt == connection
+        weights = [engine.weights_at(n) for n in range(step + 1)]
+        assert set(layer.seen) == {
+            (weights[n][i] - weights[n + 1][i]).coeffs
+            for n in range(step)
+            for i in engine.infected_indices
+        }
+        assert set(link.seen) == {
+            (engine.connection(v, n) - engine.connection(v, n + 1)).coeffs
+            for n in range(onset.onset)
+            for v in graph.vertices
+        }
 
 
 def test_matrix_step_falls_on_the_orbits_of_a_star():
