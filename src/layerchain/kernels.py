@@ -332,7 +332,7 @@ def _check_table(rows: int, bonds: int) -> None:
 
 
 def _bell(n: int) -> int:
-    """The Bell number B_n, the last entry of row n of the Bell triangle."""
+    """The Bell number B_n, the first entry of row n of the Bell triangle."""
     row = [1]
     for _ in range(n):
         following = [row[-1]]
