@@ -321,13 +321,14 @@ class Successors:
 
 
 def _check_table(rows: int, bonds: int) -> None:
-    """PatternSpaceError unless a table of rows times 2^bonds cells fits the
-    int32 index range of a successor table."""
-    if rows << bonds > np.iinfo(np.int32).max:
+    """PatternSpaceError unless a successor table of rows times 2^bonds
+    cells stays within 2^31 - 1 cells, about 8 GiB of int32 pattern ids,
+    checked before the table is allocated."""
+    if rows << bonds > 2**31 - 1:
         raise PatternSpaceError(
             "enumeration-guard",
             f"successor table guard: {rows} sources times 2^{bonds} configurations"
-            " exceed the int32 index range",
+            " exceed 2^31 - 1 cells",
         )
 
 
@@ -350,8 +351,8 @@ def successor_table(graph: Graph, sources: Sequence[Pattern]) -> Successors:
     each upper vertex and then min(root of the marker, k) in base k + 1,
     below 13^13 < 2^63 under the 12-vertex guard; each distinct key becomes
     one Pattern.  A graph past that guard or the 21-bond guard, or a table
-    past the int32 index range, fails with PatternSpaceError before anything
-    is allocated.
+    of more than 2^31 - 1 cells (_check_table), fails with PatternSpaceError
+    before anything is allocated.
     """
     k = _check_guard(graph)
     e, b = graph.edge_count, graph.bond_count
@@ -454,8 +455,9 @@ def _rows_from_table(
 def build_full_kernel(graph: Graph) -> PolyMatrix:
     """Transition matrix of the pattern chain on all partitions of V plus {*}.
 
-    Its successor table has Bell(k+1) rows, one per pattern, which is
-    checked against the table's index range before they are enumerated.
+    Its successor table has Bell(k+1) rows, one per pattern, whose cells
+    are checked against the table's cap (_check_table) before the patterns
+    are enumerated.
     """
     _check_table(_bell(_check_guard(graph) + 1), graph.bond_count)
     states = enumerate_patterns(graph)

@@ -253,7 +253,7 @@ def test_edge_inputs_end_in_coded_errors(capsys, tmp_path):
         (["kernel", "--kind", "lumped", "--graph", "path:13"], "enumeration-guard"),
         (mc + ["1/2", "--graph", "path:13"], "enumeration-guard"),
         # inside both guards, but Bell(11) * 2^20 cells exceed the successor
-        # table's int32 index range: rejected before the patterns are listed
+        # table's cap of 2^31 - 1 cells: rejected before the patterns are listed
         (["kernel", "--kind", "full", "--graph", "cycle:10"], "enumeration-guard"),
         *(
             (argv + ["--graph", graph], "enumeration-guard")

@@ -198,9 +198,10 @@ def test_successor_table_enforces_vertex_guard():
     assert info.value.code == "enumeration-guard"
 
 
-def test_successor_table_checks_its_index_range(monkeypatch):
+def test_successor_table_checks_its_cell_count(monkeypatch):
     """K6 has 21 bonds, inside both guards, so 1024 sources make 2^31 cells,
-    one past the int32 index range: refused before any array is built."""
+    one past the table's cap of 2^31 - 1: refused before any array is
+    built."""
 
     def refuse(*args):
         raise AssertionError("forests built")
