@@ -76,10 +76,8 @@ from .residues import (
     _CountLayers,
     _PowerModPrime,
     _count_basis,
-    _difference,
     _drop_certificates,
     _prime_limit,
-    _primes_below,
     _step_certificates,
 )
 
@@ -119,16 +117,19 @@ def _count_block(kernel: PolyMatrix) -> np.ndarray:
     """The infected block of the kernel in the count basis, counts[t, y, x]:
     with w its largest entry degree, each entry q becomes
     M(x) = (1+x)^w q(x/(1+x)), whose coefficients count configurations by
-    open bonds; a negative count raises ValueError."""
+    open bonds; a negative count raises ValueError.  The counts of one
+    entry sum to M(1) = 2^w q(1/2) <= 2^w, so they are held in int64."""
     infected = _infected_indices(kernel)
     block = [[kernel.entries[y][x] for x in infected] for y in infected]
     counts = _count_basis(block, max(max(q.degree for row in block for q in row), 0))
     if (counts < 0).any():
         raise ValueError("the infected block has a negative count in x = p/(1-p)")
-    return counts
+    return counts.astype(np.int64)
 
 
-def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
+def matrix_onset(
+    kernel: PolyMatrix, cap: int = 64, counts: Optional[np.ndarray] = None
+) -> tuple[int, list[list[SignCertificate]]]:
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
     Returns the step and the grid of certificates for the entry differences
@@ -136,39 +137,28 @@ def matrix_onset(kernel: PolyMatrix, cap: int = 64) -> tuple[int, list[list[Sign
     block of a power is the power of the infected block, and only the block
     is multiplied.  Raises OnsetCapExceeded if no step up to the cap passes.
 
-    The block is taken to the count basis (_count_block), M(x) with w its
-    largest entry degree.  Then D_n = (1+x)^w M^n - M^(n+1) is
-    (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)), and with S the largest row
-    total of M(1) every coefficient of D_n is at most 2^w S^n + S^(n+1) in
-    absolute value.  The powers are computed modulo as many word primes as
-    that bound needs (_PowerModPrime), and the signs of the coefficients
-    are read off their mixed-radix digits.  A verdict depends only on the
-    p-difference, so the certificates are those of certifying each
-    difference on (0, 1).
+    The block is taken to the count basis (_count_block; counts, when the
+    caller has it already), M(x) with w its largest entry degree.  Then
+    D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
+    and with S the largest row total of M(1) every coefficient of D_n is at
+    most 2^w S^n + S^(n+1) in absolute value: the bound of _CountLayers
+    started from the identity, which steps the powers modulo as many word
+    primes as that bound needs.  The signs of the coefficients are read off
+    their mixed-radix digits.  A verdict depends only on the p-difference,
+    so the certificates are those of certifying each difference on (0, 1).
     """
     if not _infected_indices(kernel):
         if cap < 0:
             raise OnsetCapExceeded(cap)
         return 0, []
-    counts = _count_block(kernel)
-    w = len(counts) - 1
-    total = int(counts.sum(axis=(0, 2)).max())
-    primes = _primes_below(_prime_limit(counts))
-    powers: list[_PowerModPrime] = []
+    if counts is None:
+        counts = _count_block(kernel)
+    identity = np.eye(counts.shape[1], dtype=np.int64)[None]
+    powers = _CountLayers(identity, counts, _prime_limit(counts))
     cache = _CertCache()
     for step in range(cap + 1):
-        bound = 2**w * total**step + total ** (step + 1)
-        while math.prod(power.q for power in powers) <= 2 * bound:
-            power = _PowerModPrime(next(primes), counts)
-            for _ in range(step):
-                power.step()
-            powers.append(power)
-        residues = []
-        for power in powers:
-            now = power.power
-            power.step()
-            residues.append(_difference(now, power.power, w, power.q))
-        certs = _step_certificates(residues, [power.q for power in powers], cache.certify)
+        drops = powers.drops(step + 1, powers.bound(step), first=step)
+        certs = _step_certificates([d[:, 0] for d in drops], powers.primes, cache.certify)
         if certs is not None:
             return step, certs
     raise OnsetCapExceeded(cap)
@@ -326,14 +316,12 @@ class _BridgeCounts:
     scaled to orbit totals: counts[t, i, r] is coefficient t of
     (1+x)^degree scale bridge[r][i] (x/(1+x)) / size_i, scale the lcm of the
     infected orbit sizes.  column[v] is the row of vertex v's orbit, bound
-    the largest sum of the absolute coefficients of one entry, and factors
-    the counts modulo each prime used so far."""
+    the largest sum of the absolute coefficients of one entry."""
 
     counts: np.ndarray
     scale: int
     column: list[int]
     bound: int
-    factors: dict[int, _PowerModPrime] = field(default_factory=dict)
 
 
 class Engine:
@@ -445,6 +433,12 @@ class Engine:
         return [len(self.orbits.members[i]) for i in self.infected_indices]
 
     @cached_property
+    def _counts(self) -> np.ndarray:
+        """The infected block of the kernel in the count basis (_count_block),
+        shared by the matrix onset and the layer steps."""
+        return _count_block(self.kernel)
+
+    @cached_property
     def _layers(self) -> _CountLayers:
         """The orbit totals size_i weights_at(n)[i] of the infected orbits in
         the count basis modulo word primes.
@@ -457,7 +451,7 @@ class Engine:
         """
         totals = [self._weights[0][i] * size for i, size in zip(self.infected_indices, self._sizes)]
         start = _count_basis([totals], max(max(t.degree for t in totals), 0))
-        counts = _count_block(self.kernel)
+        counts = self._counts
         # a bridge entry is a stationary entry times one layer's vertical bonds
         bridge_degree = max(q.degree for q in self.stationary.entries) + self.graph.vertex_count
         limit = min(_prime_limit(counts), math.isqrt(2**52 // (len(totals) * (bridge_degree + 1))))
@@ -488,7 +482,7 @@ class Engine:
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
-        matrix_step, matrix_certs = matrix_onset(self.kernel, cap)
+        matrix_step, matrix_certs = matrix_onset(self.kernel, cap, self._counts)
         return vector_onset(self, matrix_step, matrix_certs)
 
     def weights_at(self, n: int) -> list[Polynomial]:
@@ -512,7 +506,7 @@ class Engine:
         if not steps:
             return []
         layers = self._layers
-        drops = layers.drops(steps, layers.bound(steps - 1))
+        drops = [d[:, :, 0] for d in layers.drops(steps, layers.bound(steps - 1))]
         degrees = [layers.degree(n) for n in range(steps)]
         return _drop_certificates(drops, layers.primes, degrees, self._sizes, cache.certify)
 
@@ -532,11 +526,10 @@ class Engine:
             return []
         layers, bridge = self._layers, self._bridge_counts
         drops = layers.drops(steps, layers.bound(steps - 1) * bridge.bound)
-        residues = []
-        for q, d in zip(layers.primes, drops):
-            if q not in bridge.factors:
-                bridge.factors[q] = _PowerModPrime(q, bridge.counts)
-            residues.append(bridge.factors[q].times(d.astype(np.float64)).astype(np.int64))
+        residues = [
+            _PowerModPrime(q, bridge.counts).times(d[:, :, 0].astype(np.float64)).astype(np.int64)
+            for q, d in zip(layers.primes, drops)
+        ]
         degrees = [layers.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
         scales = [bridge.scale] * bridge.counts.shape[2]
         certs = _drop_certificates(residues, layers.primes, degrees, scales, cache.certify)

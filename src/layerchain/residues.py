@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,27 +78,18 @@ def _reduce(a: np.ndarray, q: int) -> None:
 
 
 class _PowerModPrime:
-    """M^n modulo one word prime q: one float64 matrix per coefficient of x.
+    """Products with M modulo one word prime q, for M given by its count
+    matrices counts[t, i, j]: one float64 matrix per coefficient of x.
 
-    The stack starts from the identity, or from a given start (a row of
-    orbit totals steps the layer weights), and times multiplies any stack by
-    M.  The prime is small enough that every entry of the unreduced product,
+    The prime is small enough that every entry of the unreduced product,
     summed over all coefficients of the factor, stays below 2^52, so the
     BLAS float64 products and their sum are exact and reduced once.
     """
 
-    def __init__(self, q: int, counts: np.ndarray, start: Optional[np.ndarray] = None):
+    def __init__(self, q: int, counts: np.ndarray):
         self.q = q
         self.factor = (counts % q).astype(np.float64)
         self.taps = [(t, b) for t, b in enumerate(self.factor) if b.any()]
-        if start is None:
-            self.power = np.eye(counts.shape[1])[None]
-        else:
-            self.power = (start % q).astype(np.float64)
-
-    def step(self) -> None:
-        """M^(n+1) from M^n."""
-        self.power = self.times(self.power)
 
     def times(self, a: np.ndarray) -> np.ndarray:
         """A M modulo q for a stack of residues a[s, i, j]: C_s = sum_t
@@ -274,59 +264,47 @@ def _drop_certificates(
 
 def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarray:
     """counts[t, i, j]: coefficient t of (1+x)^degree q_ij(x/(1+x)), for
-    polys[i][j] = q_ij of degree at most degree.
-
-    Coefficient t is sum_d c_d C(degree - d, t - d).  Every count, and
-    every sum of counts, is at most 2^degree times the sum of all |c_d|:
-    one int64 product with the binomials when that stays below 2^62, else
-    one Taylor shift per nonzero entry."""
-    shape = (len(polys), len(polys[0]) if polys else 0)
-    coefficients = chain.from_iterable(q.coeffs for row in polys for q in row)
-    if sum(map(abs, coefficients)) << degree < 2**62:
-        coeffs = np.zeros(shape + (degree + 1,), dtype=np.int64)
-        for i, row in enumerate(polys):
-            for j, q in enumerate(row):
-                coeffs[i, j, : len(q.coeffs)] = q.coeffs
-        # row d: the count basis of p^d
-        binomials = [
-            [math.comb(degree - d, t - d) if t >= d else 0 for t in range(degree + 1)]
-            for d in range(degree + 1)
-        ]
-        return np.moveaxis(coeffs @ np.array(binomials, dtype=np.int64), 2, 0)
-    counts = np.zeros((degree + 1,) + shape, dtype=object)
+    polys[i][j] = q_ij of degree at most degree, as Python integers: one
+    Taylor shift per distinct nonzero entry."""
+    counts = np.zeros((degree + 1, len(polys), len(polys[0]) if polys else 0), dtype=object)
+    shifted: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(polys):
         for j, q in enumerate(row):
             if q.coeffs:
-                counts[:, i, j] = _shift_basis(q.coeffs, degree, 1)
+                if q.coeffs not in shifted:
+                    shifted[q.coeffs] = _shift_basis(q.coeffs, degree, 1)
+                counts[:, i, j] = shifted[q.coeffs]
     return counts
 
 
 class _CountLayers:
-    """The orbit totals of the infected orbits, layer by layer, in the count
-    basis and modulo word primes.
+    """The rows start M^n, layer by layer, in the count basis and modulo
+    word primes.
 
-    T_0 is the row start[t, 0, i], and T_(n+1) = T_n M for the count-basis
-    infected block M of degree w: one _PowerModPrime per prime, started from
-    T_0, keeping every layer it has reached.  Primes are taken below limit,
-    largest first, as the bounds of the drops ask for them; a prime taken
-    late is stepped up from T_0.
+    start[t, r, i] holds the rows (the identity for the powers of M, the
+    row of orbit totals T_0 for the layer weights), and M is a count-basis
+    block of degree w: one _PowerModPrime per prime, its layers stepped
+    from start.  Primes are taken below limit, largest first, as the bounds
+    of the drops ask for them; a prime taken late is stepped up from start.
 
-    M has no negative count, so with S the largest row total of M(1) the
-    coefficients of T_n sum to at most l1(T_0) S^n in absolute value, and
-    every coefficient of D_n = (1+x)^w T_n - T_(n+1) is at most
-    l1(T_0) S^n (2^w + S) (bound).  T_n has degree e0 + n w, for e0 that
-    of T_0, so D_n has degree e0 + (n+1) w (degree).
+    M has no negative count, so with S the largest row total of M(1) and
+    l1 the largest sum of the absolute coefficients of one row of start,
+    the coefficients of one row of start M^n sum to at most l1 S^n in
+    absolute value, and every coefficient of the drop
+    D_n = (1+x)^w start M^n - start M^(n+1) is at most l1 S^n (2^w + S)
+    (bound).  start M^n has degree e0 + n w, for e0 that of start, so D_n
+    has degree e0 + (n+1) w (degree).
     """
 
     def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int):
         self.start = start
         self.counts = counts
         self.w = len(counts) - 1
-        self.l1 = int(np.abs(start).sum())
+        self.l1 = int(np.abs(start).sum(axis=(0, 2)).max())
         self.total = int(counts.sum(axis=(0, 2)).max())
         self.candidates = _primes_below(limit)
         self.primes: list[int] = []
-        self.layers: list[tuple[_PowerModPrime, list[np.ndarray]]] = []
+        self.layers: list[tuple[_PowerModPrime, list[Optional[np.ndarray]]]] = []
 
     def bound(self, n: int) -> int:
         return self.l1 * self.total**n * (2**self.w + self.total)
@@ -334,23 +312,26 @@ class _CountLayers:
     def degree(self, n: int) -> int:
         return len(self.start) - 1 + (n + 1) * self.w
 
-    def drops(self, steps: int, bound: int) -> list[np.ndarray]:
-        """D_0, ..., D_(steps-1) modulo every prime taken, after taking
+    def drops(self, steps: int, bound: int, first: int = 0) -> list[np.ndarray]:
+        """D_first, ..., D_(steps-1) modulo every prime taken, after taking
         enough primes for integers of absolute value at most bound: per
-        prime one int64 stack d[t, n, i], zero past the degree of D_n."""
+        prime one int64 stack d[t, n - first, r, i], zero past the degree
+        of D_n.  Layers below first are let go, so a caller that reads one
+        drop at a time holds two layers per prime."""
         while math.prod(self.primes) <= 2 * bound:
-            power = _PowerModPrime(next(self.candidates), self.counts, self.start)
-            self.primes.append(power.q)
-            self.layers.append((power, [power.power]))
+            factor = _PowerModPrime(next(self.candidates), self.counts)
+            self.primes.append(factor.q)
+            self.layers.append((factor, [(self.start % factor.q).astype(np.float64)]))
         out = []
-        for power, layers in self.layers:
+        for factor, layers in self.layers:
             while len(layers) <= steps:
-                power.step()
-                layers.append(power.power)
-            now = np.zeros((len(layers[steps - 1]), steps, layers[0].shape[2]))
-            later = np.zeros((len(layers[steps]), steps, layers[0].shape[2]))
-            for n in range(steps):
-                now[: len(layers[n]), n] = layers[n][:, 0]
-                later[: len(layers[n + 1]), n] = layers[n + 1][:, 0]
-            out.append(_difference(now, later, self.w, power.q))
+                layers.append(factor.times(layers[-1]))
+            shape = (steps - first,) + layers[steps].shape[1:]
+            now = np.zeros((len(layers[steps - 1]),) + shape)
+            later = np.zeros((len(layers[steps]),) + shape)
+            for n in range(first, steps):
+                now[: len(layers[n]), n - first] = layers[n]
+                later[: len(layers[n + 1]), n - first] = layers[n + 1]
+            layers[:first] = [None] * first
+            out.append(_difference(now, later, self.w, factor.q))
         return out

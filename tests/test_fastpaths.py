@@ -152,9 +152,8 @@ def test_shift_basis_matches_the_quadratic_shift(cs, extra, sign):
 )
 @example([[[2**62, 1], [3]]], 0)
 def test_count_basis_matches_one_shift_per_entry(rows, extra):
-    """The count-basis stack, by one int64 product with the binomials while
-    every count fits and by Taylor shifts past that, holds each entry's
-    shifted coefficients."""
+    """The count-basis stack holds each entry's shifted coefficients, past
+    the int64 range too."""
     width = max(map(len, rows))
     polys = [[Polynomial(cs) for cs in row + [[]] * (width - len(row))] for row in rows]
     degree = max(max(q.degree for row in polys for q in row), 0) + extra

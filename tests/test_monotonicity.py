@@ -198,13 +198,13 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
         (Engine(path(4)).kernel, 8),
     ]
     primes = []
-    real = monotonicity._PowerModPrime
+    real = residues._PowerModPrime
 
     def spy(q, counts):
         primes.append(q)
         return real(q, counts)
 
-    monkeypatch.setattr(monotonicity, "_PowerModPrime", spy)
+    monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the power steppers
     for kernel, step in cases:
         primes.clear()
         result = matrix_onset(kernel)
@@ -251,14 +251,20 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     count basis modulo word primes, so it never steps a layer exactly
     (_advance), and only a drop whose count-basis coefficients have mixed
     signs reaches certify_sign; connection still steps exactly, once per
-    layer.  Certification runs in-process, so a worker count other than 1
+    layer.  The matrix onset and the layer steps share one count-basis
+    block.  Certification runs in-process, so a worker count other than 1
     is refused."""
-    steps, certified = [], []
+    steps, certified, blocks = [], [], []
     advance, certify = monotonicity._advance, monotonicity.certify_sign
+    count_block = monotonicity._count_block
 
     def counted_advance(*args):
         steps.append(1)
         return advance(*args)
+
+    def counted_block(kernel):
+        blocks.append(1)
+        return count_block(kernel)
 
     def counted_certify(q, interval):
         certified.append(q)
@@ -266,9 +272,10 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
 
     monkeypatch.setattr(monotonicity, "_advance", counted_advance)
     monkeypatch.setattr(monotonicity, "certify_sign", counted_certify)
+    monkeypatch.setattr(monotonicity, "_count_block", counted_block)
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
-    assert steps == []
+    assert steps == [] and len(blocks) == 1
     # a one-signed count basis at the polynomial's own degree stays one-signed
     # at every higher degree
     assert all(_sign_variations(_shift_basis(q.coeffs, q.degree, 1)) for q in certified)
@@ -445,7 +452,8 @@ CAP = 24
 def test_orbit_pipeline_matches_per_state_builders(graph):
     """The engine lumps both chains onto automorphism orbits; the trivial
     group, through the public per-state builders, must give the same
-    stationary vector, onset, step certificates and connection drops.  The
+    stationary vector, onset, step certificates, connection certificates
+    and exact connection polynomials up to one layer past the onset.  The
     matrix step can only fall on orbits (it does on a star with the origin
     at its centre), and the step certificates it keeps are the same."""
     engine = Engine(graph)
@@ -468,6 +476,9 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     assert engine.connection_certificates(steps, cache) == reference.connection_certificates(
         steps, cache
     )
+    for n in range(steps + 1):
+        for v in graph.vertices:
+            assert engine.connection(v, n) == reference.connection(v, n)
     last = graph.vertex_count - 1
     assert engine.connection(last, 1) == connection_polynomial(
         graph, last, 1, initial, lumped, stationary
@@ -497,15 +508,16 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     the engine's limit, and the connection drops below onset 6 two more; the
     primes are taken largest first, each once."""
     engine = Engine(path(4))
+    step, matrix_certs = matrix_onset(engine.kernel)
     primes = []
     real = residues._PowerModPrime
 
-    def spy(q, counts, start=None):
+    def spy(q, counts):
         primes.append(q)
-        return real(q, counts, start)
+        return real(q, counts)
 
     monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the layer steppers
-    onset = engine.onset()
+    onset = vector_onset(engine, step, matrix_certs)
     layers = engine._layers
     assert (onset.matrix_step, onset.onset) == (8, 6)
     bound = layers.bound(onset.matrix_step - 1)
