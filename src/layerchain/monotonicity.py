@@ -157,7 +157,8 @@ def matrix_onset(
     powers = _CountLayers(identity, counts, _prime_limit(counts))
     cache = _CertCache()
     for step in range(cap + 1):
-        drops = powers.drops(step + 1, powers.bound(step), first=step)
+        drops = powers.drops(step + 1, powers.bound(step))
+        powers.forget(step + 1)  # one layer per prime between steps
         certs = _step_certificates([d[:, 0] for d in drops], powers.primes, cache.certify)
         if certs is not None:
             return step, certs

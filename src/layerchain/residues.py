@@ -177,19 +177,22 @@ class _Signed:
         return np.where(self.negative[entries], values - radix, values).T.tolist()
 
 
-def _difference(now: np.ndarray, later: np.ndarray, w: int, q: int) -> np.ndarray:
-    """(1+x)^w M^n - M^(n+1) modulo q, as int64, from the coefficient
-    stacks of M^n and M^(n+1) modulo q.
+def _difference(layers: Sequence[np.ndarray], w: int, q: int) -> np.ndarray:
+    """(1+x)^w L_n - L_(n+1) modulo q for consecutive layers L_n, given as
+    coefficient stacks modulo q of growing length: one int64 stack
+    d[t, n, ...] over all but the last layer, zero past each degree.
 
     Each multiplication by 1 + x at most doubles the largest entry, so
     entries stay below 2^20 q < 2^51 between reductions."""
-    d = np.zeros_like(later)
-    d[: len(now)] = now
-    for j, k in enumerate(range(len(now), len(now) + w)):
+    d = np.zeros((len(layers[-1]), len(layers) - 1) + layers[-1].shape[1:])
+    for n, now in enumerate(layers[:-1]):
+        d[: len(now), n] = now
+    for j, k in enumerate(range(len(layers[-2]), len(layers[-2]) + w)):
         d[1 : k + 1] += d[:k]  # times 1 + x
         if j % 20 == 19:
             _reduce(d, q)
-    d -= later
+    for n, later in enumerate(layers[1:]):
+        d[: len(later), n] -= later
     d += q
     _reduce(d, q)
     return d.astype(np.int64)
@@ -284,8 +287,9 @@ class _CountLayers:
     start[t, r, i] holds the rows (the identity for the powers of M, the
     row of orbit totals T_0 for the layer weights), and M is a count-basis
     block of degree w: one _PowerModPrime per prime, its layers stepped
-    from start.  Primes are taken below limit, largest first, as the bounds
-    of the drops ask for them; a prime taken late is stepped up from start.
+    from start and kept from the first one not let go (forget).  Primes
+    are taken below limit, largest first, as the bounds of the drops ask
+    for them; a prime taken late is stepped up from start.
 
     M has no negative count, so with S the largest row total of M(1) and
     l1 the largest sum of the absolute coefficients of one row of start,
@@ -305,6 +309,7 @@ class _CountLayers:
         self.candidates = _primes_below(limit)
         self.primes: list[int] = []
         self.layers: list[tuple[_PowerModPrime, list[Optional[np.ndarray]]]] = []
+        self.first = 0
 
     def bound(self, n: int) -> int:
         return self.l1 * self.total**n * (2**self.w + self.total)
@@ -312,12 +317,19 @@ class _CountLayers:
     def degree(self, n: int) -> int:
         return len(self.start) - 1 + (n + 1) * self.w
 
-    def drops(self, steps: int, bound: int, first: int = 0) -> list[np.ndarray]:
-        """D_first, ..., D_(steps-1) modulo every prime taken, after taking
-        enough primes for integers of absolute value at most bound: per
-        prime one int64 stack d[t, n - first, r, i], zero past the degree
-        of D_n.  Layers below first are let go, so a caller that reads one
-        drop at a time holds two layers per prime."""
+    def forget(self, n: int) -> None:
+        """Let go of the layers below n, at most the last layer reached, and
+        of those a prime taken later passes on its way up."""
+        self.first = n
+        for _, layers in self.layers:
+            layers[:n] = [None] * n
+
+    def drops(self, steps: int, bound: int) -> list[np.ndarray]:
+        """D_first, ..., D_(steps-1) modulo every prime taken, for first the
+        first layer kept, after taking enough primes for integers of
+        absolute value at most bound: per prime one int64 stack
+        d[t, n - first, r, i], zero past the degree of D_n."""
+        first = self.first
         while math.prod(self.primes) <= 2 * bound:
             factor = _PowerModPrime(next(self.candidates), self.counts)
             self.primes.append(factor.q)
@@ -326,12 +338,7 @@ class _CountLayers:
         for factor, layers in self.layers:
             while len(layers) <= steps:
                 layers.append(factor.times(layers[-1]))
-            shape = (steps - first,) + layers[steps].shape[1:]
-            now = np.zeros((len(layers[steps - 1]),) + shape)
-            later = np.zeros((len(layers[steps]),) + shape)
-            for n in range(first, steps):
-                now[: len(layers[n]), n - first] = layers[n]
-                later[: len(layers[n + 1]), n - first] = layers[n + 1]
-            layers[:first] = [None] * first
-            out.append(_difference(now, later, self.w, factor.q))
+                if len(layers) - 2 < first:
+                    layers[-2] = None
+            out.append(_difference(layers[first : steps + 1], self.w, factor.q))
         return out
