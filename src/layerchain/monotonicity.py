@@ -121,7 +121,7 @@ def _count_block(kernel: PolyMatrix) -> np.ndarray:
     entry sum to M(1) = 2^w q(1/2) <= 2^w, so they are held in int64."""
     infected = _infected_indices(kernel)
     block = [[kernel.entries[y][x] for x in infected] for y in infected]
-    counts = _count_basis(block, max(max(q.degree for row in block for q in row), 0))
+    counts = _count_basis(block, max(max((q.degree for row in block for q in row), default=0), 0))
     if (counts < 0).any():
         raise ValueError("the infected block has a negative count in x = p/(1-p)")
     return counts.astype(np.int64)

@@ -216,6 +216,36 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
         assert caught.value.cap == step - 1
     # path:4's bound at step 8 needs three distinct primes below 2^31
     assert len(set(used)) == 3 and all(q < 2**31 for q in used)
+    counts = monotonicity._count_block(kernel)
+    w, total = len(counts) - 1, int(counts.sum(axis=(0, 2)).max())
+    bound = 2**w * total**8 + total**9
+    assert math.prod(used[:-1]) <= 2 * bound < math.prod(used)
+
+
+def test_forgetful_powers_hold_one_layer_and_match_kept_layers():
+    """Powers read one drop at a time and let go of every layer before the
+    next one, as matrix_onset reads them, hold the two layers of the drop
+    while it is read and one layer per prime between reads, also for primes
+    taken late, and give the drops of a stepper that keeps every layer."""
+    counts = monotonicity._count_block(Engine(cycle(4)).kernel)
+    identity = np.eye(counts.shape[1], dtype=np.int64)[None]
+    limit = residues._prime_limit(counts)
+    kept = residues._CountLayers(identity, counts, limit)
+    read = residues._CountLayers(identity, counts, limit)
+    steps = 5
+    every = kept.drops(steps, kept.bound(steps - 1))
+    taken = []
+    for n in range(steps):
+        drops = read.drops(n + 1, read.bound(n))
+        assert all(sum(x is not None for x in layers) == 2 for _, layers in read.layers)
+        read.forget(n + 1)
+        taken.append(len(read.primes))
+        assert all(sum(x is not None for x in layers) == 1 for _, layers in read.layers)
+        for d, full in zip(drops, every):
+            assert d.shape[1] == 1
+            assert np.array_equal(d[:, 0], full[: len(d), n])
+            assert not full[len(d) :, n].any()
+    assert taken[0] < taken[-1] and read.primes == kept.primes
 
 
 def test_matrix_onset_rejects_a_negative_count():
