@@ -154,14 +154,14 @@ def matrix_onset(
     if counts is None:
         counts = _count_block(kernel)
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
-    powers = _CountLayers(identity, counts, _prime_limit(counts))
+    powers = _CountLayers(identity, counts, _prime_limit(counts), keep=False)
     cache = _CertCache()
     for step in range(cap + 1):
-        drops = powers.drops(step + 1, powers.bound(step))
-        powers.forget(step + 1)  # one layer per prime between steps
-        certs = _step_certificates([d[:, 0] for d in drops], powers.primes, cache.certify)
+        residues = [d[:, 0] for d in powers.drops(step + 1, powers.bound(step))]
+        certs = _step_certificates(residues, powers.primes, cache.certify)
         if certs is not None:
             return step, certs
+        del residues  # not held while the next step's drops are computed
     raise OnsetCapExceeded(cap)
 
 
@@ -456,7 +456,7 @@ class Engine:
         # a bridge entry is a stationary entry times one layer's vertical bonds
         bridge_degree = max(q.degree for q in self.stationary.entries) + self.graph.vertex_count
         limit = min(_prime_limit(counts), math.isqrt(2**52 // (len(totals) * (bridge_degree + 1))))
-        return _CountLayers(start, counts, limit)
+        return _CountLayers(start, counts, limit, keep=True)
 
     @cached_property
     def _bridge_counts(self) -> _BridgeCounts:

@@ -287,9 +287,12 @@ class _CountLayers:
     start[t, r, i] holds the rows (the identity for the powers of M, the
     row of orbit totals T_0 for the layer weights), and M is a count-basis
     block of degree w: one _PowerModPrime per prime, its layers stepped
-    from start and kept from the first one not let go (forget).  Primes
-    are taken below limit, largest first, as the bounds of the drops ask
-    for them; a prime taken late is stepped up from start.
+    from start.  With keep set every layer is kept (the layer weights,
+    whose drops are read twice); otherwise each prime holds only the last
+    layer reached once a drop is read (the kernel powers, whose drops are
+    read once each, in order).  Primes are taken below limit, largest
+    first, as the bounds of the drops ask for them; a prime taken late is
+    stepped up from start.
 
     M has no negative count, so with S the largest row total of M(1) and
     l1 the largest sum of the absolute coefficients of one row of start,
@@ -300,16 +303,16 @@ class _CountLayers:
     has degree e0 + (n+1) w (degree).
     """
 
-    def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int):
+    def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int, *, keep: bool):
         self.start = start
         self.counts = counts
+        self.keep = keep
         self.w = len(counts) - 1
         self.l1 = int(np.abs(start).sum(axis=(0, 2)).max())
         self.total = int(counts.sum(axis=(0, 2)).max())
         self.candidates = _primes_below(limit)
         self.primes: list[int] = []
         self.layers: list[tuple[_PowerModPrime, list[Optional[np.ndarray]]]] = []
-        self.first = 0
 
     def bound(self, n: int) -> int:
         return self.l1 * self.total**n * (2**self.w + self.total)
@@ -317,19 +320,14 @@ class _CountLayers:
     def degree(self, n: int) -> int:
         return len(self.start) - 1 + (n + 1) * self.w
 
-    def forget(self, n: int) -> None:
-        """Let go of the layers below n, at most the last layer reached, and
-        of those a prime taken later passes on its way up."""
-        self.first = n
-        for _, layers in self.layers:
-            layers[:n] = [None] * n
-
     def drops(self, steps: int, bound: int) -> list[np.ndarray]:
-        """D_first, ..., D_(steps-1) modulo every prime taken, for first the
-        first layer kept, after taking enough primes for integers of
-        absolute value at most bound: per prime one int64 stack
-        d[t, n - first, r, i], zero past the degree of D_n."""
-        first = self.first
+        """D_first, ..., D_(steps-1) modulo every prime taken, for first 0
+        with keep set and steps - 1 without it, after taking enough primes
+        for integers of absolute value at most bound: per prime one int64
+        stack d[t, n - first, r, i], zero past the degree of D_n.  Without
+        keep, each layer is let go once no later drop needs it, also as a
+        prime taken late passes it."""
+        first = 0 if self.keep else steps - 1
         while math.prod(self.primes) <= 2 * bound:
             factor = _PowerModPrime(next(self.candidates), self.counts)
             self.primes.append(factor.q)
@@ -341,4 +339,6 @@ class _CountLayers:
                 if len(layers) - 2 < first:
                     layers[-2] = None
             out.append(_difference(layers[first : steps + 1], self.w, factor.q))
+            if not self.keep:
+                layers[first] = None
         return out

@@ -222,23 +222,20 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
     assert math.prod(used[:-1]) <= 2 * bound < math.prod(used)
 
 
-def test_forgetful_powers_hold_one_layer_and_match_kept_layers():
-    """Powers read one drop at a time and let go of every layer before the
-    next one, as matrix_onset reads them, hold the two layers of the drop
-    while it is read and one layer per prime between reads, also for primes
-    taken late, and give the drops of a stepper that keeps every layer."""
+def test_powers_read_once_hold_one_layer_and_match_kept_layers():
+    """Without keep, the stepper matrix_onset reads one drop at a time from
+    holds one layer per prime between reads, also for primes taken late,
+    and its drops are those of a stepper that keeps every layer."""
     counts = monotonicity._count_block(Engine(cycle(4)).kernel)
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
     limit = residues._prime_limit(counts)
-    kept = residues._CountLayers(identity, counts, limit)
-    read = residues._CountLayers(identity, counts, limit)
+    kept = residues._CountLayers(identity, counts, limit, keep=True)
+    read = residues._CountLayers(identity, counts, limit, keep=False)
     steps = 5
     every = kept.drops(steps, kept.bound(steps - 1))
     taken = []
     for n in range(steps):
         drops = read.drops(n + 1, read.bound(n))
-        assert all(sum(x is not None for x in layers) == 2 for _, layers in read.layers)
-        read.forget(n + 1)
         taken.append(len(read.primes))
         assert all(sum(x is not None for x in layers) == 1 for _, layers in read.layers)
         for d, full in zip(drops, every):
