@@ -48,6 +48,9 @@ CASES = (
     + [(graph, ("stationary",)) for graph in ("cycle:4", "path:4")]
     + [
         ("cycle:4", ("connection", "--vertex", "1", "--n", "2", "--p", "1/3")),
+        # vertex 3 is not the smallest vertex of its orbit under the
+        # reflection fixing the origin, so it reads vertex 1's bridge row
+        ("cycle:4", ("connection", "--vertex", "3", "--n", "2", "--p", "1/3")),
         ("cycle:4", ("expected-mono", "--n", "2")),
         ("cycle:4", ("onset",)),
         ("cycle:4", ("verify",)),
