@@ -204,7 +204,21 @@ def poly_dot(left: Iterable[Polynomial], right: Iterable[Polynomial]) -> Polynom
 def poly_dot_table(
     rows: Sequence[Sequence[Polynomial]], cols: Sequence[Sequence[Polynomial]]
 ) -> list[list[Polynomial]]:
-    """table[i][j] = the dot product of rows[i] and cols[j].
+    """table[i][j] = the dot product of rows[i] and cols[j] (_dot_table)."""
+    flat = [
+        Polynomial(cs)
+        for cs in _dot_table(
+            [[e.coeffs for e in row] for row in rows], [[e.coeffs for e in col] for col in cols]
+        )
+    ]
+    return [flat[i : i + len(cols)] for i in range(0, len(flat), len(cols))]
+
+
+def _dot_table(
+    row_cs: Sequence[Sequence[Sequence[int]]], col_cs: Sequence[Sequence[Sequence[int]]]
+) -> list[list[int]]:
+    """The coefficients of the dot product of each row with each column,
+    row by row, for polynomials given by their coefficient sequences.
 
     The polynomials are multiplied by Kronecker substitution: each entry is
     packed once into the integer obtained by evaluating it at 2^bits, so
@@ -213,14 +227,14 @@ def poly_dot_table(
     coefficients, bounded by A and B in absolute value, has coefficients of
     absolute value at most n * m * A * B; bits exceeds that bound's bit
     length by at least one, so each slot holds its signed coefficient
-    exactly.
+    exactly.  Every product has as many coefficients as the longest left
+    and right entries give it, trailing zeros included; with no nonzero
+    entry on a side every product is empty.
     """
-    row_cs = [[e.coeffs for e in row] for row in rows]
-    col_cs = [[e.coeffs for e in col] for col in cols]
     left = [cs for row in row_cs for cs in row if cs]
     right = [cs for col in col_cs for cs in col if cs]
     if not left or not right:
-        return [[Polynomial() for _ in cols] for _ in rows]
+        return [[] for _ in range(len(row_cs) * len(col_cs))]
     terms = max(map(len, row_cs))
     len_a, len_b = max(map(len, left)), max(map(len, right))
     size_a = max(map(abs, chain.from_iterable(left)))
@@ -229,7 +243,7 @@ def poly_dot_table(
     bits = 8 * width
     slots = len_a + len_b - 1
 
-    def pack(cs: tuple) -> int:
+    def pack(cs: Sequence[int]) -> int:
         acc = 0
         for c in reversed(cs):
             acc = (acc << bits) + c
@@ -238,8 +252,7 @@ def poly_dot_table(
     packed_rows = [[pack(cs) for cs in row] for row in row_cs]
     packed_cols = [[pack(cs) for cs in col] for col in col_cs]
     products = (sum(map(mul, prow, pcol)) for prow in packed_rows for pcol in packed_cols)
-    flat = [Polynomial(cs) for cs in _unpack(products, width, slots)]
-    return [flat[i : i + len(cols)] for i in range(0, len(flat), len(cols))]
+    return list(_unpack(products, width, slots))
 
 
 def _slot_width(bound: int) -> int:
@@ -515,15 +528,17 @@ class SignCertificate:
         return SignCertificate(data["verdict"], Interval.from_dict(data["interval"]), witness)
 
 
-def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """Deterministic rational in (lo, hi) that is not a root of cs."""
+def _nonroot_point(cs: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """Deterministic rational in (lo, hi) that is not a root of cs, with
+    the sign of cs there."""
     width = hi - lo
     level = 2
     while True:
         for j in range(1, level, 2):
             point = lo + width * Fraction(j, level)
-            if _eval_sign(cs, point) != 0:
-                return point
+            sign = _eval_sign(cs, point)
+            if sign:
+                return point, sign
         level *= 2
 
 
@@ -607,7 +622,7 @@ def _isolate_roots(
         if variations == 1:
             yield _isolate_simple_root(qints, squarefree, image, a, b)
         elif variations:
-            mid = _nonroot_point(qints, a, b)
+            mid, _ = _nonroot_point(qints, a, b)
             pending += [(mid, b), (a, mid)]
 
 
@@ -622,16 +637,19 @@ def _isolate_simple_root(
     the sign of the image's first nonzero coefficient and past it the
     opposite one, so the root lies right of a split point exactly when
     steer has that sign there.  The piece is split at points where q is
-    nonzero until q is nonzero at both of its ends.
+    nonzero until q is nonzero at both of its ends.  q's sign is taken once
+    at each end and each split point and kept with the end it moves; when
+    steer is q itself, that sign also picks the side.
     """
     near_lo = 1 if next(c for c in image if c) > 0 else -1
     a, b = lo, hi
-    while not (_eval_sign(qints, a) and _eval_sign(qints, b)):
-        mid = _nonroot_point(qints, a, b)
-        if _eval_sign(steer, mid) == near_lo:
-            a = mid
+    sign_a, sign_b = _eval_sign(qints, a), _eval_sign(qints, b)
+    while not (sign_a and sign_b):
+        mid, sign = _nonroot_point(qints, a, b)
+        if (sign if steer is qints else _eval_sign(steer, mid)) == near_lo:
+            a, sign_a = mid, sign
         else:
-            b = mid
+            b, sign_b = mid, sign
     return Interval(a, b)
 
 
@@ -700,7 +718,7 @@ def certify_sign(q: Polynomial, interval: Interval) -> SignCertificate:
         if _eval_sign(qints, piece.lo) != _eval_sign(qints, piece.hi):
             return SignCertificate(CHANGES_SIGN, interval, piece)
         interior_root = True
-    if _eval_sign(qints, _nonroot_point(qints, lo, hi)) < 0:
+    if _nonroot_point(qints, lo, hi)[1] < 0:
         return SignCertificate(NEGATIVE, interval)
     if interior_root or _endpoint_zero(qints, interval):
         return SignCertificate(NONNEGATIVE, interval)

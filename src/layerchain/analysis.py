@@ -209,24 +209,29 @@ def _primitive_vector(entries: list[Polynomial]) -> tuple[list[Polynomial], Poly
 def expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
     """Per-state form of an invariant vector given by its orbit sums.
 
-    vector is indexed by the orbit representatives.  Each state gets its
-    orbit's entry over the orbit size, scaled by the lcm of the sizes to
-    stay in Z[p], and the entries are cleared to a primitive integer vector
-    again, over their sum.  Applied to the stationary vector of a chain
-    lumped onto automorphism orbits this is the stationary vector of the
-    chain itself: that vector is unique, so invariant under every
-    automorphism, and orbit-mates share its orbit sum equally.
+    vector is indexed by the orbit representatives and is primitive, as
+    stationary_distribution returns it: entries positive on (0, 1) whose
+    polynomial gcd is 1.  Each state gets its orbit's entry over the orbit
+    size, scaled by the lcm of the sizes to stay in Z[p].  Integer multiples
+    of entries with gcd 1 keep gcd 1, so only their integer content is
+    cleared, and they stay positive, over their sum.  Applied to the
+    stationary vector of a chain lumped onto automorphism orbits this is the
+    stationary vector of the chain itself: that vector is unique, so
+    invariant under every automorphism, and orbit-mates share its orbit sum
+    equally.
     """
     if tuple(vector.states) != orbits.representatives:
         raise ValueError("vector is not indexed by the orbit representatives")
-    entries = [ZERO] * len(orbits.states)
     common = math.lcm(*orbits.sizes)
-    for entry, members in zip(vector.entries, orbits.members):
-        share = entry * (common // len(members))
+    shares = [e * (common // len(m)) for e, m in zip(vector.entries, orbits.members)]
+    content = math.gcd(*(c for e in shares for c in e.coeffs))
+    if content > 1:
+        shares = [Polynomial([c // content for c in e.coeffs]) for e in shares]
+    entries = [ZERO] * len(orbits.states)
+    for share, members in zip(shares, orbits.members):
         for i in members:
             entries[i] = share
-    entries, normalizer = _primitive_vector(entries)
-    return PolyVector(orbits.states, tuple(entries), normalizer)
+    return PolyVector(orbits.states, tuple(entries), poly_sum(entries))
 
 
 def _assert_stationary(vector: PolyVector, kernel: PolyMatrix) -> None:

@@ -187,23 +187,19 @@ def _weight_matrix(width: int) -> np.ndarray:
     return matrix
 
 
-def weigh_configs(
-    cells: np.ndarray, configs: np.ndarray, size: int, width: int
-) -> list[Polynomial]:
-    """The polynomial of each of size cells: the sum over the pairs
-    (cells[i], configs[i]) of p^n (1-p)^(width-n), n the open bonds of the
-    width-bit config.
+def weigh_configs(counts: np.ndarray) -> list[Polynomial]:
+    """The polynomial of each cell given its configuration counts: the sum
+    over n of counts[cell, n] p^n (1-p)^(width-n), for width-bit configs
+    with n open bonds, width = counts.shape[1] - 1.
 
-    Configurations are counted per cell and open-bond count, and the
-    counts weighted with one integer product.  A coefficient is at most
-    sum_n C(width, n) C(width-n, d-n) = C(width, d) 2^d <= 3^width in
+    The counts are weighted with one integer product.  A coefficient is at
+    most sum_n C(width, n) C(width-n, d-n) = C(width, d) 2^d <= 3^width in
     absolute value, below 2^34 in int64 for every width the 21-bond guard
     allows.
     """
-    keys = cells * (width + 1) + np.bitwise_count(configs)
-    counts = np.bincount(keys, minlength=size * (width + 1)).reshape(size, width + 1)
+    width = counts.shape[1] - 1
     reached = np.flatnonzero(counts.any(axis=1))
-    entries = [ZERO] * size
+    entries = [ZERO] * len(counts)
     for cell, row in zip(reached.tolist(), (counts[reached] @ _weight_matrix(width)).tolist()):
         entries[cell] = Polynomial(row)
     return entries
@@ -425,31 +421,44 @@ class Orbits:
         return dict(zip(self.states, self.orbit_of))
 
 
+def table_counts(
+    graph: Graph, table: Successors, columns: dict, collapse_uninfected: bool = False
+) -> np.ndarray:
+    """counts[i, j, n]: the configurations with n open bonds that step
+    source i of the table into column j, where state y lies in column
+    columns[y] (every uninfected successor in the column of DAGGER when
+    collapse_uninfected is set).  Several states may share a column, whose
+    count is then their sum.  Counted by one bincount per batch of sources;
+    a count is at most 2^b, for b the bond count."""
+    b = graph.bond_count
+    width = 1 + max(columns.values())
+    column = np.array(
+        [columns[DAGGER if collapse_uninfected and not y.infected else y] for y in table.patterns],
+        dtype=np.intp,
+    )
+    opens = np.bitwise_count(np.arange(1 << b))
+    counts = np.empty((len(table), width, b + 1), dtype=np.int64)
+    step = max(1, _CHUNK >> b)
+    for start in range(0, len(table), step):
+        cols = column[table.index[start : start + step]]
+        keys = (cols + np.arange(0, len(cols) * width, width)[:, None]) * (b + 1) + opens
+        cells = np.bincount(keys.ravel(), minlength=len(cols) * width * (b + 1))
+        counts[start : start + len(cols)] = cells.reshape(len(cols), width, b + 1)
+    return counts
+
+
 def _rows_from_table(
     graph: Graph,
     table: Successors,
     columns: dict,
     collapse_uninfected: bool = False,
 ) -> list[list[Polynomial]]:
-    """Kernel rows from a successor table: count the configurations
-    reaching each column by open-bond multiplicity, then weight.  Several
-    states may share a column, whose entry is then their sum."""
-    b = graph.bond_count
-    width = 1 + max(columns.values())
-
-    column = np.array(
-        [columns[DAGGER if collapse_uninfected and not y.infected else y] for y in table.patterns],
-        dtype=np.int32,
-    )
-    configs = np.arange(1 << b)
-    rows: list[list[Polynomial]] = []
-    step = max(1, _CHUNK >> b)
-    for start in range(0, len(table), step):
-        cols = column[table.index[start : start + step]]
-        cells = cols + np.arange(0, len(cols) * width, width)[:, None]
-        entries = weigh_configs(cells.ravel(), np.tile(configs, len(cols)), len(cols) * width, b)
-        rows += [entries[i : i + width] for i in range(0, len(entries), width)]
-    return rows
+    """Kernel rows from a successor table: the configurations reaching each
+    column counted by open bonds (table_counts), then weighed."""
+    counts = table_counts(graph, table, columns, collapse_uninfected)
+    entries = weigh_configs(counts.reshape(-1, counts.shape[2]))
+    width = counts.shape[1]
+    return [entries[i : i + width] for i in range(0, len(entries), width)]
 
 
 def build_full_kernel(graph: Graph) -> PolyMatrix:
@@ -542,19 +551,23 @@ def lumped_state_list(core: Sequence[Pattern]) -> list[PatternClass]:
     return [DAGGER] + infected
 
 
-def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMatrix:
+def build_lumped_kernel(
+    graph: Graph, orbits: Optional[Orbits] = None, table: Optional[Successors] = None
+) -> PolyMatrix:
     """Transition matrix on infected states plus the absorbing class.
 
     Given orbits of the lumped states under automorphisms fixing the
     origin (the absorbing class, first, is always its own orbit), the
     matrix is indexed by their representatives and entry (i, j) is the
     probability that representative i steps into orbit j; by default every
-    state is its own orbit.
+    state is its own orbit.  table, when given, is the successor table of
+    the infected representatives, in order.
     """
     if orbits is None:
         orbits = Orbits.trivial(lumped_state_list(core_partitions(graph)))
     states = orbits.representatives
-    table = successor_table(graph, states[1:])
+    if table is None:
+        table = successor_table(graph, states[1:])
     rows = _rows_from_table(graph, table, orbits.columns(), collapse_uninfected=True)
     dagger_row = [ONE] + [Polynomial()] * (len(states) - 1)
     all_rows = [dagger_row] + rows

@@ -20,6 +20,14 @@ screen at five exact probes).  So verify_conjecture makes no exact layer
 step; the exact stepper, Engine.weights_at, serves the connection and
 expected-count polynomials.
 
+A count-basis kernel entry counts bond configurations by open bonds, so
+the infected block and the bridge rows are counted, not converted: the
+block from the successor table of the orbit representatives, the bridge
+rows from the bridge reach table, convolved with the count-basis
+stationary entries.  Both are divided by 1 + x down to their own degree.
+verify_conjecture builds neither the lumped kernel nor the bridge in p;
+they are weighed from the same tables when connection or expected asks.
+
 Every stage runs on automorphism orbits.  The stationary vector is solved
 on the Aut(G) orbits of the connectivity chain and expanded to one entry
 per partition.  The lumped chain is stepped on the orbits of Aut_o, the
@@ -48,9 +56,10 @@ from .algebra import (
     Polynomial,
     SignCertificate,
     UNIT_OPEN,
+    _dot_table,
+    _shift_basis,
     certify_sign,
     poly_dot,
-    poly_dot_table,
     poly_sum,
 )
 from .analysis import (
@@ -64,12 +73,14 @@ from .kernels import (
     Core,
     Orbits,
     PolyMatrix,
+    Successors,
     bridge_reach_table,
     build_core,
     build_lumped_kernel,
     build_reduced_kernel,
     lumped_state_list,
-    weigh_configs,
+    successor_table,
+    table_counts,
 )
 from .patterns import Pattern, _check_guard
 from .residues import (
@@ -77,6 +88,7 @@ from .residues import (
     _PowerModPrime,
     _count_basis,
     _drop_certificates,
+    _own_degree,
     _prime_limit,
     _step_certificates,
 )
@@ -88,10 +100,6 @@ class OnsetCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"onset not certified within {cap} steps")
         self.cap = cap
-
-
-def _infected_indices(kernel: PolyMatrix) -> list[int]:
-    return [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
 
 
 class _CertCache:
@@ -118,17 +126,22 @@ def _count_block(kernel: PolyMatrix) -> np.ndarray:
     with w its largest entry degree, each entry q becomes
     M(x) = (1+x)^w q(x/(1+x)), whose coefficients count configurations by
     open bonds; a negative count raises ValueError.  The counts of one
-    entry sum to M(1) = 2^w q(1/2) <= 2^w, so they are held in int64."""
-    infected = _infected_indices(kernel)
+    entry sum to M(1) = 2^w q(1/2) <= 2^w, so they are held in int64.
+    Engine._counts builds the same block from configuration counts."""
+    infected = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
     block = [[kernel.entries[y][x] for x in infected] for y in infected]
     counts = _count_basis(block, max(max((q.degree for row in block for q in row), default=0), 0))
+    return _nonnegative(counts.astype(np.int64))
+
+
+def _nonnegative(counts: np.ndarray) -> np.ndarray:
     if (counts < 0).any():
         raise ValueError("the infected block has a negative count in x = p/(1-p)")
-    return counts.astype(np.int64)
+    return counts
 
 
 def matrix_onset(
-    kernel: PolyMatrix, cap: int = 64, counts: Optional[np.ndarray] = None
+    kernel: Optional[PolyMatrix], cap: int = 64, counts: Optional[np.ndarray] = None
 ) -> tuple[int, list[list[SignCertificate]]]:
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
@@ -138,7 +151,8 @@ def matrix_onset(
     is multiplied.  Raises OnsetCapExceeded if no step up to the cap passes.
 
     The block is taken to the count basis (_count_block; counts, when the
-    caller has it already), M(x) with w its largest entry degree.  Then
+    caller has it already, and then kernel is not read), M(x) with w its
+    largest entry degree.  Then
     D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
     and with S the largest row total of M(1) every coefficient of D_n is at
     most 2^w S^n + S^(n+1) in absolute value: the bound of _CountLayers
@@ -147,12 +161,12 @@ def matrix_onset(
     their mixed-radix digits.  A verdict depends only on the p-difference,
     so the certificates are those of certifying each difference on (0, 1).
     """
-    if not _infected_indices(kernel):
+    if counts is None:
+        counts = _count_block(kernel)
+    if not counts.shape[1]:
         if cap < 0:
             raise OnsetCapExceeded(cap)
         return 0, []
-    if counts is None:
-        counts = _count_block(kernel)
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
     powers = _CountLayers(identity, counts, _prime_limit(counts), keep=False)
     cache = _CertCache()
@@ -316,8 +330,9 @@ class _BridgeCounts:
     """The bridge rows of one vertex per vertex orbit in the count basis,
     scaled to orbit totals: counts[t, i, r] is coefficient t of
     (1+x)^degree scale bridge[r][i] (x/(1+x)) / size_i, scale the lcm of the
-    infected orbit sizes.  column[v] is the row of vertex v's orbit, bound
-    the largest sum of the absolute coefficients of one entry."""
+    infected orbit sizes and degree the largest degree in p of those rows.
+    column[v] is the row of vertex v's orbit, bound the largest sum of the
+    absolute coefficients of one entry."""
 
     counts: np.ndarray
     scale: int
@@ -339,9 +354,14 @@ class Engine:
       partition;
     - orbits: the lumped states in the orbits of Aut_o, the automorphisms
       fixing the origin, under which the initial vector is invariant;
-    - kernel: the lumped chain on those orbits;
+    - _table: the successor table of the infected orbit representatives,
+      the one table of the lumped chain;
+    - _counts: the lumped chain's infected block in the count basis,
+      counted from _table; kernel: the lumped chain in p, weighed from it;
     - initial: one entry per lumped state;
-    - bridge: one column per infected orbit.
+    - _bridge_counts: the bridge rows of the vertex orbits in the count
+      basis, counted from the bridge reach table; bridge: one column per
+      infected orbit in p, read back from them.
 
     Layer weights are held per orbit: every state of an orbit carries its
     representative's weight.  Two steppers take them from layer to layer.
@@ -350,8 +370,11 @@ class Engine:
     drop_certificates and connection_certificates read every drop off the
     orbit totals in the count basis modulo word primes (_CountLayers), and
     rebuild exactly only the drops whose coefficients have mixed signs.
-    Distributions and connection polynomials are scaled by powers of the
-    stationary normalizer.
+    Nor do they read the chain or the bridge in p: the count-basis block
+    and bridge rows are configuration counts, so no kernel or bridge entry
+    is taken to the count basis by a Taylor shift.  Distributions and
+    connection polynomials are scaled by powers of the stationary
+    normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
@@ -377,8 +400,12 @@ class Engine:
         return Orbits(states, automorphisms(self.graph, fix_origin=True))
 
     @cached_property
+    def _table(self) -> Successors:
+        return successor_table(self.graph, self.orbits.representatives[1:])
+
+    @cached_property
     def kernel(self) -> PolyMatrix:
-        return build_lumped_kernel(self.graph, self.orbits)
+        return build_lumped_kernel(self.graph, self.orbits, self._table)
 
     @cached_property
     def initial(self) -> PolyVector:
@@ -386,7 +413,7 @@ class Engine:
 
     @cached_property
     def infected_indices(self) -> list[int]:
-        return _infected_indices(self.kernel)
+        return [i for i, s in enumerate(self.orbits.representatives) if isinstance(s, Pattern)]
 
     @cached_property
     def bridge(self) -> list[list[Polynomial]]:
@@ -394,38 +421,27 @@ class Engine:
         infected orbit i, that vertex v links to the state's infection
         through one stationary layer above and its vertical bonds.
 
-        Only representatives are joined to the layer above: the state
-        g(r) links vertex v exactly when r links g^-1(v).
-        """
-        k = self.graph.vertex_count
-        states = [self.kernel.states[i] for i in self.infected_indices]
-        uppers = self.stationary.states
-        reach = bridge_reach_table(self.graph, states, uppers).ravel()
-        cells = len(states) * len(uppers)
-        # vertical[v][i][j]: probability of the vertical bonds linking v to
-        # the infection of state i below partition j
-        vertical: list[list[list[Polynomial]]] = []
-        for v in range(k):
-            linked = np.flatnonzero(reach >> v & 1)
-            entries = weigh_configs(linked >> k, linked & ((1 << k) - 1), cells, k)
-            vertical.append(
-                [entries[i : i + len(uppers)] for i in range(0, cells, len(uppers))]
-            )
-        stationary = [list(self.stationary.entries)]
-        linked = [poly_dot_table(stationary, vertical[v])[0] for v in range(k)]
-        carriers = [self.orbits.carriers[i] for i in self.infected_indices]
-        return [
-            [poly_sum(linked[perm.index(v)][i] for perm in perms) for i, perms in enumerate(carriers)]
-            for v in range(k)
+        Read back from the count-basis rows (_bridge_counts): vertex v reads
+        the row of its orbit, shifted back to p and divided by
+        scale // size_i."""
+        bridge = self._bridge_counts
+        degree = len(bridge.counts) - 1
+        rows = [
+            [
+                Polynomial(_shift_basis(bridge.counts[:, i, r].tolist(), degree, -1)).exact_div(
+                    Polynomial((bridge.scale // size,))
+                )
+                for i, size in enumerate(self._sizes)
+            ]
+            for r in range(bridge.counts.shape[2])
         ]
+        return [rows[r] for r in bridge.column]
 
     @cached_property
     def _weights(self) -> list[list[Polynomial]]:
         orbits = self.orbits
-        if tuple(self.initial.states) != orbits.states or (
-            tuple(self.kernel.states) != orbits.representatives
-        ):
-            raise ValueError("initial distribution and kernel have different state spaces")
+        if tuple(self.initial.states) != orbits.states:
+            raise ValueError("initial distribution and orbits have different state spaces")
         return [[self.initial.entries[members[0]] for members in orbits.members]]
 
     @cached_property
@@ -435,9 +451,13 @@ class Engine:
 
     @cached_property
     def _counts(self) -> np.ndarray:
-        """The infected block of the kernel in the count basis (_count_block),
-        shared by the matrix onset and the layer steps."""
-        return _count_block(self.kernel)
+        """The infected block of the lumped chain in the count basis, as
+        _count_block takes it from the kernel, shared by the matrix onset and
+        the layer steps: the configurations of _table counted by source,
+        target orbit and open bonds, the block at degree b, then divided down
+        to its own degree (_own_degree)."""
+        counts = table_counts(self.graph, self._table, self.orbits.columns(), True)
+        return _nonnegative(_own_degree(counts[:, 1:].transpose(2, 0, 1)))
 
     @cached_property
     def _layers(self) -> _CountLayers:
@@ -448,7 +468,8 @@ class Engine:
         entries.  The primes keep both the layer steps and the product of a
         drop with the bridge counts exact (_PowerModPrime): every entry of
         that product is below q^2 times the rows and coefficients of the
-        bridge counts.
+        bridge counts, whose degree is at most that of the stationary
+        entries plus the vertex count.
         """
         totals = [self._weights[0][i] * size for i, size in zip(self.infected_indices, self._sizes)]
         start = _count_basis([totals], max(max(t.degree for t in totals), 0))
@@ -462,17 +483,50 @@ class Engine:
     def _bridge_counts(self) -> _BridgeCounts:
         """The bridge rows of each vertex orbit's smallest vertex in the
         count basis.  The group of the orbits fixes the origin and the
-        initial distribution, so the vertices of one orbit have equal
-        connection drops."""
-        group = self.orbits.group
-        representative = [min(perm[v] for perm in group) for v in self.graph.vertices]
+        initial distribution, so the vertices of one orbit have equal bridge
+        rows and connection drops.
+
+        A bridge entry sums, over the partitions j of the layer above, the
+        stationary entry of j times the probability of the vertical bonds
+        linking the vertex to the infection below j.  In the count basis
+        that is a product of count polynomials: the stationary entry's at
+        degree d, its largest, and the linking vertical configurations
+        counted by open bonds, at degree k.  Only representatives are joined
+        to the layer above: the state g(s) links vertex v exactly when s
+        links g^-1(v), so the counts are summed over the carriers of each
+        orbit, scaled by scale // size, and summed over the partitions that
+        share a stationary entry.  Each row is one Kronecker dot product with
+        the distinct stationary entries, at degree d + k, divided down to the
+        rows' own degree (_own_degree).
+        """
+        k = self.graph.vertex_count
+        representative = [min(perm[v] for perm in self.orbits.group) for v in self.graph.vertices]
         distinct = sorted(set(representative))
         scale = math.lcm(*self._sizes)
-        rows = [
-            [self.bridge[r][i] * (scale // size) for r in distinct]
-            for i, size in enumerate(self._sizes)
-        ]
-        counts = _count_basis(rows, max(max(q.degree for row in rows for q in row), 0))
+        infected = self.infected_indices
+        reach = bridge_reach_table(
+            self.graph, [self.orbits.representatives[i] for i in infected], self.stationary.states
+        )
+        by_open = np.bitwise_count(np.arange(1 << k))[:, None] == np.arange(k + 1)
+        # linked[i, j, v, n]: the vertical configs with n open bonds linking
+        # v to the infection of state i below partition j
+        linked = np.stack([(reach >> v & 1) @ by_open for v in range(k)], axis=2)
+        # carried[i, r, v]: scale // size_i per carrier of orbit i taking v to r
+        carried = np.zeros((len(infected), len(distinct), k), dtype=np.int64)
+        for i, (o, size) in enumerate(zip(infected, self._sizes)):
+            for perm in self.orbits.carriers[o]:
+                for r, vertex in enumerate(distinct):
+                    carried[i, r, perm.index(vertex)] += scale // size
+        entries: dict[Polynomial, int] = {}
+        shared = [entries.setdefault(q, len(entries)) for q in self.stationary.entries]
+        # sharing[j, e]: whether partition j has the e-th distinct stationary entry
+        sharing = np.equal.outer(shared, np.arange(len(entries)))
+        vertical = np.einsum("irv,ievn->iren", carried, np.einsum("ijvn,je->ievn", linked, sharing))
+        stationary = _count_basis([list(entries)], max(max(q.degree for q in entries), 0))[:, 0]
+        vertical = vertical.reshape(-1, len(entries), k + 1).tolist()
+        rows = _dot_table([stationary.T.tolist()], vertical)
+        counts = np.array(rows, dtype=object).reshape(len(infected), len(distinct), -1)
+        counts = _own_degree(counts.transpose(2, 0, 1))
         bound = int(np.abs(counts).sum(axis=0).max())
         return _BridgeCounts(counts, scale, [distinct.index(r) for r in representative], bound)
 
@@ -483,7 +537,7 @@ class Engine:
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
-        matrix_step, matrix_certs = matrix_onset(self.kernel, cap, self._counts)
+        matrix_step, matrix_certs = matrix_onset(None, cap, self._counts)
         return vector_onset(self, matrix_step, matrix_certs)
 
     def weights_at(self, n: int) -> list[Polynomial]:
@@ -492,6 +546,8 @@ class Engine:
         layer stepper (_advance); each layer is stepped once and kept."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
+        if len(self._weights) <= n and tuple(self.kernel.states) != self.orbits.representatives:
+            raise ValueError("kernel and orbits have different state spaces")
         while len(self._weights) <= n:
             self._weights.append(_advance(self.kernel, self._weights[-1], self.orbits.sizes))
         return self._weights[n]

@@ -218,22 +218,30 @@ def _config_cdf(width: int, p: float) -> np.ndarray:
     return cdf
 
 
+# The guide table's bucket cap: its tables stay within a few MiB however
+# many bonds a layer has (16 buckets per config would take about 300 MiB at
+# the 21-bond guard).
+_MAX_BUCKETS = 1 << 16
+
+
 class _ConfigDraw:
     """Inverse-CDF draws of width-bit configs through a guide table.
 
     A draw maps a uniform u in [0, 1) to searchsorted(cdf, u, side="right")
     over the _config_cdf table: the same config as binary search.  [0, 1)
-    is cut into m buckets, 16 per config, so m is a power of two, the bucket
-    k = floor(u * m) is exact and k / m <= u.  guide[k], the answer at k / m,
-    is then the answer for every u in a bucket that no CDF entry splits, and
-    never past the answer in the others.  Draws in split buckets take two
-    fixed passes of index += cdf[index] <= u; the few still short after them
-    (configs crowded into one bucket at skewed p) go through binary search.
+    is cut into m buckets, 16 per config up to _MAX_BUCKETS, so m is a power
+    of two, the bucket k = floor(u * m) is exact and k / m <= u.  guide[k],
+    the answer at k / m, is then the answer for every u in a bucket that no
+    CDF entry splits, and never past the answer in the others.  Draws in
+    split buckets take two fixed passes of index += cdf[index] <= u; the
+    ones still short after them (configs crowded into one bucket at skewed
+    p, or past 2^12 configs, where the buckets are capped) go through
+    binary search.
     """
 
     def __init__(self, width: int, p: float):
         self.cdf = _config_cdf(width, p)
-        buckets = 16 * len(self.cdf)
+        buckets = min(16 * len(self.cdf), _MAX_BUCKETS)
         edges = np.arange(buckets + 1) / buckets
         self.scale = float(buckets)
         self.guide = np.searchsorted(self.cdf, edges[:-1], side="right")

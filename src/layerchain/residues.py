@@ -280,6 +280,26 @@ def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarr
     return counts
 
 
+def _own_degree(counts: np.ndarray) -> np.ndarray:
+    """counts[t, ...], the count basis of polynomials q at some degree,
+    divided by 1 + x while every entry vanishes at x = -1: the count basis
+    of the same q at the largest of their degrees (0 when all are zero).
+
+    At degree d, q has degree below d exactly when its count polynomial C
+    has C(-1) = 0, the coefficient of p^d being +-C(-1).  With signs
+    s_t = (-1)^t, the quotient by 1 + x is s_t sum_(u <= t) s_u c_u, whose
+    last partial sum is C(-1), so the signed coefficients s_t c_t are
+    divided by one cumulative sum each."""
+    signs = np.where(np.arange(len(counts)) % 2, -1, 1).reshape((-1,) + (1,) * (counts.ndim - 1))
+    signed = counts * signs
+    while len(signed) > 1:
+        partial = np.cumsum(signed, axis=0)
+        if partial[-1].any():
+            break
+        signed = partial[:-1]
+    return signed * signs[: len(signed)]
+
+
 class _CountLayers:
     """The rows start M^n, layer by layer, in the count basis and modulo
     word primes.

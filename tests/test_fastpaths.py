@@ -20,6 +20,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from layerchain import algebra
 from layerchain.algebra import (
     CHANGES_SIGN,
     ExactDivisionError,
@@ -32,9 +33,11 @@ from layerchain.algebra import (
     SignCertificate,
     UNIT_OPEN,
     _SQUAREFREE_PRIME,
+    _eval_sign,
     _exact_div_int,
     _interval_image,
     _isolate_roots,
+    _nonroot_point,
     _primitive,
     _shift_basis,
     _sign_variations,
@@ -469,6 +472,44 @@ def test_one_variation_witness_matches_isolation(case):
     # the image-driven bisection of q itself: one root, a simple one
     witness = next(_isolate_roots(q.coeffs, q.coeffs, lo, hi))
     assert certify_sign(q, interval) == SignCertificate(CHANGES_SIGN, interval, witness)
+
+
+def reference_isolate_simple_root(qints, steer, image, lo, hi) -> Interval:
+    """The simple-root isolation that evaluates q at both ends of the piece
+    on every pass and steer at every split point."""
+    near_lo = 1 if next(c for c in image if c) > 0 else -1
+    a, b = lo, hi
+    while not (_eval_sign(qints, a) and _eval_sign(qints, b)):
+        mid = _nonroot_point(qints, a, b)[0]
+        if _eval_sign(steer, mid) == near_lo:
+            a = mid
+        else:
+            b = mid
+    return Interval(a, b)
+
+
+@settings(max_examples=150)
+@given(root_count_cases())
+@example((Polynomial((-1, 2)) * Polynomial((-1, 4)), Fraction(0), Fraction(1, 2)))
+@example((P * (Polynomial((1,)) - P) * Polynomial((-1, 3)), Fraction(0), Fraction(1)))
+def test_simple_root_isolation_matches_the_reevaluating_loop(case):
+    """Keeping q's signs at the ends and split points gives the same pieces
+    and certificates as evaluating them again, with steer the squarefree
+    part (_isolate_roots) and with steer q itself (one variation in
+    certify_sign), roots at the ends and at split points included."""
+    q, lo, hi = case
+    squarefree = _squarefree_part(q.coeffs)
+
+    def run():
+        pieces = [(x.lo, x.hi) for x in _isolate_roots(q.coeffs, squarefree, lo, hi)]
+        if 0 <= lo and hi <= 1:
+            return pieces, certify_sign(q, Interval(lo, hi)).to_dict()
+        return pieces
+
+    kept = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_isolate_simple_root", reference_isolate_simple_root)
+        assert kept == run()
 
 
 def test_three_variation_witness():

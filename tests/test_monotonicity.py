@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from layerchain import monotonicity, residues
+from layerchain import kernels, monotonicity, residues
 from layerchain.algebra import (
     Interval,
     NONNEGATIVE_VERDICTS,
@@ -22,7 +22,13 @@ from layerchain.algebra import (
 )
 from layerchain.analysis import initial_distribution, stationary_distribution
 from layerchain.graphs import Graph, cycle, path
-from layerchain.kernels import Orbits, PolyMatrix, build_lumped_kernel, build_reduced_kernel
+from layerchain.kernels import (
+    Orbits,
+    PolyMatrix,
+    bridge_reach_table,
+    build_lumped_kernel,
+    build_reduced_kernel,
+)
 from layerchain.monotonicity import (
     ConjectureCertificate,
     Engine,
@@ -278,37 +284,45 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     count basis modulo word primes, so it never steps a layer exactly
     (_advance), and only a drop whose count-basis coefficients have mixed
     signs reaches certify_sign; connection still steps exactly, once per
-    layer.  The matrix onset and the layer steps share one count-basis
-    block.  Certification runs in-process, so a worker count other than 1
-    is refused."""
-    steps, certified, blocks = [], [], []
-    advance, certify = monotonicity._advance, monotonicity.certify_sign
-    count_block = monotonicity._count_block
+    layer.  Its count-basis block and bridge rows are configuration counts:
+    it builds no lumped chain in p (build_lumped_kernel) and takes no
+    kernel to the count basis (_count_block).  It weighs configurations
+    into p (weigh_configs) only for the cells of the connectivity chain,
+    whose stationary vector is solved in p, and takes to the count basis
+    (_count_basis) only the row of initial orbit totals and the row of
+    stationary entries.  Certification runs in-process, so a worker count
+    other than 1 is refused."""
+    cells = Engine(c4).reduced.size ** 2
+    calls = {name: [] for name in ("advance", "certify", "lumped", "block", "weigh", "basis")}
 
-    def counted_advance(*args):
-        steps.append(1)
-        return advance(*args)
+    def spy(module, attr, name):
+        real = getattr(module, attr)
 
-    def counted_block(kernel):
-        blocks.append(1)
-        return count_block(kernel)
+        def counted(*args):
+            calls[name].append(args)
+            return real(*args)
 
-    def counted_certify(q, interval):
-        certified.append(q)
-        return certify(q, interval)
+        monkeypatch.setattr(module, attr, counted)
 
-    monkeypatch.setattr(monotonicity, "_advance", counted_advance)
-    monkeypatch.setattr(monotonicity, "certify_sign", counted_certify)
-    monkeypatch.setattr(monotonicity, "_count_block", counted_block)
+    spy(monotonicity, "_advance", "advance")
+    spy(monotonicity, "certify_sign", "certify")
+    spy(monotonicity, "build_lumped_kernel", "lumped")
+    spy(kernels, "build_lumped_kernel", "lumped")
+    spy(monotonicity, "_count_block", "block")
+    spy(kernels, "weigh_configs", "weigh")
+    spy(monotonicity, "_count_basis", "basis")
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
-    assert steps == [] and len(blocks) == 1
+    assert calls["advance"] == calls["lumped"] == calls["block"] == []
+    assert sum(len(counts) for counts, in calls["weigh"]) == cells
+    assert [len(polys) for polys, _ in calls["basis"]] == [1, 1]
     # a one-signed count basis at the polynomial's own degree stays one-signed
     # at every higher degree
+    certified = [q for q, _ in calls["certify"]]
+    assert certified
     assert all(_sign_variations(_shift_basis(q.coeffs, q.degree, 1)) for q in certified)
-    engine = Engine(c4)
-    engine.connection(1, 3)
-    assert len(steps) == 3
+    Engine(c4).connection(1, 3)
+    assert len(calls["advance"]) == 3 and len(calls["lumped"]) == 1
     with pytest.raises(ValueError):
         verify_conjecture(c2, workers=2)
 
@@ -510,6 +524,67 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     assert engine.connection(last, 1) == connection_polynomial(
         graph, last, 1, initial, lumped, stationary
     )
+
+
+def reference_bridge(engine):
+    """The bridge in p: for each vertex, the vertical configurations linking
+    it weighed into p^n (1-p)^(k-n), one Kronecker dot product with the
+    stationary entries per vertex, summed over the carriers of each
+    infected orbit."""
+    graph, orbits = engine.graph, engine.orbits
+    k = graph.vertex_count
+    infected = engine.infected_indices
+    uppers = engine.stationary.states
+    reach = bridge_reach_table(graph, [orbits.representatives[i] for i in infected], uppers)
+    opens = np.bitwise_count(np.arange(1 << k))
+    weights = kernels._weight_matrix(k)
+    linked = []
+    for v in range(k):
+        counts = [
+            [np.bincount(opens[cell >> v & 1 == 1], minlength=k + 1) for cell in row]
+            for row in reach
+        ]
+        vertical = [[Polynomial((c @ weights).tolist()) for c in row] for row in counts]
+        linked.append(poly_dot_table([list(engine.stationary.entries)], vertical)[0])
+    return [
+        [
+            poly_sum(linked[perm.index(v)][i] for perm in orbits.carriers[o])
+            for i, o in enumerate(infected)
+        ]
+        for v in range(k)
+    ]
+
+
+@settings(max_examples=12)  # each example builds both on two engines
+@given(small_graphs())
+def test_counted_block_and_bridge_rows_match_the_p_basis(graph):
+    """The count-basis block counted from the successor table is the block
+    _count_block takes from the lumped chain in p, and the count-basis
+    bridge rows counted from the bridge reach table are _count_basis of the
+    bridge rows in p at their own degree, with the same scale, columns and
+    bound; the bridge read back from them is the bridge in p.  On orbits
+    and per state."""
+    stationary = stationary_distribution(build_reduced_kernel(graph))
+    lumped = build_lumped_kernel(graph)
+    initial = initial_distribution(stationary, graph)
+    for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
+        block = monotonicity._count_block(engine.kernel)
+        assert engine._counts.dtype == block.dtype and np.array_equal(engine._counts, block)
+        bridge = reference_bridge(engine)
+        representative = [min(perm[v] for perm in engine.orbits.group) for v in graph.vertices]
+        distinct = sorted(set(representative))
+        scale = math.lcm(*engine._sizes)
+        rows = [
+            [bridge[r][i] * (scale // size) for r in distinct]
+            for i, size in enumerate(engine._sizes)
+        ]
+        counts = residues._count_basis(rows, max(max(q.degree for row in rows for q in row), 0))
+        counted = engine._bridge_counts
+        assert counted.counts.shape == counts.shape and (counted.counts == counts).all()
+        assert counted.scale == scale
+        assert counted.column == [distinct.index(r) for r in representative]
+        assert counted.bound == int(np.abs(counts).sum(axis=0).max())
+        assert engine.bridge == bridge
 
 
 @settings(max_examples=12)  # each example runs both paths on two engines

@@ -184,11 +184,13 @@ def test_initial_patterns_fit_exact_distribution(graph, p):
 def test_config_cdf_takes_every_draw_below_one():
     """Every uniform in [0, 1) draws a config, and the guide-table draw is
     binary search: the same index at the CDF entries and just below them,
-    at every bucket edge, at the ends of [0, 1) and on a random batch."""
+    at every bucket edge, at the ends of [0, 1) and on a random batch.  The
+    guide table has 16 buckets per config up to 2^16 buckets, so past 2^12
+    configs several configs share a bucket."""
     # at width 3 and p = 0.3 the summed probabilities round to 0.9999999999999997
     below_one = np.nextafter(1.0, 0)
     batch = np.random.default_rng(5).random(2000)
-    for width in range(10):
+    for width in (*range(10), 16, 17, 18):
         for p in (0.01, 0.05, 0.3, 0.5, 0.7, 0.99):
             cdf = _config_cdf(width, p)
             assert np.all(np.diff(cdf) >= 0)
@@ -201,6 +203,7 @@ def test_config_cdf_takes_every_draw_below_one():
             assert np.searchsorted(cdf, 0.0, side="right") == 0
             draw = _ConfigDraw(width, p)
             buckets = int(draw.scale)
+            assert buckets == len(draw.guide) == min(16 << width, 1 << 16)
             draws = np.concatenate(
                 [
                     [0.0, below_one],
