@@ -214,11 +214,11 @@ def expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
     polynomial gcd is 1.  Each state gets its orbit's entry over the orbit
     size, scaled by the lcm of the sizes to stay in Z[p].  Integer multiples
     of entries with gcd 1 keep gcd 1, so only their integer content is
-    cleared, and they stay positive, over their sum.  Applied to the
-    stationary vector of a chain lumped onto automorphism orbits this is the
-    stationary vector of the chain itself: that vector is unique, so
-    invariant under every automorphism, and orbit-mates share its orbit sum
-    equally.
+    cleared; the entries stay positive, and their sum is the normalizer.
+    Applied to the stationary vector of a chain lumped onto automorphism
+    orbits this is the stationary vector of the chain itself: that vector
+    is unique, so invariant under every automorphism, and orbit-mates share
+    its orbit sum equally.
     """
     if tuple(vector.states) != orbits.representatives:
         raise ValueError("vector is not indexed by the orbit representatives")

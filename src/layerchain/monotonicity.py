@@ -456,7 +456,8 @@ class Engine:
         the layer steps: the configurations of _table counted by source,
         target orbit and open bonds, the block at degree b, then divided down
         to its own degree (_own_degree)."""
-        counts = table_counts(self.graph, self._table, self.orbits.columns(), True)
+        columns = self.orbits.columns()
+        counts = table_counts(self.graph, self._table, columns, collapse_uninfected=True)
         return _nonnegative(_own_degree(counts[:, 1:].transpose(2, 0, 1)))
 
     @cached_property
@@ -522,9 +523,8 @@ class Engine:
         # sharing[j, e]: whether partition j has the e-th distinct stationary entry
         sharing = np.equal.outer(shared, np.arange(len(entries)))
         vertical = np.einsum("irv,ievn->iren", carried, np.einsum("ijvn,je->ievn", linked, sharing))
-        stationary = _count_basis([list(entries)], max(max(q.degree for q in entries), 0))[:, 0]
-        vertical = vertical.reshape(-1, len(entries), k + 1).tolist()
-        rows = _dot_table([stationary.T.tolist()], vertical)
+        stationary = _count_basis([list(entries)], max(max(q.degree for q in entries), 0))[:, 0].T
+        rows = _dot_table([stationary.tolist()], vertical.reshape(-1, len(entries), k + 1).tolist())
         counts = np.array(rows, dtype=object).reshape(len(infected), len(distinct), -1)
         counts = _own_degree(counts.transpose(2, 0, 1))
         bound = int(np.abs(counts).sum(axis=0).max())
