@@ -195,6 +195,13 @@ def _primitive_vector(entries: list[Polynomial]) -> tuple[list[Polynomial], Poly
     if g.degree > 0:
         # g is primitive, so by Gauss's lemma each quotient lies in Z[p]
         entries = [e.exact_div(g) for e in entries]
+    return _clear_content(entries)
+
+
+def _clear_content(entries: list[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
+    """The entries over their integer content, oriented so that their sum,
+    returned with them, is positive on (0, 1) when it has a constant sign
+    there."""
     content = math.gcd(*(c for e in entries for c in e.coeffs))
     if content > 1:
         entries = [Polynomial([c // content for c in e.coeffs]) for e in entries]
@@ -206,32 +213,30 @@ def _primitive_vector(entries: list[Polynomial]) -> tuple[list[Polynomial], Poly
     return entries, normalizer
 
 
-def expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
+def _expand_orbits(vector: PolyVector, orbits: Orbits) -> PolyVector:
     """Per-state form of an invariant vector given by its orbit sums.
 
-    vector is indexed by the orbit representatives and is primitive, as
-    stationary_distribution returns it: entries positive on (0, 1) whose
-    polynomial gcd is 1.  Each state gets its orbit's entry over the orbit
-    size, scaled by the lcm of the sizes to stay in Z[p].  Integer multiples
-    of entries with gcd 1 keep gcd 1, so only their integer content is
-    cleared; the entries stay positive, and their sum is the normalizer.
-    Applied to the stationary vector of a chain lumped onto automorphism
-    orbits this is the stationary vector of the chain itself: that vector
-    is unique, so invariant under every automorphism, and orbit-mates share
-    its orbit sum equally.
+    vector is indexed by the orbit representatives and its entries have
+    polynomial gcd 1, as stationary_distribution returns them.  Each state
+    gets its orbit's entry over the orbit size, scaled by the lcm of the
+    sizes to stay in Z[p].  Integer multiples of entries with gcd 1 keep
+    gcd 1, so only their integer content is cleared (_clear_content, which
+    also orients their sum, the normalizer).  Applied to the stationary
+    vector of a chain lumped onto automorphism orbits this is the
+    stationary vector of the chain itself: that vector is unique, so
+    invariant under every automorphism, and orbit-mates share its orbit
+    sum equally.
     """
     if tuple(vector.states) != orbits.representatives:
         raise ValueError("vector is not indexed by the orbit representatives")
-    common = math.lcm(*orbits.sizes)
-    shares = [e * (common // len(m)) for e, m in zip(vector.entries, orbits.members)]
-    content = math.gcd(*(c for e in shares for c in e.coeffs))
-    if content > 1:
-        shares = [Polynomial([c // content for c in e.coeffs]) for e in shares]
     entries = [ZERO] * len(orbits.states)
-    for share, members in zip(shares, orbits.members):
+    common = math.lcm(*orbits.sizes)
+    for entry, members in zip(vector.entries, orbits.members):
+        share = entry * (common // len(members))
         for i in members:
             entries[i] = share
-    return PolyVector(orbits.states, tuple(entries), poly_sum(entries))
+    entries, normalizer = _clear_content(entries)
+    return PolyVector(orbits.states, tuple(entries), normalizer)
 
 
 def _assert_stationary(vector: PolyVector, kernel: PolyMatrix) -> None:

@@ -551,23 +551,19 @@ def lumped_state_list(core: Sequence[Pattern]) -> list[PatternClass]:
     return [DAGGER] + infected
 
 
-def build_lumped_kernel(
-    graph: Graph, orbits: Optional[Orbits] = None, table: Optional[Successors] = None
-) -> PolyMatrix:
+def build_lumped_kernel(graph: Graph, orbits: Optional[Orbits] = None) -> PolyMatrix:
     """Transition matrix on infected states plus the absorbing class.
 
     Given orbits of the lumped states under automorphisms fixing the
     origin (the absorbing class, first, is always its own orbit), the
     matrix is indexed by their representatives and entry (i, j) is the
     probability that representative i steps into orbit j; by default every
-    state is its own orbit.  table, when given, is the successor table of
-    the infected representatives, in order.
+    state is its own orbit.
     """
     if orbits is None:
         orbits = Orbits.trivial(lumped_state_list(core_partitions(graph)))
     states = orbits.representatives
-    if table is None:
-        table = successor_table(graph, states[1:])
+    table = successor_table(graph, states[1:])
     rows = _rows_from_table(graph, table, orbits.columns(), collapse_uninfected=True)
     dagger_row = [ONE] + [Polynomial()] * (len(states) - 1)
     all_rows = [dagger_row] + rows

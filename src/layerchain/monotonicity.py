@@ -26,7 +26,8 @@ block from the successor table of the orbit representatives, the bridge
 rows from the bridge reach table, convolved with the count-basis
 stationary entries.  Both are divided by 1 + x down to their own degree.
 verify_conjecture builds neither the lumped kernel nor the bridge in p;
-they are weighed from the same tables when connection or expected asks.
+connection and expected build the kernel, and read the bridge back from
+the count rows.
 
 Every stage runs on automorphism orbits.  The stationary vector is solved
 on the Aut(G) orbits of the connectivity chain and expanded to one entry
@@ -64,7 +65,7 @@ from .algebra import (
 )
 from .analysis import (
     PolyVector,
-    expand_orbits,
+    _expand_orbits,
     initial_distribution,
     stationary_distribution,
 )
@@ -73,7 +74,6 @@ from .kernels import (
     Core,
     Orbits,
     PolyMatrix,
-    Successors,
     bridge_reach_table,
     build_core,
     build_lumped_kernel,
@@ -121,28 +121,13 @@ class _CertCache:
         return cert
 
 
-def _count_block(kernel: PolyMatrix) -> np.ndarray:
-    """The infected block of the kernel in the count basis, counts[t, y, x]:
-    with w its largest entry degree, each entry q becomes
-    M(x) = (1+x)^w q(x/(1+x)), whose coefficients count configurations by
-    open bonds; a negative count raises ValueError.  The counts of one
-    entry sum to M(1) = 2^w q(1/2) <= 2^w, so they are held in int64.
-    Engine._counts builds the same block from configuration counts."""
-    infected = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
-    block = [[kernel.entries[y][x] for x in infected] for y in infected]
-    counts = _count_basis(block, max(max((q.degree for row in block for q in row), default=0), 0))
-    return _nonnegative(counts.astype(np.int64))
-
-
 def _nonnegative(counts: np.ndarray) -> np.ndarray:
     if (counts < 0).any():
         raise ValueError("the infected block has a negative count in x = p/(1-p)")
     return counts
 
 
-def matrix_onset(
-    kernel: Optional[PolyMatrix], cap: int = 64, counts: Optional[np.ndarray] = None
-) -> tuple[int, list[list[SignCertificate]]]:
+def matrix_onset(counts: np.ndarray, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
     Returns the step and the grid of certificates for the entry differences
@@ -150,9 +135,9 @@ def matrix_onset(
     block of a power is the power of the infected block, and only the block
     is multiplied.  Raises OnsetCapExceeded if no step up to the cap passes.
 
-    The block is taken to the count basis (_count_block; counts, when the
-    caller has it already, and then kernel is not read), M(x) with w its
-    largest entry degree.  Then
+    counts is the block in the count basis, counts[t, y, x] coefficient t
+    of M(x) = (1+x)^w K(x/(1+x)) for w its largest entry degree, as
+    Engine._counts counts it; a negative count raises ValueError.  Then
     D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
     and with S the largest row total of M(1) every coefficient of D_n is at
     most 2^w S^n + S^(n+1) in absolute value: the bound of _CountLayers
@@ -161,8 +146,7 @@ def matrix_onset(
     their mixed-radix digits.  A verdict depends only on the p-difference,
     so the certificates are those of certifying each difference on (0, 1).
     """
-    if counts is None:
-        counts = _count_block(kernel)
+    _nonnegative(counts)
     if not counts.shape[1]:
         if cap < 0:
             raise OnsetCapExceeded(cap)
@@ -354,10 +338,9 @@ class Engine:
       partition;
     - orbits: the lumped states in the orbits of Aut_o, the automorphisms
       fixing the origin, under which the initial vector is invariant;
-    - _table: the successor table of the infected orbit representatives,
-      the one table of the lumped chain;
     - _counts: the lumped chain's infected block in the count basis,
-      counted from _table; kernel: the lumped chain in p, weighed from it;
+      counted from the successor table of the infected orbit
+      representatives; kernel: the lumped chain in p;
     - initial: one entry per lumped state;
     - _bridge_counts: the bridge rows of the vertex orbits in the count
       basis, counted from the bridge reach table; bridge: one column per
@@ -392,7 +375,7 @@ class Engine:
 
     @cached_property
     def stationary(self) -> PolyVector:
-        return expand_orbits(stationary_distribution(self.reduced), self.core.orbits)
+        return _expand_orbits(stationary_distribution(self.reduced), self.core.orbits)
 
     @cached_property
     def orbits(self) -> Orbits:
@@ -400,12 +383,8 @@ class Engine:
         return Orbits(states, automorphisms(self.graph, fix_origin=True))
 
     @cached_property
-    def _table(self) -> Successors:
-        return successor_table(self.graph, self.orbits.representatives[1:])
-
-    @cached_property
     def kernel(self) -> PolyMatrix:
-        return build_lumped_kernel(self.graph, self.orbits, self._table)
+        return build_lumped_kernel(self.graph, self.orbits)
 
     @cached_property
     def initial(self) -> PolyVector:
@@ -451,13 +430,13 @@ class Engine:
 
     @cached_property
     def _counts(self) -> np.ndarray:
-        """The infected block of the lumped chain in the count basis, as
-        _count_block takes it from the kernel, shared by the matrix onset and
-        the layer steps: the configurations of _table counted by source,
-        target orbit and open bonds, the block at degree b, then divided down
-        to its own degree (_own_degree)."""
-        columns = self.orbits.columns()
-        counts = table_counts(self.graph, self._table, columns, collapse_uninfected=True)
+        """The infected block of the lumped chain in the count basis, shared
+        by the matrix onset and the layer steps: the configurations of the
+        successor table of the infected orbit representatives counted by
+        source, target orbit and open bonds, the block at degree b, then
+        divided down to its own degree (_own_degree)."""
+        table = successor_table(self.graph, self.orbits.representatives[1:])
+        counts = table_counts(self.graph, table, self.orbits.columns(), collapse_uninfected=True)
         return _nonnegative(_own_degree(counts[:, 1:].transpose(2, 0, 1)))
 
     @cached_property
@@ -537,7 +516,7 @@ class Engine:
 
         Raises OnsetCapExceeded if no step up to the cap passes.
         """
-        matrix_step, matrix_certs = matrix_onset(None, cap, self._counts)
+        matrix_step, matrix_certs = matrix_onset(self._counts, cap)
         return vector_onset(self, matrix_step, matrix_certs)
 
     def weights_at(self, n: int) -> list[Polynomial]:

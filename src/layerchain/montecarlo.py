@@ -218,10 +218,10 @@ def _config_cdf(width: int, p: float) -> np.ndarray:
     return cdf
 
 
-# The guide table's bucket cap: its tables stay within a few MiB however
-# many bonds a layer has (16 buckets per config would take about 300 MiB at
-# the 21-bond guard).
-_MAX_BUCKETS = 1 << 16
+# The guide table's bucket cap: its tables stay within 9 MiB however many
+# bonds a layer has (16 buckets per config would take about 300 MiB at the
+# 21-bond guard), and up to 2^16 configs keep 16 buckets each.
+_MAX_BUCKETS = 1 << 20
 
 
 class _ConfigDraw:
@@ -233,10 +233,10 @@ class _ConfigDraw:
     of two, the bucket k = floor(u * m) is exact and k / m <= u.  guide[k],
     the answer at k / m, is then the answer for every u in a bucket that no
     CDF entry splits, and never past the answer in the others.  Draws in
-    split buckets take two fixed passes of index += cdf[index] <= u; the
-    ones still short after them (configs crowded into one bucket at skewed
-    p, or past 2^12 configs, where the buckets are capped) go through
-    binary search.
+    split buckets take fixed passes of index += cdf[index] <= u, one more
+    than the configs per bucket (two up to 2^16 configs, where the buckets
+    are not capped); the few still short after them (configs crowded into
+    one bucket at skewed p) go through binary search.
     """
 
     def __init__(self, width: int, p: float):
@@ -244,6 +244,7 @@ class _ConfigDraw:
         buckets = min(16 * len(self.cdf), _MAX_BUCKETS)
         edges = np.arange(buckets + 1) / buckets
         self.scale = float(buckets)
+        self.passes = -(-len(self.cdf) // buckets) + 1
         self.guide = np.searchsorted(self.cdf, edges[:-1], side="right")
         self.split = np.searchsorted(self.cdf, edges[1:], side="left") > self.guide
 
@@ -257,7 +258,7 @@ class _ConfigDraw:
         if pending.size:
             u = draws[pending]
             found = index[pending]
-            for _ in range(2):
+            for _ in range(self.passes):
                 found += cdf[found] <= u
             short = np.flatnonzero(cdf[found] <= u)
             if short.size:

@@ -104,8 +104,19 @@ def test_two_vertex_matrix_level_cross_entry(pipeline_c2):
     cert = certify_sign(diff, Interval(0, 1))
     assert cert.verdict == "changes-sign"
     # consequence: the matrix-level step for the two-vertex cycle is 4
-    step, _ = matrix_onset(lumped)
+    step, _ = matrix_onset(count_block(lumped))
     assert step == 4
+
+
+def count_block(kernel):
+    """The infected block of a kernel in p taken to the count basis,
+    counts[t, y, x]: with w its largest entry degree, each entry q becomes
+    M(x) = (1+x)^w q(x/(1+x)), one Taylor shift per entry.  The reference
+    for Engine._counts, and matrix_onset's input for a kernel in p."""
+    infected = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
+    block = [[kernel.entries[y][x] for x in infected] for y in infected]
+    degree = max(max((q.degree for row in block for q in row), default=0), 0)
+    return residues._count_basis(block, degree).astype(np.int64)
 
 
 _REFERENCE_PROBES = tuple(Fraction(a, b) for a, b in ((1, 2), (1, 4), (3, 4), (1, 10), (9, 10)))
@@ -192,7 +203,8 @@ def test_matrix_onset_matches_the_product_reference(graph):
     step and certificates of the polynomial-matrix products, per state and
     on orbits."""
     for kernel in (build_lumped_kernel(graph), Engine(graph).kernel):
-        assert _onset_dict(matrix_onset(kernel)) == _onset_dict(reference_matrix_onset(kernel))
+        result = matrix_onset(count_block(kernel))
+        assert _onset_dict(result) == _onset_dict(reference_matrix_onset(kernel))
 
 
 def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
@@ -213,16 +225,16 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
     monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the power steppers
     for kernel, step in cases:
         primes.clear()
-        result = matrix_onset(kernel)
+        result = matrix_onset(count_block(kernel))
         used = list(primes)
         assert result[0] == step
         assert _onset_dict(result) == _onset_dict(reference_matrix_onset(kernel))
         with pytest.raises(monotonicity.OnsetCapExceeded) as caught:
-            matrix_onset(kernel, step - 1)
+            matrix_onset(count_block(kernel), step - 1)
         assert caught.value.cap == step - 1
     # path:4's bound at step 8 needs three distinct primes below 2^31
     assert len(set(used)) == 3 and all(q < 2**31 for q in used)
-    counts = monotonicity._count_block(kernel)
+    counts = count_block(kernel)
     w, total = len(counts) - 1, int(counts.sum(axis=(0, 2)).max())
     bound = 2**w * total**8 + total**9
     assert math.prod(used[:-1]) <= 2 * bound < math.prod(used)
@@ -232,7 +244,7 @@ def test_powers_read_once_hold_one_layer_and_match_kept_layers():
     """Without keep, the stepper matrix_onset reads one drop at a time from
     holds one layer per prime between reads, also for primes taken late,
     and its drops are those of a stepper that keeps every layer."""
-    counts = monotonicity._count_block(Engine(cycle(4)).kernel)
+    counts = count_block(Engine(cycle(4)).kernel)
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
     limit = residues._prime_limit(counts)
     kept = residues._CountLayers(identity, counts, limit, keep=True)
@@ -256,7 +268,7 @@ def test_matrix_onset_rejects_a_negative_count():
     state = Pattern([(STAR, 0)])
     kernel = PolyMatrix((state,), ((Polynomial((1, -2)),),))
     with pytest.raises(ValueError):
-        matrix_onset(kernel)
+        matrix_onset(count_block(kernel))
 
 
 def test_onset_certificate_validates(verify_c2, verify_c3):
@@ -285,15 +297,14 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     (_advance), and only a drop whose count-basis coefficients have mixed
     signs reaches certify_sign; connection still steps exactly, once per
     layer.  Its count-basis block and bridge rows are configuration counts:
-    it builds no lumped chain in p (build_lumped_kernel) and takes no
-    kernel to the count basis (_count_block).  It weighs configurations
-    into p (weigh_configs) only for the cells of the connectivity chain,
-    whose stationary vector is solved in p, and takes to the count basis
-    (_count_basis) only the row of initial orbit totals and the row of
-    stationary entries.  Certification runs in-process, so a worker count
-    other than 1 is refused."""
+    it builds no lumped chain in p (build_lumped_kernel), weighs
+    configurations into p (weigh_configs) only for the cells of the
+    connectivity chain, whose stationary vector is solved in p, and takes
+    no kernel entry to the count basis: _count_basis sees only the row of
+    initial orbit totals and the row of stationary entries.  Certification
+    runs in-process, so a worker count other than 1 is refused."""
     cells = Engine(c4).reduced.size ** 2
-    calls = {name: [] for name in ("advance", "certify", "lumped", "block", "weigh", "basis")}
+    calls = {name: [] for name in ("advance", "certify", "lumped", "weigh", "basis")}
 
     def spy(module, attr, name):
         real = getattr(module, attr)
@@ -308,12 +319,11 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     spy(monotonicity, "certify_sign", "certify")
     spy(monotonicity, "build_lumped_kernel", "lumped")
     spy(kernels, "build_lumped_kernel", "lumped")
-    spy(monotonicity, "_count_block", "block")
     spy(kernels, "weigh_configs", "weigh")
     spy(monotonicity, "_count_basis", "basis")
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
-    assert calls["advance"] == calls["lumped"] == calls["block"] == []
+    assert calls["advance"] == calls["lumped"] == []
     assert sum(len(counts) for counts, in calls["weigh"]) == cells
     assert [len(polys) for polys, _ in calls["basis"]] == [1, 1]
     # a one-signed count basis at the polynomial's own degree stays one-signed
@@ -559,7 +569,7 @@ def reference_bridge(engine):
 @given(small_graphs())
 def test_counted_block_and_bridge_rows_match_the_p_basis(graph):
     """The count-basis block counted from the successor table is the block
-    _count_block takes from the lumped chain in p, and the count-basis
+    count_block takes from the lumped chain in p, and the count-basis
     bridge rows counted from the bridge reach table are _count_basis of the
     bridge rows in p at their own degree, with the same scale, columns and
     bound; the bridge read back from them is the bridge in p.  On orbits
@@ -568,7 +578,7 @@ def test_counted_block_and_bridge_rows_match_the_p_basis(graph):
     lumped = build_lumped_kernel(graph)
     initial = initial_distribution(stationary, graph)
     for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
-        block = monotonicity._count_block(engine.kernel)
+        block = count_block(engine.kernel)
         assert engine._counts.dtype == block.dtype and np.array_equal(engine._counts, block)
         bridge = reference_bridge(engine)
         representative = [min(perm[v] for perm in engine.orbits.group) for v in graph.vertices]
@@ -597,7 +607,7 @@ def test_vector_onset_matches_the_p_basis_reference(graph):
     lumped = build_lumped_kernel(graph)
     initial = initial_distribution(stationary, graph)
     for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
-        step, matrix_certs = matrix_onset(engine.kernel, CAP)
+        step, matrix_certs = matrix_onset(count_block(engine.kernel), CAP)
         onset = vector_onset(engine, step, matrix_certs)
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
         assert onset.to_dict() == reference.to_dict()
@@ -610,7 +620,7 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     the engine's limit, and the connection drops below onset 6 two more; the
     primes are taken largest first, each once."""
     engine = Engine(path(4))
-    step, matrix_certs = matrix_onset(engine.kernel)
+    step, matrix_certs = matrix_onset(count_block(engine.kernel))
     primes = []
     real = residues._PowerModPrime
 
@@ -650,7 +660,7 @@ def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
     leaf (orbits of two states, bridge scale 2)."""
     for graph in (cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3)), 1)):
         engine = Engine(graph)
-        step, matrix_certs = matrix_onset(engine.kernel)
+        step, matrix_certs = matrix_onset(count_block(engine.kernel))
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
         layer, link = monotonicity._CertCache(), monotonicity._CertCache()
         with monkeypatch.context() as patch:
@@ -677,7 +687,7 @@ def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
 def test_matrix_step_falls_on_the_orbits_of_a_star():
     star = Graph(4, ((0, 1), (0, 2), (0, 3)))
     assert Engine(star).onset().matrix_step == 7
-    assert matrix_onset(build_lumped_kernel(star))[0] == 8
+    assert matrix_onset(count_block(build_lumped_kernel(star)))[0] == 8
 
 
 def test_orbit_pipeline_on_the_four_cycle():

@@ -185,7 +185,7 @@ def test_config_cdf_takes_every_draw_below_one():
     """Every uniform in [0, 1) draws a config, and the guide-table draw is
     binary search: the same index at the CDF entries and just below them,
     at every bucket edge, at the ends of [0, 1) and on a random batch.  The
-    guide table has 16 buckets per config up to 2^16 buckets, so past 2^12
+    guide table has 16 buckets per config up to 2^20 buckets, so past 2^16
     configs several configs share a bucket."""
     # at width 3 and p = 0.3 the summed probabilities round to 0.9999999999999997
     below_one = np.nextafter(1.0, 0)
@@ -203,7 +203,7 @@ def test_config_cdf_takes_every_draw_below_one():
             assert np.searchsorted(cdf, 0.0, side="right") == 0
             draw = _ConfigDraw(width, p)
             buckets = int(draw.scale)
-            assert buckets == len(draw.guide) == min(16 << width, 1 << 16)
+            assert buckets == len(draw.guide) == min(16 << width, 1 << 20)
             draws = np.concatenate(
                 [
                     [0.0, below_one],
