@@ -106,6 +106,13 @@ CASES = (
     # origin stabilizer swaps the other two leaves, so layer weights and
     # bridge rows are held on orbits of two states
     + [("star_leaf.json", ("onset",)), ("star_leaf.json", ("verify",))]
+    # connection and expected polynomials at layers whose count-basis
+    # coefficients need six to eight word primes
+    + [
+        ("path:4", ("connection", "--vertex", "3", "--n", "9", "--p", "1/3")),
+        ("cycle:4", ("expected", "--n", "7", "--p", "1/3")),
+        ("path:4", ("expected-mono", "--n", "3")),
+    ]
 )
 
 
