@@ -11,23 +11,21 @@ layer distribution, the stationary distribution of the layer above, and
 the vertical bonds between them, so that one polynomial per vertex and
 step certifies the monotonicity of the connection probability itself.
 
-Every drop these certify is read in the count basis modulo word primes
-(residues): the kernel powers, and the row of orbit totals layer by layer,
-step through the count-basis infected block.  A drop whose coefficients
-have one sign is positive, negative or zero as read, and only one with
-mixed signs is rebuilt and certified in p (a matrix difference after a
-screen at five exact probes).  So verify_conjecture makes no exact layer
-step; the exact stepper, Engine.weights_at, serves the connection and
-expected-count polynomials.
+Every layer is stepped in the count basis modulo word primes (residues):
+the kernel powers, and the row of orbit totals layer by layer, step
+through the count-basis infected block.  A drop whose coefficients have
+one sign is positive, negative or zero as read, and only one with mixed
+signs is rebuilt and certified in p (a matrix difference after a screen
+at five exact probes).  The connection and expected-count polynomials are
+read off the same layers: one product with the bridge rows, rebuilt by
+Garner and shifted back to p.  So nothing steps a layer exactly in p.
 
 A count-basis kernel entry counts bond configurations by open bonds, so
 the infected block and the bridge rows are counted, not converted: the
 block from the successor table of the orbit representatives, the bridge
 rows from the bridge reach table, convolved with the count-basis
-stationary entries.  Both are divided by 1 + x down to their own degree.
-verify_conjecture builds neither the lumped kernel nor the bridge in p;
-connection and expected build the kernel, and read the bridge back from
-the count rows.
+stationary entries.  Both are divided by 1 + x down to their own degree,
+and neither the lumped kernel nor the bridge is built in p.
 
 Every stage runs on automorphism orbits.  The stationary vector is solved
 on the Aut(G) orbits of the connectivity chain and expanded to one entry
@@ -47,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,7 +58,7 @@ from .algebra import (
     _dot_table,
     _shift_basis,
     certify_sign,
-    poly_dot,
+    poly_dot,  # kept: perfbench/layers.py traces it (test_every_traced_target_exists)
     poly_sum,
 )
 from .analysis import (
@@ -76,7 +74,7 @@ from .kernels import (
     PolyMatrix,
     bridge_reach_table,
     build_core,
-    build_lumped_kernel,
+    build_lumped_kernel,  # kept: perfbench/layers.py traces it (test_every_traced_target_exists)
     build_reduced_kernel,
     lumped_state_list,
     successor_table,
@@ -86,6 +84,7 @@ from .patterns import Pattern, _check_guard
 from .residues import (
     _CountLayers,
     _PowerModPrime,
+    _Signed,
     _count_basis,
     _drop_certificates,
     _own_degree,
@@ -252,18 +251,6 @@ class OnsetCertificate:
         )
 
 
-def _advance(
-    kernel: PolyMatrix, weights: Sequence[Polynomial], sizes: Sequence[int]
-) -> list[Polynomial]:
-    """One exact layer step of per-state weights held on orbit
-    representatives: the orbit sums step through the orbit kernel, and
-    orbit-mates share their orbit's sum equally.  The weights are invariant
-    under the group of the orbits, so each share is exact in Z[p]; one that
-    is not raises ExactDivisionError."""
-    sums = kernel.vecmat([w * size for w, size in zip(weights, sizes)])
-    return [s.exact_div(Polynomial((size,))) for s, size in zip(sums, sizes)]
-
-
 def vector_onset(
     engine: Engine, matrix_step: int, matrix_certificates: list[list[SignCertificate]]
 ) -> OnsetCertificate:
@@ -340,24 +327,22 @@ class Engine:
       fixing the origin, under which the initial vector is invariant;
     - _counts: the lumped chain's infected block in the count basis,
       counted from the successor table of the infected orbit
-      representatives; kernel: the lumped chain in p;
+      representatives;
     - initial: one entry per lumped state;
     - _bridge_counts: the bridge rows of the vertex orbits in the count
-      basis, counted from the bridge reach table; bridge: one column per
-      infected orbit in p, read back from them.
+      basis, counted from the bridge reach table.
 
     Layer weights are held per orbit: every state of an orbit carries its
-    representative's weight.  Two steppers take them from layer to layer.
-    weights_at is the one exact one, in Z[p], for connection and expected.
-    The certificates of verify_conjecture never step an exact layer:
-    drop_certificates and connection_certificates read every drop off the
-    orbit totals in the count basis modulo word primes (_CountLayers), and
-    rebuild exactly only the drops whose coefficients have mixed signs.
-    Nor do they read the chain or the bridge in p: the count-basis block
-    and bridge rows are configuration counts, so no kernel or bridge entry
-    is taken to the count basis by a Taylor shift.  Distributions and
-    connection polynomials are scaled by powers of the stationary
-    normalizer.
+    representative's weight.  One stepper takes them from layer to layer:
+    _layers, the orbit totals in the count basis modulo word primes
+    (_CountLayers).  drop_certificates and connection_certificates read
+    every drop off it and rebuild exactly only the drops whose coefficients
+    have mixed signs; connection and expected rebuild one layer's product
+    with the bridge rows.  Neither the chain nor the bridge is built in p:
+    the count-basis block and bridge rows are configuration counts, so no
+    kernel or bridge entry is taken to the count basis by a Taylor shift.
+    Distributions and connection polynomials are scaled by powers of the
+    stationary normalizer.
     """
 
     def __init__(self, graph: Graph, label: str = ""):
@@ -383,45 +368,12 @@ class Engine:
         return Orbits(states, automorphisms(self.graph, fix_origin=True))
 
     @cached_property
-    def kernel(self) -> PolyMatrix:
-        return build_lumped_kernel(self.graph, self.orbits)
-
-    @cached_property
     def initial(self) -> PolyVector:
         return initial_distribution(self.stationary, self.graph)
 
     @cached_property
     def infected_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.orbits.representatives) if isinstance(s, Pattern)]
-
-    @cached_property
-    def bridge(self) -> list[list[Polynomial]]:
-        """bridge[v][i]: scaled probability, summed over the states of
-        infected orbit i, that vertex v links to the state's infection
-        through one stationary layer above and its vertical bonds.
-
-        Read back from the count-basis rows (_bridge_counts): vertex v reads
-        the row of its orbit, shifted back to p and divided by
-        scale // size_i."""
-        bridge = self._bridge_counts
-        degree = len(bridge.counts) - 1
-        rows = [
-            [
-                Polynomial(_shift_basis(bridge.counts[:, i, r].tolist(), degree, -1)).exact_div(
-                    Polynomial((bridge.scale // size,))
-                )
-                for i, size in enumerate(self._sizes)
-            ]
-            for r in range(bridge.counts.shape[2])
-        ]
-        return [rows[r] for r in bridge.column]
-
-    @cached_property
-    def _weights(self) -> list[list[Polynomial]]:
-        orbits = self.orbits
-        if tuple(self.initial.states) != orbits.states:
-            raise ValueError("initial distribution and orbits have different state spaces")
-        return [[self.initial.entries[members[0]] for members in orbits.members]]
 
     @cached_property
     def _sizes(self) -> list[int]:
@@ -441,17 +393,25 @@ class Engine:
 
     @cached_property
     def _layers(self) -> _CountLayers:
-        """The orbit totals size_i weights_at(n)[i] of the infected orbits in
-        the count basis modulo word primes.
+        """The orbit totals T_n of the infected orbits, each state's weight
+        at layer n times its orbit size, in the count basis modulo word
+        primes.
 
-        T_0 is taken to the count basis at the largest degree of its
-        entries.  The primes keep both the layer steps and the product of a
-        drop with the bridge counts exact (_PowerModPrime): every entry of
-        that product is below q^2 times the rows and coefficients of the
-        bridge counts, whose degree is at most that of the stationary
-        entries plus the vertex count.
+        T_0, read off the initial distribution, is taken to the count basis
+        at the largest degree of its entries.  The primes keep both the
+        layer steps and the product of a layer or drop with the bridge
+        counts exact (_PowerModPrime): every entry of that product is below
+        q^2 times the rows and coefficients of the bridge counts, whose
+        degree is at most that of the stationary entries plus the vertex
+        count.
         """
-        totals = [self._weights[0][i] * size for i, size in zip(self.infected_indices, self._sizes)]
+        orbits = self.orbits
+        if tuple(self.initial.states) != orbits.states:
+            raise ValueError("initial distribution and orbits have different state spaces")
+        totals = [
+            self.initial.entries[orbits.members[i][0]] * size
+            for i, size in zip(self.infected_indices, self._sizes)
+        ]
         start = _count_basis([totals], max(max(t.degree for t in totals), 0))
         counts = self._counts
         # a bridge entry is a stationary entry times one layer's vertical bonds
@@ -519,21 +479,10 @@ class Engine:
         matrix_step, matrix_certs = matrix_onset(self._counts, cap)
         return vector_onset(self, matrix_step, matrix_certs)
 
-    def weights_at(self, n: int) -> list[Polynomial]:
-        """Scaled distribution of the layer pattern after n steps: the
-        weight of each state of each orbit, in orbit order.  The one exact
-        layer stepper (_advance); each layer is stepped once and kept."""
-        if n < 0:
-            raise ValueError("layer index must be nonnegative")
-        if len(self._weights) <= n and tuple(self.kernel.states) != self.orbits.representatives:
-            raise ValueError("kernel and orbits have different state spaces")
-        while len(self._weights) <= n:
-            self._weights.append(_advance(self.kernel, self._weights[-1], self.orbits.sizes))
-        return self._weights[n]
-
     def drop_certificates(self, steps: int, cache: _CertCache) -> list[list[SignCertificate]]:
-        """Certificates of weights_at(n) - weights_at(n + 1) for n < steps,
-        on the infected orbits, in infected_indices order.
+        """Certificates of the drop of each state's weight from layer n to
+        layer n + 1 for n < steps, on the infected orbits, in
+        infected_indices order.
 
         The drops of the orbit totals, D_n = (1+x)^w T_n - T_(n+1), are read
         modulo as many primes as the bound of the last one asks for
@@ -571,18 +520,43 @@ class Engine:
         certs = _drop_certificates(residues, layers.primes, degrees, scales, cache.certify)
         return [[row[r] for r in bridge.column] for row in certs]
 
+    def _connections(self, n: int) -> list[Polynomial]:
+        """The connection polynomials at layer n of each vertex orbit's
+        smallest vertex, one per bridge row.
+
+        One product per prime takes layer n, T_n at degree e_n = e_0 + n w,
+        against the bridge counts: (1+x)^(e_n + b) scale times the
+        connection polynomials in the count basis, for b the degree of the
+        bridge counts.  Their coefficients are at most l1 S^n times the
+        largest absolute sum of one bridge entry.  Each is rebuilt, shifted
+        back to p and divided by the scale."""
+        if n < 0:
+            raise ValueError("layer index must be nonnegative")
+        layers, bridge = self._layers, self._bridge_counts
+        stacks = layers.layer(n, layers.l1 * layers.total**n * bridge.bound)
+        residues = [
+            _PowerModPrime(q, bridge.counts).times(s).astype(np.int64)
+            for q, s in zip(layers.primes, stacks)
+        ]
+        signed = _Signed(residues, layers.primes)
+        scale = Polynomial((bridge.scale,))
+        return [
+            Polynomial(_shift_basis(cs, signed.degree, -1)).exact_div(scale)
+            for cs in signed.coefficients(np.ones(residues[0].shape[1:], dtype=bool))
+        ]
+
     def connection(self, vertex: int, n: int) -> Polynomial:
         """Connection probability from the origin to (vertex, n), scaled by
         the squared normalizer."""
         if vertex not in self.graph.vertices:
             raise ValueError(f"vertex {vertex} not in graph")
-        weights = self.weights_at(n)
-        return poly_dot([weights[i] for i in self.infected_indices], self.bridge[vertex])
+        return self._connections(n)[self._bridge_counts.column[vertex]]
 
     def expected(self, n: int) -> Polynomial:
         """Expected number of infected vertices at layer n, scaled by the
         squared normalizer; the sum of the connection polynomials."""
-        return poly_sum(self.connection(v, n) for v in self.graph.vertices)
+        rows = self._connections(n)
+        return poly_sum(rows[r] for r in self._bridge_counts.column)
 
 
 def connection_polynomial(
@@ -597,10 +571,15 @@ def connection_polynomial(
     squared normalizer: the sum over layer state, upper-layer partition and
     vertical bonds of the weight of every triple linking the infection to the
     vertex.  The given per-state stages stand in for the engine's own, with
-    every lumped state its own orbit."""
+    every lumped state its own orbit: the kernel's infected block, taken to
+    the count basis at its largest entry degree, is the engine's block."""
     engine = Engine(graph)
-    engine.initial, engine.kernel, engine.stationary = initial, kernel, stationary
+    engine.initial, engine.stationary = initial, stationary
     engine.orbits = Orbits.trivial(kernel.states)
+    infected = engine.infected_indices
+    block = [[kernel.entries[y][x] for x in infected] for y in infected]
+    degree = max(max((q.degree for row in block for q in row), default=0), 0)
+    engine._counts = _nonnegative(_count_basis(block, degree).astype(np.int64))
     return engine.connection(vertex, n)
 
 

@@ -308,11 +308,11 @@ class _CountLayers:
     row of orbit totals T_0 for the layer weights), and M is a count-basis
     block of degree w: one _PowerModPrime per prime, its layers stepped
     from start.  With keep set every layer is kept (the layer weights,
-    whose drops are read twice); otherwise each prime holds only the last
-    layer reached once a drop is read (the kernel powers, whose drops are
-    read once each, in order).  Primes are taken below limit, largest
-    first, as the bounds of the drops ask for them; a prime taken late is
-    stepped up from start.
+    whose drops and layers are read more than once); otherwise each prime
+    holds only the last layer reached once a drop is read (the kernel
+    powers, whose drops are read once each, in order).  Primes are taken
+    below limit, largest first, as the bounds of the drops and layers ask
+    for them; a prime taken late is stepped up from start.
 
     M has no negative count, so with S the largest row total of M(1) and
     l1 the largest sum of the absolute coefficients of one row of start,
@@ -340,25 +340,40 @@ class _CountLayers:
     def degree(self, n: int) -> int:
         return len(self.start) - 1 + (n + 1) * self.w
 
+    def _stepped(
+        self, last: int, first: int, bound: int
+    ) -> Iterator[tuple[_PowerModPrime, list[Optional[np.ndarray]]]]:
+        """Each prime's factor and layers, stepped up to layer last, after
+        taking enough primes for integers of absolute value at most bound;
+        layers below first are let go, also as a prime taken late passes
+        them."""
+        while math.prod(self.primes) <= 2 * bound:
+            factor = _PowerModPrime(next(self.candidates), self.counts)
+            self.primes.append(factor.q)
+            self.layers.append((factor, [(self.start % factor.q).astype(np.float64)]))
+        for factor, layers in self.layers:
+            while len(layers) <= last:
+                layers.append(factor.times(layers[-1]))
+                if len(layers) - 2 < first:
+                    layers[-2] = None
+            yield factor, layers
+
     def drops(self, steps: int, bound: int) -> list[np.ndarray]:
         """D_first, ..., D_(steps-1) modulo every prime taken, for first 0
         with keep set and steps - 1 without it, after taking enough primes
         for integers of absolute value at most bound: per prime one int64
         stack d[t, n - first, r, i], zero past the degree of D_n.  Without
-        keep, each layer is let go once no later drop needs it, also as a
-        prime taken late passes it."""
+        keep, each layer is let go once no later drop needs it."""
         first = 0 if self.keep else steps - 1
-        while math.prod(self.primes) <= 2 * bound:
-            factor = _PowerModPrime(next(self.candidates), self.counts)
-            self.primes.append(factor.q)
-            self.layers.append((factor, [(self.start % factor.q).astype(np.float64)]))
         out = []
-        for factor, layers in self.layers:
-            while len(layers) <= steps:
-                layers.append(factor.times(layers[-1]))
-                if len(layers) - 2 < first:
-                    layers[-2] = None
+        for factor, layers in self._stepped(steps, first, bound):
             out.append(_difference(layers[first : steps + 1], self.w, factor.q))
             if not self.keep:
                 layers[first] = None
         return out
+
+    def layer(self, n: int, bound: int) -> list[np.ndarray]:
+        """start M^n modulo every prime taken, with keep set, after taking
+        enough primes for integers of absolute value at most bound: per
+        prime one float64 stack l[t, r, i] of degree e0 + n w."""
+        return [layers[n] for _, layers in self._stepped(n, 0, bound)]

@@ -17,6 +17,7 @@ from layerchain.algebra import (
     _shift_basis,
     _sign_variations,
     certify_sign,
+    poly_dot,
     poly_dot_table,
     poly_sum,
 )
@@ -51,11 +52,30 @@ HALF = Fraction(1, 2)
 
 def _per_state_engine(graph, initial, lumped, stationary):
     """An engine on given per-state stages, every lumped state its own
-    orbit, as connection_polynomial builds one."""
+    orbit.  It counts its own block from the successor table, unlike
+    connection_polynomial, which takes the given kernel's."""
     engine = Engine(graph)
-    engine.initial, engine.kernel, engine.stationary = initial, lumped, stationary
+    engine.initial, engine.stationary = initial, stationary
     engine.orbits = Orbits.trivial(lumped.states)
     return engine
+
+
+def orbit_kernel(engine):
+    """The lumped chain in p on the engine's orbits."""
+    return build_lumped_kernel(engine.graph, engine.orbits)
+
+
+def reference_weights(engine, steps):
+    """The layer weights in p for layers 0..steps, one per state of each
+    orbit, in orbit order: the orbit sums step through the lumped chain on
+    the engine's orbits (PolyMatrix.vecmat), and orbit-mates share their
+    orbit's sum equally, each share exact in Z[p]."""
+    kernel, sizes = orbit_kernel(engine), engine.orbits.sizes
+    weights = [[engine.initial.entries[members[0]] for members in engine.orbits.members]]
+    for _ in range(steps):
+        sums = kernel.vecmat([w * size for w, size in zip(weights[-1], sizes)])
+        weights.append([q.exact_div(Polynomial((size,))) for q, size in zip(sums, sizes)])
+    return weights
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +171,18 @@ def reference_matrix_onset(kernel, cap=64):
 
 def reference_vector_onset(engine, matrix_step, matrix_certificates):
     """The vector onset in the p basis: exact layer weights
-    (Engine.weights_at), each drop certified on (0, 1), each distinct
+    (reference_weights), each drop certified on (0, 1), each distinct
     polynomial once.  Below the onset, each connection drop is the dot
-    product of the layer's weight drop with the bridge row of the smallest
-    vertex of its vertex orbit.  Returns the onset certificate and the
-    connection certificates."""
+    product of the layer's weight drop with the bridge row in p
+    (reference_bridge) of the smallest vertex of its vertex orbit.  Returns
+    the onset certificate and the connection certificates."""
     orbits = engine.orbits
     infected = engine.infected_indices
     cache = monotonicity._CertCache()
     drops, orbit_certs = [], []
+    weights = reference_weights(engine, matrix_step)
     for n in range(matrix_step):
-        now, later = engine.weights_at(n), engine.weights_at(n + 1)
+        now, later = weights[n], weights[n + 1]
         drops.append([now[i] - later[i] for i in infected])
         orbit_certs.append({i: cache.certify(d) for i, d in zip(infected, drops[-1])})
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
@@ -182,7 +203,8 @@ def reference_vector_onset(engine, matrix_step, matrix_certificates):
     )
     representative = [min(perm[v] for perm in orbits.group) for v in engine.graph.vertices]
     distinct = sorted(set(representative))
-    rows = [engine.bridge[r] for r in distinct]
+    bridge = reference_bridge(engine)
+    rows = [bridge[r] for r in distinct]
     cache = monotonicity._CertCache()
     connection = []
     for n in range(onset):
@@ -202,7 +224,7 @@ def test_matrix_onset_matches_the_product_reference(graph):
     """The count-basis onset, with its powers modulo word primes, gives the
     step and certificates of the polynomial-matrix products, per state and
     on orbits."""
-    for kernel in (build_lumped_kernel(graph), Engine(graph).kernel):
+    for kernel in (build_lumped_kernel(graph), orbit_kernel(Engine(graph))):
         result = matrix_onset(count_block(kernel))
         assert _onset_dict(result) == _onset_dict(reference_matrix_onset(kernel))
 
@@ -210,10 +232,10 @@ def test_matrix_onset_matches_the_product_reference(graph):
 def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
     star = Graph(4, ((0, 1), (0, 2), (0, 3)))
     cases = [
-        (Engine(star).kernel, 7),
+        (orbit_kernel(Engine(star)), 7),
         (build_lumped_kernel(star), 8),
-        (Engine(c2).kernel, 4),
-        (Engine(path(4)).kernel, 8),
+        (orbit_kernel(Engine(c2)), 4),
+        (orbit_kernel(Engine(path(4))), 8),
     ]
     primes = []
     real = residues._PowerModPrime
@@ -244,7 +266,7 @@ def test_powers_read_once_hold_one_layer_and_match_kept_layers():
     """Without keep, the stepper matrix_onset reads one drop at a time from
     holds one layer per prime between reads, also for primes taken late,
     and its drops are those of a stepper that keeps every layer."""
-    counts = count_block(Engine(cycle(4)).kernel)
+    counts = count_block(orbit_kernel(Engine(cycle(4))))
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
     limit = residues._prime_limit(counts)
     kept = residues._CountLayers(identity, counts, limit, keep=True)
@@ -264,11 +286,15 @@ def test_powers_read_once_hold_one_layer_and_match_kept_layers():
 
 
 def test_matrix_onset_rejects_a_negative_count():
-    """1 - 2p is (1 - x)/(1 + x) at p = x/(1+x): not a count polynomial."""
+    """1 - 2p is (1 - x)/(1 + x) at p = x/(1+x): not a count polynomial.
+    connection_polynomial takes a given kernel's block to the count basis
+    and refuses it too, before it reads any other stage."""
     state = Pattern([(STAR, 0)])
     kernel = PolyMatrix((state,), ((Polynomial((1, -2)),),))
     with pytest.raises(ValueError):
         matrix_onset(count_block(kernel))
+    with pytest.raises(ValueError, match="negative count"):
+        connection_polynomial(Graph(1, ()), 0, 0, None, kernel, None)
 
 
 def test_onset_certificate_validates(verify_c2, verify_c3):
@@ -285,26 +311,37 @@ def test_onset_step_below_has_failure(verify_c2):
 
 
 def test_vector_onset_rejects_mismatched_states(c2, pipeline_c2, pipeline_c3):
-    _, stationary, lumped, _ = pipeline_c2
+    """Stages on different state spaces are refused: by vector_onset, and
+    by connection_polynomial whether its kernel or its initial
+    distribution is the other graph's."""
+    _, stationary, lumped, initial = pipeline_c2
     engine = _per_state_engine(c2, pipeline_c3[3], lumped, stationary)
     with pytest.raises(ValueError):
         vector_onset(engine, 1, [])
+    with pytest.raises(ValueError, match="different state spaces"):
+        connection_polynomial(c2, 1, 2, initial, pipeline_c3[2], stationary)
+    with pytest.raises(ValueError, match="different state spaces"):
+        connection_polynomial(c2, 1, 2, pipeline_c3[3], lumped, stationary)
 
 
 def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     """verify_conjecture reads every layer drop and connection drop in the
-    count basis modulo word primes, so it never steps a layer exactly
-    (_advance), and only a drop whose count-basis coefficients have mixed
-    signs reaches certify_sign; connection still steps exactly, once per
-    layer.  Its count-basis block and bridge rows are configuration counts:
-    it builds no lumped chain in p (build_lumped_kernel), weighs
+    count basis modulo word primes, and connection and expected read their
+    polynomials off the same layers, so none of them steps a layer exactly:
+    the only vector times a chain in p (PolyMatrix.vecmat) is the check of
+    the stationary vector of the connectivity chain.  Only a drop whose
+    count-basis coefficients have mixed signs reaches certify_sign.  The
+    count-basis block and bridge rows are configuration counts: none of
+    them builds the lumped chain in p (build_lumped_kernel), verify weighs
     configurations into p (weigh_configs) only for the cells of the
-    connectivity chain, whose stationary vector is solved in p, and takes
-    no kernel entry to the count basis: _count_basis sees only the row of
-    initial orbit totals and the row of stationary entries.  Certification
-    runs in-process, so a worker count other than 1 is refused."""
-    cells = Engine(c4).reduced.size ** 2
-    calls = {name: [] for name in ("advance", "certify", "lumped", "weigh", "basis")}
+    connectivity chain, whose stationary vector is solved in p, and no
+    kernel entry is taken to the count basis: _count_basis sees only the
+    row of initial orbit totals and the row of stationary entries.
+    Certification runs in-process, so a worker count other than 1 is
+    refused."""
+    reduced = Engine(c4).reduced.size
+    cells = reduced**2
+    calls = {name: [] for name in ("vecmat", "certify", "lumped", "weigh", "basis")}
 
     def spy(module, attr, name):
         real = getattr(module, attr)
@@ -315,7 +352,7 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
 
         monkeypatch.setattr(module, attr, counted)
 
-    spy(monotonicity, "_advance", "advance")
+    spy(kernels.PolyMatrix, "vecmat", "vecmat")
     spy(monotonicity, "certify_sign", "certify")
     spy(monotonicity, "build_lumped_kernel", "lumped")
     spy(kernels, "build_lumped_kernel", "lumped")
@@ -323,7 +360,8 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     spy(monotonicity, "_count_basis", "basis")
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
-    assert calls["advance"] == calls["lumped"] == []
+    assert calls["lumped"] == []
+    assert [kernel.size for kernel, _ in calls["vecmat"]] == [reduced]
     assert sum(len(counts) for counts, in calls["weigh"]) == cells
     assert [len(polys) for polys, _ in calls["basis"]] == [1, 1]
     # a one-signed count basis at the polynomial's own degree stays one-signed
@@ -331,8 +369,13 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     certified = [q for q, _ in calls["certify"]]
     assert certified
     assert all(_sign_variations(_shift_basis(q.coeffs, q.degree, 1)) for q in certified)
-    Engine(c4).connection(1, 3)
-    assert len(calls["advance"]) == 3 and len(calls["lumped"]) == 1
+    for read in (lambda engine: engine.connection(1, 3), lambda engine: engine.expected(3)):
+        for name in ("vecmat", "basis"):
+            calls[name].clear()
+        read(Engine(c4))
+        assert calls["lumped"] == []
+        assert [kernel.size for kernel, _ in calls["vecmat"]] == [reduced]
+        assert [len(polys) for polys, _ in calls["basis"]] == [1, 1]
     with pytest.raises(ValueError):
         verify_conjecture(c2, workers=2)
 
@@ -504,9 +547,11 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     """The engine lumps both chains onto automorphism orbits; the trivial
     group, through the public per-state builders, must give the same
     stationary vector, onset, step certificates, connection certificates
-    and exact connection polynomials up to one layer past the onset.  The
-    matrix step can only fall on orbits (it does on a star with the origin
-    at its centre), and the step certificates it keeps are the same."""
+    and exact connection polynomials up to one layer past the onset, and
+    those polynomials and the expected counts are the dot products of the
+    layer weights and the bridge in p.  The matrix step can only fall on
+    orbits (it does on a star with the origin at its centre), and the step
+    certificates it keeps are the same."""
     engine = Engine(graph)
     reduced = build_reduced_kernel(graph)
     stationary = stationary_distribution(reduced)
@@ -527,9 +572,15 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     assert engine.connection_certificates(steps, cache) == reference.connection_certificates(
         steps, cache
     )
+    weights, bridge = reference_weights(engine, steps), reference_bridge(engine)
     for n in range(steps + 1):
-        for v in graph.vertices:
-            assert engine.connection(v, n) == reference.connection(v, n)
+        exact = [
+            poly_dot([weights[n][i] for i in engine.infected_indices], bridge[v])
+            for v in graph.vertices
+        ]
+        assert [engine.connection(v, n) for v in graph.vertices] == exact
+        assert [reference.connection(v, n) for v in graph.vertices] == exact
+        assert engine.expected(n) == poly_sum(exact)
     last = graph.vertex_count - 1
     assert engine.connection(last, 1) == connection_polynomial(
         graph, last, 1, initial, lumped, stationary
@@ -572,13 +623,12 @@ def test_counted_block_and_bridge_rows_match_the_p_basis(graph):
     count_block takes from the lumped chain in p, and the count-basis
     bridge rows counted from the bridge reach table are _count_basis of the
     bridge rows in p at their own degree, with the same scale, columns and
-    bound; the bridge read back from them is the bridge in p.  On orbits
-    and per state."""
+    bound.  On orbits and per state."""
     stationary = stationary_distribution(build_reduced_kernel(graph))
     lumped = build_lumped_kernel(graph)
     initial = initial_distribution(stationary, graph)
     for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
-        block = count_block(engine.kernel)
+        block = count_block(orbit_kernel(engine))
         assert engine._counts.dtype == block.dtype and np.array_equal(engine._counts, block)
         bridge = reference_bridge(engine)
         representative = [min(perm[v] for perm in engine.orbits.group) for v in graph.vertices]
@@ -594,7 +644,6 @@ def test_counted_block_and_bridge_rows_match_the_p_basis(graph):
         assert counted.scale == scale
         assert counted.column == [distinct.index(r) for r in representative]
         assert counted.bound == int(np.abs(counts).sum(axis=0).max())
-        assert engine.bridge == bridge
 
 
 @settings(max_examples=12)  # each example runs both paths on two engines
@@ -607,7 +656,7 @@ def test_vector_onset_matches_the_p_basis_reference(graph):
     lumped = build_lumped_kernel(graph)
     initial = initial_distribution(stationary, graph)
     for engine in (Engine(graph), _per_state_engine(graph, initial, lumped, stationary)):
-        step, matrix_certs = matrix_onset(count_block(engine.kernel), CAP)
+        step, matrix_certs = matrix_onset(count_block(orbit_kernel(engine)), CAP)
         onset = vector_onset(engine, step, matrix_certs)
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
         assert onset.to_dict() == reference.to_dict()
@@ -620,7 +669,7 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     the engine's limit, and the connection drops below onset 6 two more; the
     primes are taken largest first, each once."""
     engine = Engine(path(4))
-    step, matrix_certs = matrix_onset(count_block(engine.kernel))
+    step, matrix_certs = matrix_onset(count_block(orbit_kernel(engine)))
     primes = []
     real = residues._PowerModPrime
 
@@ -660,7 +709,7 @@ def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
     leaf (orbits of two states, bridge scale 2)."""
     for graph in (cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3)), 1)):
         engine = Engine(graph)
-        step, matrix_certs = matrix_onset(count_block(engine.kernel))
+        step, matrix_certs = matrix_onset(count_block(orbit_kernel(engine)))
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
         layer, link = monotonicity._CertCache(), monotonicity._CertCache()
         with monkeypatch.context() as patch:
@@ -671,7 +720,7 @@ def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
         assert engine._bridge_counts.scale == 2
         assert onset.to_dict() == reference.to_dict()
         assert rebuilt == connection
-        weights = [engine.weights_at(n) for n in range(step + 1)]
+        weights = reference_weights(engine, step)
         assert set(layer.seen) == {
             (weights[n][i] - weights[n + 1][i]).coeffs
             for n in range(step)
@@ -693,11 +742,11 @@ def test_matrix_step_falls_on_the_orbits_of_a_star():
 def test_orbit_pipeline_on_the_four_cycle():
     engine = Engine(cycle(4))
     assert engine.reduced.size == 6  # 14 partitions
-    assert engine.kernel.size == 24  # 36 lumped states
+    assert orbit_kernel(engine).size == 24  # 36 lumped states
     onset = engine.onset()
     assert (onset.matrix_step, onset.onset) == (5, 4)
     assert len(onset.states) == 35 and len(onset.matrix_orbits) == 23
-    assert Engine(path(4)).kernel.size == 36
+    assert orbit_kernel(Engine(path(4))).size == 36
 
 
 @settings(max_examples=10)  # each example is one verify_conjecture
