@@ -11,14 +11,16 @@ layer distribution, the stationary distribution of the layer above, and
 the vertical bonds between them, so that one polynomial per vertex and
 step certifies the monotonicity of the connection probability itself.
 
-Every layer is stepped in the count basis modulo word primes (residues):
-the kernel powers, and the row of orbit totals layer by layer, step
-through the count-basis infected block.  A drop whose coefficients have
-one sign is positive, negative or zero as read, and only one with mixed
-signs is rebuilt and certified in p (a matrix difference after a screen
-at five exact probes).  The connection and expected-count polynomials are
-read off the same layers: one product with the bridge rows, rebuilt by
-Garner and shifted back to p.  So nothing steps a layer exactly in p.
+Every layer is stepped in the count basis modulo word primes
+(residues._CountLayers, which takes the primes its coefficient bounds ask
+for): the kernel powers, and the row of orbit totals layer by layer, step
+through the count-basis infected block.  The certificates are read here.
+A drop whose coefficients have one sign is positive, negative or zero as
+read, and only one with mixed signs is rebuilt (Garner, back to p, exact
+division) and certified once by certify_sign (a matrix difference after a
+screen at five exact probes).  The connection and expected-count
+polynomials are read off the same layers: one product with the bridge
+rows, rebuilt the same way.  So nothing steps a layer exactly in p.
 
 A count-basis kernel entry counts bond configurations by open bonds, so
 the infected block and the bridge rows are counted, not converted: the
@@ -50,12 +52,16 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (
+    IDENTICALLY_ZERO,
     Interval,
+    NEGATIVE,
     NONNEGATIVE_VERDICTS,
+    POSITIVE,
     Polynomial,
     SignCertificate,
     UNIT_OPEN,
     _dot_table,
+    _eval_sign,
     _shift_basis,
     certify_sign,
     poly_dot,  # kept: perfbench/layers.py traces it (test_every_traced_target_exists)
@@ -81,16 +87,7 @@ from .kernels import (
     table_counts,
 )
 from .patterns import Pattern, _check_guard
-from .residues import (
-    _CountLayers,
-    _PowerModPrime,
-    _Signed,
-    _count_basis,
-    _drop_certificates,
-    _own_degree,
-    _prime_limit,
-    _step_certificates,
-)
+from .residues import _CountLayers, _PowerModPrime, _Signed, _count_basis, _own_degree
 
 
 class OnsetCapExceeded(RuntimeError):
@@ -101,23 +98,76 @@ class OnsetCapExceeded(RuntimeError):
         self.cap = cap
 
 
-class _CertCache:
-    """Certifies the sign of each distinct polynomial on (0, 1) once,
-    in-process.
+_POSITIVE = SignCertificate(POSITIVE, UNIT_OPEN)
+_ZERO = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
+_NEGATIVE = SignCertificate(NEGATIVE, UNIT_OPEN)
 
-    Certificates are keyed by coefficients, so a repeated polynomial costs
-    a dictionary lookup and gets the same certificate.
-    """
+# x = p/(1-p) at p = 1/2, 1/4, 3/4, 1/10 and 9/10
+_PROBES = (Fraction(1), Fraction(1, 3), Fraction(3), Fraction(1, 9), Fraction(9))
 
-    def __init__(self):
-        self.seen: dict[tuple, SignCertificate] = {}
 
-    def certify(self, q: Polynomial) -> SignCertificate:
-        cert = self.seen.get(q.coeffs)
-        if cert is None:
-            cert = certify_sign(q, UNIT_OPEN)
-            self.seen[q.coeffs] = cert
-        return cert
+def _one_signed(signed: _Signed) -> list[list[SignCertificate]]:
+    """The certificate grid read off count-basis coefficient signs.
+
+    A polynomial whose count-basis coefficients have one sign is positive,
+    negative or zero on (0, 1) in p as read, with no witness, as
+    certify_sign gives it.  An entry with mixed signs reads positive here
+    and is left to the caller to rebuild (_rebuilt) and certify."""
+    return [
+        [(_POSITIVE if p else _NEGATIVE) if p or n else _ZERO for p, n in zip(*flags)]
+        for flags in zip(signed.has_positive.tolist(), signed.has_negative.tolist())
+    ]
+
+
+def _rebuilt(cs: list[int], degree: int, divisor: int) -> Polynomial:
+    """The polynomial in p whose count-basis coefficients at degree are cs,
+    the integers Garner's digits give (_Signed.coefficients), zero past that
+    degree, divided exactly by the positive divisor."""
+    q = Polynomial(_shift_basis(cs[: degree + 1], degree, -1))
+    return q.exact_div(Polynomial((divisor,)))
+
+
+def _step_certificates(
+    residues: list[np.ndarray], primes: list[int]
+) -> Optional[list[list[SignCertificate]]]:
+    """The certificate grid of one step's differences D_n, given by their
+    residues modulo the primes, or None when some entry is negative
+    somewhere on (0, 1).
+
+    The sign of D_n at x > 0 is the sign of the p-difference at x/(1+x), so
+    one-signed entries are read off their coefficients.  Entries with mixed
+    signs are rebuilt as integers, screened at five exact probes, and only
+    then taken back to p and certified."""
+    signed = _Signed(residues, primes)
+    if (signed.has_negative & ~signed.has_positive).any():
+        return None
+    certs = _one_signed(signed)
+    rows, cols = np.nonzero(signed.has_negative)
+    mixed = signed.coefficients(signed.has_negative)
+    if any(_eval_sign(cs, x) < 0 for cs in mixed for x in _PROBES):
+        return None
+    for i, j, cs in zip(rows.tolist(), cols.tolist(), mixed):
+        cert = certify_sign(_rebuilt(cs, signed.degree, 1), UNIT_OPEN)
+        if cert.verdict not in NONNEGATIVE_VERDICTS:
+            return None
+        certs[i][j] = cert
+    return certs
+
+
+def _drop_certificates(
+    residues: list[np.ndarray], primes: list[int], degrees: list[int], divisors: list[int]
+) -> list[list[SignCertificate]]:
+    """The certificate of each drop d_ne / divisors[e], given the count-basis
+    coefficients of d_ne at degree degrees[n] modulo the primes
+    (residues[t][n, e], zero past that degree): one-signed entries as read,
+    and one certificate in p for each entry with mixed signs."""
+    signed = _Signed(residues, primes)
+    certs = _one_signed(signed)
+    mixed = signed.has_negative & signed.has_positive
+    rows, cols = np.nonzero(mixed)
+    for n, e, cs in zip(rows.tolist(), cols.tolist(), signed.coefficients(mixed)):
+        certs[n][e] = certify_sign(_rebuilt(cs, degrees[n], divisors[e]), UNIT_OPEN)
+    return certs
 
 
 def _nonnegative(counts: np.ndarray) -> np.ndarray:
@@ -142,8 +192,11 @@ def matrix_onset(counts: np.ndarray, cap: int = 64) -> tuple[int, list[list[Sign
     most 2^w S^n + S^(n+1) in absolute value: the bound of _CountLayers
     started from the identity, which steps the powers modulo as many word
     primes as that bound needs.  The signs of the coefficients are read off
-    their mixed-radix digits.  A verdict depends only on the p-difference,
-    so the certificates are those of certifying each difference on (0, 1).
+    their mixed-radix digits, and entries with mixed signs are screened at
+    five exact probes before any is certified, so a step that fails the
+    screen costs no certificate.  A verdict depends only on the
+    p-difference, so the certificates are those of certifying each
+    difference on (0, 1).
     """
     _nonnegative(counts)
     if not counts.shape[1]:
@@ -151,11 +204,10 @@ def matrix_onset(counts: np.ndarray, cap: int = 64) -> tuple[int, list[list[Sign
             raise OnsetCapExceeded(cap)
         return 0, []
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
-    powers = _CountLayers(identity, counts, _prime_limit(counts), keep=False)
-    cache = _CertCache()
+    powers = _CountLayers(identity, counts, keep=False)
     for step in range(cap + 1):
-        residues = [d[:, 0] for d in powers.drops(step + 1, powers.bound(step))]
-        certs = _step_certificates(residues, powers.primes, cache.certify)
+        residues = [d[:, 0] for d in powers.drops(step + 1)]
+        certs = _step_certificates(residues, powers.primes)
         if certs is not None:
             return step, certs
         del residues  # not held while the next step's drops are computed
@@ -268,8 +320,7 @@ def vector_onset(
     """
     orbits = engine.orbits
     infected = engine.infected_indices
-    cache = _CertCache()
-    orbit_certs = [dict(zip(infected, row)) for row in engine.drop_certificates(matrix_step, cache)]
+    orbit_certs = [dict(zip(infected, row)) for row in engine.drop_certificates(matrix_step)]
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
     position = {i: j for j, i in enumerate(states)}
     step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
@@ -338,9 +389,10 @@ class Engine:
     (_CountLayers).  drop_certificates and connection_certificates read
     every drop off it and rebuild exactly only the drops whose coefficients
     have mixed signs; connection and expected rebuild one layer's product
-    with the bridge rows.  Neither the chain nor the bridge is built in p:
-    the count-basis block and bridge rows are configuration counts, so no
-    kernel or bridge entry is taken to the count basis by a Taylor shift.
+    with the bridge rows.  Both bridge products go through _bridged.
+    Neither the chain nor the bridge is built in p: the count-basis block
+    and bridge rows are configuration counts, so no kernel or bridge entry
+    is taken to the count basis by a Taylor shift.
     Distributions and connection polynomials are scaled by powers of the
     stationary normalizer.
     """
@@ -398,12 +450,11 @@ class Engine:
         primes.
 
         T_0, read off the initial distribution, is taken to the count basis
-        at the largest degree of its entries.  The primes keep both the
-        layer steps and the product of a layer or drop with the bridge
-        counts exact (_PowerModPrime): every entry of that product is below
-        q^2 times the rows and coefficients of the bridge counts, whose
-        degree is at most that of the stationary entries plus the vertex
-        count.
+        at the largest degree of its entries.  The primes also keep the
+        product of a layer or drop with the bridge counts exact (_bridged):
+        it sums, per entry, one term per row and coefficient of the bridge
+        counts, whose degree is at most that of the stationary entries plus
+        the vertex count.
         """
         orbits = self.orbits
         if tuple(self.initial.states) != orbits.states:
@@ -413,11 +464,9 @@ class Engine:
             for i, size in zip(self.infected_indices, self._sizes)
         ]
         start = _count_basis([totals], max(max(t.degree for t in totals), 0))
-        counts = self._counts
         # a bridge entry is a stationary entry times one layer's vertical bonds
         bridge_degree = max(q.degree for q in self.stationary.entries) + self.graph.vertex_count
-        limit = min(_prime_limit(counts), math.isqrt(2**52 // (len(totals) * (bridge_degree + 1))))
-        return _CountLayers(start, counts, limit, keep=True)
+        return _CountLayers(start, self._counts, len(totals) * (bridge_degree + 1), keep=True)
 
     @cached_property
     def _bridge_counts(self) -> _BridgeCounts:
@@ -479,7 +528,7 @@ class Engine:
         matrix_step, matrix_certs = matrix_onset(self._counts, cap)
         return vector_onset(self, matrix_step, matrix_certs)
 
-    def drop_certificates(self, steps: int, cache: _CertCache) -> list[list[SignCertificate]]:
+    def drop_certificates(self, steps: int) -> list[list[SignCertificate]]:
         """Certificates of the drop of each state's weight from layer n to
         layer n + 1 for n < steps, on the infected orbits, in
         infected_indices order.
@@ -491,33 +540,39 @@ class Engine:
         if not steps:
             return []
         layers = self._layers
-        drops = [d[:, :, 0] for d in layers.drops(steps, layers.bound(steps - 1))]
+        drops = [d[:, :, 0] for d in layers.drops(steps)]
         degrees = [layers.degree(n) for n in range(steps)]
-        return _drop_certificates(drops, layers.primes, degrees, self._sizes, cache.certify)
+        return _drop_certificates(drops, layers.primes, degrees, self._sizes)
 
-    def connection_certificates(
-        self, steps: int, cache: _CertCache
-    ) -> list[list[SignCertificate]]:
+    def _bridged(self, rows: list[np.ndarray]) -> list[np.ndarray]:
+        """Rows over the infected orbits times the bridge counts, modulo
+        each prime of _layers in order: stacks r[t, k, i] in, stacks
+        [t, k, column] of int64 residues out, one product per prime.  The
+        primes of _layers keep the product exact."""
+        counts = self._bridge_counts.counts
+        return [
+            _PowerModPrime(q, counts).times(r.astype(np.float64)).astype(np.int64)
+            for q, r in zip(self._layers.primes, rows)
+        ]
+
+    def connection_certificates(self, steps: int) -> list[list[SignCertificate]]:
         """Certificates of connection(v, n) - connection(v, n + 1) for n <
         steps and every vertex v.
 
         One product per prime takes the drops D_n against the bridge counts
         of every vertex orbit: (1+x)^(e_n + b) scale times the connection
         drops in the count basis, for e_n the degree of D_n and b that of
-        the bridge counts.  Their coefficients are at most the bound of D_n
-        times the largest absolute sum of one bridge entry.  A drop with
-        mixed signs is rebuilt and divided by the scale."""
+        the bridge counts.  The drops are read modulo as many primes as
+        those products ask for, whose bridge entries have absolute
+        coefficients summing to at most bridge.bound.  A drop with mixed
+        signs is rebuilt and divided by the scale."""
         if not steps:
             return []
         layers, bridge = self._layers, self._bridge_counts
-        drops = layers.drops(steps, layers.bound(steps - 1) * bridge.bound)
-        residues = [
-            _PowerModPrime(q, bridge.counts).times(d[:, :, 0].astype(np.float64)).astype(np.int64)
-            for q, d in zip(layers.primes, drops)
-        ]
+        residues = self._bridged([d[:, :, 0] for d in layers.drops(steps, bridge.bound)])
         degrees = [layers.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
         scales = [bridge.scale] * bridge.counts.shape[2]
-        certs = _drop_certificates(residues, layers.primes, degrees, scales, cache.certify)
+        certs = _drop_certificates(residues, layers.primes, degrees, scales)
         return [[row[r] for r in bridge.column] for row in certs]
 
     def _connections(self, n: int) -> list[Polynomial]:
@@ -527,21 +582,15 @@ class Engine:
         One product per prime takes layer n, T_n at degree e_n = e_0 + n w,
         against the bridge counts: (1+x)^(e_n + b) scale times the
         connection polynomials in the count basis, for b the degree of the
-        bridge counts.  Their coefficients are at most l1 S^n times the
-        largest absolute sum of one bridge entry.  Each is rebuilt, shifted
-        back to p and divided by the scale."""
+        bridge counts, read modulo as many primes as that product asks for.
+        Each is rebuilt, shifted back to p and divided by the scale."""
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         layers, bridge = self._layers, self._bridge_counts
-        stacks = layers.layer(n, layers.l1 * layers.total**n * bridge.bound)
-        residues = [
-            _PowerModPrime(q, bridge.counts).times(s).astype(np.int64)
-            for q, s in zip(layers.primes, stacks)
-        ]
+        residues = self._bridged(layers.layer(n, bridge.bound))
         signed = _Signed(residues, layers.primes)
-        scale = Polynomial((bridge.scale,))
         return [
-            Polynomial(_shift_basis(cs, signed.degree, -1)).exact_div(scale)
+            _rebuilt(cs, signed.degree, bridge.scale)
             for cs in signed.coefficients(np.ones(residues[0].shape[1:], dtype=bool))
         ]
 
@@ -678,7 +727,7 @@ def verify_conjecture(
         onset_cert = engine.onset(cap)
     except OnsetCapExceeded:
         return ConjectureCertificate(engine.label, INCONCLUSIVE, None)
-    connection_certs = engine.connection_certificates(onset_cert.onset, _CertCache())
+    connection_certs = engine.connection_certificates(onset_cert.onset)
     witness = next(
         (
             {"vertex": v, "n": n, "certificate": cert.to_dict()}

@@ -1,4 +1,5 @@
-"""Count-basis polynomial stacks modulo word primes, and the signs read off them.
+"""Count-basis polynomial stacks modulo word primes: the modular arithmetic
+and the changes of basis.
 
 The onsets take kernel powers and layer weights to the count basis
 p = x/(1+x): a polynomial q of degree at most d becomes
@@ -6,29 +7,18 @@ p = x/(1+x): a polynomial q of degree at most d becomes
 configurations by open bonds.  The coefficients outgrow a machine word, so
 they are computed modulo primes below 2^31 in numpy float64, exact below
 2^52, and combined by Garner's mixed-radix CRT (McClellan, J. ACM 20,
-1973) under an a-priori coefficient bound.  A polynomial whose count-basis
-coefficients have one sign is positive, negative or zero on (0, 1) as
-read; only one with mixed signs is rebuilt as integers and certified in p.
+1973) under an a-priori coefficient bound, whose mixed-radix digits give
+the sign of every coefficient (_Signed).  The certificates read off those
+signs are issued in monotonicity.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    IDENTICALLY_ZERO,
-    NEGATIVE,
-    NONNEGATIVE_VERDICTS,
-    POSITIVE,
-    Polynomial,
-    SignCertificate,
-    UNIT_OPEN,
-    _eval_sign,
-    _shift_basis,
-)
+from .algebra import Polynomial, _shift_basis
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -198,73 +188,6 @@ def _difference(layers: Sequence[np.ndarray], w: int, q: int) -> np.ndarray:
     return d.astype(np.int64)
 
 
-# x = p/(1-p) at p = 1/2, 1/4, 3/4, 1/10 and 9/10
-_PROBES = (Fraction(1), Fraction(1, 3), Fraction(3), Fraction(1, 9), Fraction(9))
-
-_POSITIVE = SignCertificate(POSITIVE, UNIT_OPEN)
-_ZERO = SignCertificate(IDENTICALLY_ZERO, UNIT_OPEN)
-_NEGATIVE = SignCertificate(NEGATIVE, UNIT_OPEN)
-
-
-def _step_certificates(
-    residues: list[np.ndarray], primes: list[int], certify: Callable[[Polynomial], SignCertificate]
-) -> Optional[list[list[SignCertificate]]]:
-    """The certificate grid of one step's differences D_n, given by their
-    residues modulo the primes, or None when some entry is negative
-    somewhere on (0, 1).
-
-    The sign of D_n at x > 0 is the sign of the p-difference at x/(1+x), so
-    one-signed entries are read off their coefficients (_Signed).  Entries
-    with mixed signs are rebuilt as integers, screened at five exact probes
-    and certified in the p basis by certify.
-    """
-    signed = _Signed(residues, primes)
-    if (signed.has_negative & ~signed.has_positive).any():
-        return None
-    certs = [[_POSITIVE if p else _ZERO for p in row] for row in signed.has_positive.tolist()]
-    rows, cols = np.nonzero(signed.has_negative)
-    if not len(rows):
-        return certs
-    mixed = signed.coefficients(signed.has_negative)
-    if any(_eval_sign(cs, x) < 0 for cs in mixed for x in _PROBES):
-        return None
-    for i, j, cs in zip(rows.tolist(), cols.tolist(), mixed):
-        cert = certify(Polynomial(_shift_basis(cs, signed.degree, -1)))
-        if cert.verdict not in NONNEGATIVE_VERDICTS:
-            return None
-        certs[i][j] = cert
-    return certs
-
-
-def _drop_certificates(
-    residues: list[np.ndarray],
-    primes: list[int],
-    degrees: Sequence[int],
-    divisors: Sequence[int],
-    certify: Callable[[Polynomial], SignCertificate],
-) -> list[list[SignCertificate]]:
-    """The certificate of each drop d_ne / divisors[e], given the count-basis
-    coefficients of d_ne at degree degrees[n] modulo the primes
-    (residues[t][n, e], zero past that degree).
-
-    One-signed entries are read off their coefficients (_Signed) and carry
-    no witness, as certify_sign gives them.  Only entries with mixed signs
-    are rebuilt: Garner, back to the p basis, the exact division by the
-    positive divisor, and one certificate by certify.
-    """
-    signed = _Signed(residues, primes)
-    certs = [
-        [(_POSITIVE if p else _NEGATIVE) if p or n else _ZERO for p, n in zip(*flags)]
-        for flags in zip(signed.has_positive.tolist(), signed.has_negative.tolist())
-    ]
-    mixed = signed.has_negative & signed.has_positive
-    rows, cols = np.nonzero(mixed)
-    for n, e, cs in zip(rows.tolist(), cols.tolist(), signed.coefficients(mixed)):
-        drop = Polynomial(_shift_basis(cs[: degrees[n] + 1], degrees[n], -1))
-        certs[n][e] = certify(drop.exact_div(Polynomial((divisors[e],))))
-    return certs
-
-
 def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarray:
     """counts[t, i, j]: coefficient t of (1+x)^degree q_ij(x/(1+x)), for
     polys[i][j] = q_ij of degree at most degree, as Python integers: one
@@ -311,25 +234,34 @@ class _CountLayers:
     whose drops and layers are read more than once); otherwise each prime
     holds only the last layer reached once a drop is read (the kernel
     powers, whose drops are read once each, in order).  Primes are taken
-    below limit, largest first, as the bounds of the drops and layers ask
-    for them; a prime taken late is stepped up from start.
+    largest first, as the bounds of the drops and layers ask for them; a
+    prime taken late is stepped up from start.
+
+    The primes keep the steps exact (_prime_limit) and, given taps, also a
+    later product of the drops or layers with a factor reduced modulo q
+    that sums taps terms per entry, each below q^2.
 
     M has no negative count, so with S the largest row total of M(1) and
     l1 the largest sum of the absolute coefficients of one row of start,
     the coefficients of one row of start M^n sum to at most l1 S^n in
-    absolute value, and every coefficient of the drop
-    D_n = (1+x)^w start M^n - start M^(n+1) is at most l1 S^n (2^w + S)
+    absolute value, and those of one row of the drop
+    D_n = (1+x)^w start M^n - start M^(n+1) to at most l1 S^n (2^w + S)
     (bound).  start M^n has degree e0 + n w, for e0 that of start, so D_n
     has degree e0 + (n+1) w (degree).
     """
 
-    def __init__(self, start: np.ndarray, counts: np.ndarray, limit: int, *, keep: bool):
+    def __init__(
+        self, start: np.ndarray, counts: np.ndarray, taps: Optional[int] = None, *, keep: bool
+    ):
         self.start = start
         self.counts = counts
         self.keep = keep
         self.w = len(counts) - 1
         self.l1 = int(np.abs(start).sum(axis=(0, 2)).max())
         self.total = int(counts.sum(axis=(0, 2)).max())
+        limit = _prime_limit(counts)
+        if taps is not None:
+            limit = min(limit, math.isqrt(2**52 // taps))
         self.candidates = _primes_below(limit)
         self.primes: list[int] = []
         self.layers: list[tuple[_PowerModPrime, list[Optional[np.ndarray]]]] = []
@@ -358,22 +290,25 @@ class _CountLayers:
                     layers[-2] = None
             yield factor, layers
 
-    def drops(self, steps: int, bound: int) -> list[np.ndarray]:
+    def drops(self, steps: int, later: int = 1) -> list[np.ndarray]:
         """D_first, ..., D_(steps-1) modulo every prime taken, for first 0
-        with keep set and steps - 1 without it, after taking enough primes
-        for integers of absolute value at most bound: per prime one int64
-        stack d[t, n - first, r, i], zero past the degree of D_n.  Without
-        keep, each layer is let go once no later drop needs it."""
+        with keep set and steps - 1 without it: per prime one int64 stack
+        d[t, n - first, r, i], zero past the degree of D_n.  The primes
+        cover the coefficients of the drops times a later factor whose
+        entries' absolute coefficients sum to at most later.  Without keep,
+        each layer is let go once no later drop needs it."""
         first = 0 if self.keep else steps - 1
         out = []
-        for factor, layers in self._stepped(steps, first, bound):
+        for factor, layers in self._stepped(steps, first, self.bound(steps - 1) * later):
             out.append(_difference(layers[first : steps + 1], self.w, factor.q))
             if not self.keep:
                 layers[first] = None
         return out
 
-    def layer(self, n: int, bound: int) -> list[np.ndarray]:
-        """start M^n modulo every prime taken, with keep set, after taking
-        enough primes for integers of absolute value at most bound: per
-        prime one float64 stack l[t, r, i] of degree e0 + n w."""
+    def layer(self, n: int, later: int = 1) -> list[np.ndarray]:
+        """start M^n modulo every prime taken, with keep set: per prime one
+        float64 stack l[t, r, i] of degree e0 + n w.  The primes cover the
+        coefficients of the layer times a later factor whose entries'
+        absolute coefficients sum to at most later."""
+        bound = self.l1 * self.total**n * later
         return [layers[n] for _, layers in self._stepped(n, 0, bound)]

@@ -145,13 +145,12 @@ _REFERENCE_PROBES = tuple(Fraction(a, b) for a, b in ((1, 2), (1, 4), (3, 4), (1
 def reference_matrix_onset(kernel, cap=64):
     """The matrix onset by products of polynomial matrices in p: the
     difference of consecutive block powers, screened at five rationals and
-    certified entry by entry on (0, 1), each distinct polynomial once."""
+    certified entry by entry on (0, 1)."""
     infected = [i for i, s in enumerate(kernel.states) if isinstance(s, Pattern)]
     block = PolyMatrix(
         tuple(kernel.states[i] for i in infected),
         tuple(tuple(kernel.entries[y][x] for x in infected) for y in infected),
     )
-    cache = monotonicity._CertCache()
     current = PolyMatrix.identity(block.states)
     for step in range(cap + 1):
         following = current @ block
@@ -161,7 +160,7 @@ def reference_matrix_onset(kernel, cap=64):
         ]
         flat = [d for row in diffs for d in row]
         if not any(_eval_sign(d.coeffs, x) < 0 for d in flat for x in _REFERENCE_PROBES):
-            certs = [cache.certify(d) for d in flat]
+            certs = [certify_sign(d, UNIT_OPEN) for d in flat]
             if all(c.verdict in NONNEGATIVE_VERDICTS for c in certs):
                 n = block.size
                 return step, [certs[i * n : (i + 1) * n] for i in range(n)]
@@ -171,20 +170,19 @@ def reference_matrix_onset(kernel, cap=64):
 
 def reference_vector_onset(engine, matrix_step, matrix_certificates):
     """The vector onset in the p basis: exact layer weights
-    (reference_weights), each drop certified on (0, 1), each distinct
-    polynomial once.  Below the onset, each connection drop is the dot
-    product of the layer's weight drop with the bridge row in p
-    (reference_bridge) of the smallest vertex of its vertex orbit.  Returns
-    the onset certificate and the connection certificates."""
+    (reference_weights), each drop certified on (0, 1).  Below the onset,
+    each connection drop is the dot product of the layer's weight drop with
+    the bridge row in p (reference_bridge) of the smallest vertex of its
+    vertex orbit.  Returns the onset certificate and the connection
+    certificates."""
     orbits = engine.orbits
     infected = engine.infected_indices
-    cache = monotonicity._CertCache()
     drops, orbit_certs = [], []
     weights = reference_weights(engine, matrix_step)
     for n in range(matrix_step):
         now, later = weights[n], weights[n + 1]
         drops.append([now[i] - later[i] for i in infected])
-        orbit_certs.append({i: cache.certify(d) for i, d in zip(infected, drops[-1])})
+        orbit_certs.append({i: certify_sign(d, UNIT_OPEN) for i, d in zip(infected, drops[-1])})
     states = [i for i, s in enumerate(orbits.states) if isinstance(s, Pattern)]
     position = {i: j for j, i in enumerate(states)}
     step_certs = [[certs[orbits.orbit_of[i]] for i in states] for certs in orbit_certs]
@@ -205,11 +203,10 @@ def reference_vector_onset(engine, matrix_step, matrix_certificates):
     distinct = sorted(set(representative))
     bridge = reference_bridge(engine)
     rows = [bridge[r] for r in distinct]
-    cache = monotonicity._CertCache()
     connection = []
     for n in range(onset):
         by_vertex = dict(zip(distinct, poly_dot_table([drops[n]], rows)[0]))
-        connection.append([cache.certify(by_vertex[r]) for r in representative])
+        connection.append([certify_sign(by_vertex[r], UNIT_OPEN) for r in representative])
     return certificate, connection
 
 
@@ -263,19 +260,18 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
 
 
 def test_powers_read_once_hold_one_layer_and_match_kept_layers():
-    """Without keep, the stepper matrix_onset reads one drop at a time from
-    holds one layer per prime between reads, also for primes taken late,
-    and its drops are those of a stepper that keeps every layer."""
+    """Without keep, the stepper that matrix_onset reads one drop at a time
+    from holds one layer per prime between reads, also for primes taken
+    late, and its drops are those of a stepper that keeps every layer."""
     counts = count_block(orbit_kernel(Engine(cycle(4))))
     identity = np.eye(counts.shape[1], dtype=np.int64)[None]
-    limit = residues._prime_limit(counts)
-    kept = residues._CountLayers(identity, counts, limit, keep=True)
-    read = residues._CountLayers(identity, counts, limit, keep=False)
+    kept = residues._CountLayers(identity, counts, keep=True)
+    read = residues._CountLayers(identity, counts, keep=False)
     steps = 5
-    every = kept.drops(steps, kept.bound(steps - 1))
+    every = kept.drops(steps)
     taken = []
     for n in range(steps):
-        drops = read.drops(n + 1, read.bound(n))
+        drops = read.drops(n + 1)
         taken.append(len(read.primes))
         assert all(sum(x is not None for x in layers) == 1 for _, layers in read.layers)
         for d, full in zip(drops, every):
@@ -390,7 +386,7 @@ def test_connection_drops_read_one_bridge_row_per_vertex_orbit(c4):
     bridge = engine._bridge_counts
     assert onset == 4
     assert bridge.counts.shape[2] == 3 and bridge.column == [0, 1, 2, 1]
-    certificates = engine.connection_certificates(onset, monotonicity._CertCache())
+    certificates = engine.connection_certificates(onset)
     assert len(certificates) == onset
     for n, row in enumerate(certificates):
         exact = [engine.connection(v, n) - engine.connection(v, n + 1) for v in c4.vertices]
@@ -567,11 +563,8 @@ def test_orbit_pipeline_matches_per_state_builders(graph):
     assert on_orbits.states == per_state.states
     kept = per_state.step_certificates[: on_orbits.matrix_step]
     assert on_orbits.step_certificates == kept
-    cache = monotonicity._CertCache()
     steps = on_orbits.onset + 1
-    assert engine.connection_certificates(steps, cache) == reference.connection_certificates(
-        steps, cache
-    )
+    assert engine.connection_certificates(steps) == reference.connection_certificates(steps)
     weights, bridge = reference_weights(engine, steps), reference_bridge(engine)
     for n in range(steps + 1):
         exact = [
@@ -660,8 +653,7 @@ def test_vector_onset_matches_the_p_basis_reference(graph):
         onset = vector_onset(engine, step, matrix_certs)
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
         assert onset.to_dict() == reference.to_dict()
-        cache = monotonicity._CertCache()
-        assert engine.connection_certificates(onset.onset, cache) == connection
+        assert engine.connection_certificates(onset.onset) == connection
 
 
 def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
@@ -686,13 +678,37 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
     assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
     # the bridge product sums 35 infected orbits times 50 coefficients
     assert primes == sorted(primes, reverse=True) and primes[0] < math.isqrt(2**52 // (35 * 50))
-    engine.connection_certificates(onset.onset, monotonicity._CertCache())
+    engine.connection_certificates(onset.onset)
     bound = layers.bound(onset.onset - 1) * engine._bridge_counts.bound
     assert len(primes) == 7 and len(set(primes)) == 7
     assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
 
 
-class _AllMixed(residues._Signed):
+def test_layer_reads_take_the_primes_their_bound_asks_for(monkeypatch):
+    """On a fresh path:4 engine, connection(3, 9) reads layer 9 modulo
+    primes taken largest first, each once, until their product passes
+    twice l1 S^9 times the bridge bound: l1 the absolute coefficient sum of
+    the row of initial orbit totals, S the largest row total of the block.
+    The bridge products' factors are not counted."""
+    engine = Engine(path(4))
+    primes = []
+    real = residues._PowerModPrime
+
+    def spy(q, counts):
+        primes.append(q)
+        return real(q, counts)
+
+    monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the layer steppers
+    engine.connection(3, 9)
+    l1 = int(np.abs(engine._layers.start).sum())
+    total = int(engine._counts.sum(axis=(0, 2)).max())
+    bound = l1 * total**9 * engine._bridge_counts.bound
+    assert primes == engine._layers.primes and len(set(primes)) == len(primes) == 8
+    assert primes == sorted(primes, reverse=True) and primes[0] < math.isqrt(2**52 // (35 * 50))
+    assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
+
+
+class _AllMixed(monotonicity._Signed):
     """Marks every entry as having coefficients of both signs."""
 
     def __init__(self, stacks, primes):
@@ -703,34 +719,44 @@ class _AllMixed(residues._Signed):
 def test_rebuilt_drops_are_the_exact_drops(monkeypatch):
     """Every layer and connection drop rebuilt from its residues (Garner,
     back to p, divided by its orbit size or the bridge scale) is the exact
-    drop, and certifies as in the p-basis reference.  No graph with at most
-    four vertices has a connection drop with mixed signs, so the rebuild is
-    forced for every entry, on cycle:4 and on the star with the origin on a
-    leaf (orbits of two states, bridge scale 2)."""
+    drop, and certifies as in the p-basis reference: certify_sign sees each
+    entry with mixed signs once, in order, and nothing else.  No graph with
+    at most four vertices has a connection drop with mixed signs, so the
+    rebuild is forced for every entry, on cycle:4 and on the star with the
+    origin on a leaf (orbits of two states, bridge scale 2)."""
     for graph in (cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3)), 1)):
         engine = Engine(graph)
         step, matrix_certs = matrix_onset(count_block(orbit_kernel(engine)))
         reference, connection = reference_vector_onset(engine, step, matrix_certs)
-        layer, link = monotonicity._CertCache(), monotonicity._CertCache()
+        certified = []
+        real = monotonicity.certify_sign
+
+        def spy(q, interval):
+            certified.append((q, interval))
+            return real(q, interval)
+
         with monkeypatch.context() as patch:
-            patch.setattr(residues, "_Signed", _AllMixed)
+            patch.setattr(monotonicity, "_Signed", _AllMixed)
+            patch.setattr(monotonicity, "certify_sign", spy)
             onset = vector_onset(engine, step, matrix_certs)
-            engine.drop_certificates(step, layer)
-            rebuilt = engine.connection_certificates(onset.onset, link)
+            layer = list(certified)
+            certified.clear()
+            rebuilt = engine.connection_certificates(onset.onset)
         assert engine._bridge_counts.scale == 2
         assert onset.to_dict() == reference.to_dict()
         assert rebuilt == connection
         weights = reference_weights(engine, step)
-        assert set(layer.seen) == {
-            (weights[n][i] - weights[n + 1][i]).coeffs
+        assert layer == [
+            (weights[n][i] - weights[n + 1][i], UNIT_OPEN)
             for n in range(step)
             for i in engine.infected_indices
-        }
-        assert set(link.seen) == {
-            (engine.connection(v, n) - engine.connection(v, n + 1)).coeffs
+        ]
+        columns = sorted(set(min(perm[v] for perm in engine.orbits.group) for v in graph.vertices))
+        assert certified == [
+            (engine.connection(v, n) - engine.connection(v, n + 1), UNIT_OPEN)
             for n in range(onset.onset)
-            for v in graph.vertices
-        }
+            for v in columns
+        ]
 
 
 def test_matrix_step_falls_on_the_orbits_of_a_star():
