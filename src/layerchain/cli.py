@@ -3,7 +3,7 @@
 All exact results are rendered as rational strings; only the mc and decay
 commands are approximate and say so in their artifacts.  Exit codes:
 0 success or proven, 1 usage or input error (a malformed command line
-included), 2 counterexample, 3 inconclusive.
+included) or running out of memory, 2 counterexample, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .analysis import (
 from .errors import CodedError
 from .graphs import Graph, GraphError, load_graph, make_builtin
 from .kernels import (
+    _bell,
     build_core,
     build_full_kernel,
     build_lumped_kernel,
@@ -39,7 +40,7 @@ from .monotonicity import (
     verify_expected_count_monotonicity,
 )
 from .montecarlo import estimate_connection, initial_pattern_fit
-from .patterns import Pattern, enumerate_patterns
+from .patterns import Pattern
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,18 +111,18 @@ def _emit(artifact, args, as_text: bool = False) -> None:
 
 
 def _cmd_states(args) -> int:
-    """Enumerate chain state spaces and their sizes."""
+    """Count chain state spaces and list the core and lumped states."""
     graph = _graph_from_args(args)
-    patterns = enumerate_patterns(graph)
-    infected = [x for x in patterns if x.infected]
     core = build_core(graph).orbits.states
     lumped = lumped_state_list(core)
+    # the patterns partition V plus {*}; the uninfected ones hold * alone
+    patterns, uninfected = _bell(graph.vertex_count + 1), _bell(graph.vertex_count)
     _emit(
         {
             "graph": graph.describe(),
-            "pattern_count": len(patterns),
-            "infected_count": len(infected),
-            "uninfected_count": len(patterns) - len(infected),
+            "pattern_count": patterns,
+            "infected_count": patterns - uninfected,
+            "uninfected_count": uninfected,
             "core_count": len(core),
             "lumped_count": len(lumped),
             "core_states": [str(s) for s in core],
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
         return command.handler(args)
     except CodedError as exc:
         print(f"error: [{exc.code}] {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: [out-of-memory] {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

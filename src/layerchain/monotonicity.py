@@ -13,8 +13,9 @@ step certifies the monotonicity of the connection probability itself.
 
 Every layer is stepped in the count basis modulo word primes
 (residues._CountLayers, which takes the primes its coefficient bounds ask
-for): the kernel powers, and the row of orbit totals layer by layer, step
-through the count-basis infected block.  The certificates are read here.
+for): the drops of the kernel powers, and the row of orbit totals and its
+drops, step through the count-basis infected block.  The certificates are
+read here.
 A drop whose coefficients have one sign is positive, negative or zero as
 read, and only one with mixed signs is rebuilt (Garner, back to p, exact
 division) and certified once by certify_sign (a matrix difference after a
@@ -176,6 +177,15 @@ def _nonnegative(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _drop_factor(counts: np.ndarray) -> np.ndarray:
+    """F = (1+x)^w I - M for the count-basis block M of degree w, exact in
+    int64: the binomial coefficients of (1+x)^w on the diagonal minus the
+    counts.  The drops of rows L_n = L_0 M^n are L_0 F M^n."""
+    w = len(counts) - 1
+    binomial = np.array([math.comb(w, t) for t in range(w + 1)], dtype=np.int64)
+    return binomial[:, None, None] * np.eye(counts.shape[1], dtype=np.int64) - counts
+
+
 def matrix_onset(counts: np.ndarray, cap: int = 64) -> tuple[int, list[list[SignCertificate]]]:
     """Smallest step at which every infected-block kernel entry dominates its successor.
 
@@ -188,29 +198,27 @@ def matrix_onset(counts: np.ndarray, cap: int = 64) -> tuple[int, list[list[Sign
     of M(x) = (1+x)^w K(x/(1+x)) for w its largest entry degree, as
     Engine._counts counts it; a negative count raises ValueError.  Then
     D_n = (1+x)^w M^n - M^(n+1) is (1+x)^((n+1)w) (K^n - K^(n+1))(x/(1+x)),
-    and with S the largest row total of M(1) every coefficient of D_n is at
-    most 2^w S^n + S^(n+1) in absolute value: the bound of _CountLayers
-    started from the identity, which steps the powers modulo as many word
-    primes as that bound needs.  The signs of the coefficients are read off
-    their mixed-radix digits, and entries with mixed signs are screened at
-    five exact probes before any is certified, so a step that fails the
-    screen costs no certificate.  A verdict depends only on the
-    p-difference, so the certificates are those of certifying each
-    difference on (0, 1).
+    and D_n = F M^n for F = (1+x)^w I - M (_drop_factor).  So the drops are
+    the layers of _CountLayers started from F, which steps them modulo as
+    many word primes as their bound needs, one layer per prime at a time.
+    The signs of the coefficients are read off their mixed-radix digits,
+    and entries with mixed signs are screened at five exact probes before
+    any is certified, so a step that fails the screen costs no
+    certificate.  A verdict depends only on the p-difference, so the
+    certificates are those of certifying each difference on (0, 1).
     """
     _nonnegative(counts)
     if not counts.shape[1]:
         if cap < 0:
             raise OnsetCapExceeded(cap)
         return 0, []
-    identity = np.eye(counts.shape[1], dtype=np.int64)[None]
-    powers = _CountLayers(identity, counts, keep=False)
+    drops = _CountLayers(_drop_factor(counts), counts, keep=False)
     for step in range(cap + 1):
-        residues = [d[:, 0] for d in powers.drops(step + 1)]
-        certs = _step_certificates(residues, powers.primes)
+        residues = drops.layer(step)
+        certs = _step_certificates(residues, drops.primes)
         if certs is not None:
             return step, certs
-        del residues  # not held while the next step's drops are computed
+        del residues  # not held while the next step's drop is computed
     raise OnsetCapExceeded(cap)
 
 
@@ -384,12 +392,12 @@ class Engine:
       basis, counted from the bridge reach table.
 
     Layer weights are held per orbit: every state of an orbit carries its
-    representative's weight.  One stepper takes them from layer to layer:
-    _layers, the orbit totals in the count basis modulo word primes
-    (_CountLayers).  drop_certificates and connection_certificates read
-    every drop off it and rebuild exactly only the drops whose coefficients
-    have mixed signs; connection and expected rebuild one layer's product
-    with the bridge rows.  Both bridge products go through _bridged.
+    representative's weight, stepped in the count basis modulo word primes
+    (_CountLayers).  connection and expected rebuild one layer's product
+    with the bridge rows off _layers, the orbit totals T_n; off _drops,
+    their drops D_n, drop_certificates and connection_certificates rebuild
+    only the drops whose coefficients have mixed signs.  Both bridge
+    products go through _bridged.
     Neither the chain nor the bridge is built in p: the count-basis block
     and bridge rows are configuration counts, so no kernel or bridge entry
     is taken to the count basis by a Taylor shift.
@@ -450,11 +458,7 @@ class Engine:
         primes.
 
         T_0, read off the initial distribution, is taken to the count basis
-        at the largest degree of its entries.  The primes also keep the
-        product of a layer or drop with the bridge counts exact (_bridged):
-        it sums, per entry, one term per row and coefficient of the bridge
-        counts, whose degree is at most that of the stationary entries plus
-        the vertex count.
+        at the largest degree of its entries.
         """
         orbits = self.orbits
         if tuple(self.initial.states) != orbits.states:
@@ -463,10 +467,24 @@ class Engine:
             self.initial.entries[orbits.members[i][0]] * size
             for i, size in zip(self.infected_indices, self._sizes)
         ]
-        start = _count_basis([totals], max(max(t.degree for t in totals), 0))
+        return self._stepper(_count_basis([totals], max(max(t.degree for t in totals), 0)))
+
+    @cached_property
+    def _drops(self) -> _CountLayers:
+        """The drops D_n = (1+x)^w T_n - T_(n+1) of the orbit totals, in the
+        count basis modulo word primes: the layers of D_0 = T_0 F
+        (_drop_factor), the one exact count-basis product, one Kronecker dot
+        product of the start of _layers with F."""
+        factor = _drop_factor(self._counts).transpose(2, 1, 0).tolist()
+        seed = _dot_table([self._layers.start[:, 0].T.tolist()], factor)
+        return self._stepper(np.array(seed, dtype=object).T[:, None])
+
+    def _stepper(self, start: np.ndarray) -> _CountLayers:
+        """The rows start M^n, every layer kept, whose primes also keep
+        their product with the bridge counts exact (_bridged)."""
         # a bridge entry is a stationary entry times one layer's vertical bonds
         bridge_degree = max(q.degree for q in self.stationary.entries) + self.graph.vertex_count
-        return _CountLayers(start, self._counts, len(totals) * (bridge_degree + 1), keep=True)
+        return _CountLayers(start, self._counts, start.shape[2] * (bridge_degree + 1), keep=True)
 
     @cached_property
     def _bridge_counts(self) -> _BridgeCounts:
@@ -534,45 +552,47 @@ class Engine:
         infected_indices order.
 
         The drops of the orbit totals, D_n = (1+x)^w T_n - T_(n+1), are read
-        modulo as many primes as the bound of the last one asks for
-        (_CountLayers); a drop with mixed signs is rebuilt and divided by
-        its orbit size."""
+        off _drops modulo as many primes as the bound of the last one asks
+        for; a drop with mixed signs is rebuilt and divided by its orbit
+        size."""
         if not steps:
             return []
-        layers = self._layers
-        drops = [d[:, :, 0] for d in layers.drops(steps)]
-        degrees = [layers.degree(n) for n in range(steps)]
-        return _drop_certificates(drops, layers.primes, degrees, self._sizes)
+        drops = self._drops
+        residues = [s[:, :, 0] for s in drops.stack(steps)]
+        degrees = [drops.degree(n) for n in range(steps)]
+        return _drop_certificates(residues, drops.primes, degrees, self._sizes)
 
-    def _bridged(self, rows: list[np.ndarray]) -> list[np.ndarray]:
+    def _bridged(self, primes: list[int], rows: list[np.ndarray]) -> list[np.ndarray]:
         """Rows over the infected orbits times the bridge counts, modulo
-        each prime of _layers in order: stacks r[t, k, i] in, stacks
+        each of the primes in order: stacks r[t, k, i] in, stacks
         [t, k, column] of int64 residues out, one product per prime.  The
-        primes of _layers keep the product exact."""
+        primes of the stepper the rows were read from keep the product
+        exact."""
         counts = self._bridge_counts.counts
         return [
             _PowerModPrime(q, counts).times(r.astype(np.float64)).astype(np.int64)
-            for q, r in zip(self._layers.primes, rows)
+            for q, r in zip(primes, rows)
         ]
 
     def connection_certificates(self, steps: int) -> list[list[SignCertificate]]:
         """Certificates of connection(v, n) - connection(v, n + 1) for n <
         steps and every vertex v.
 
-        One product per prime takes the drops D_n against the bridge counts
-        of every vertex orbit: (1+x)^(e_n + b) scale times the connection
-        drops in the count basis, for e_n the degree of D_n and b that of
-        the bridge counts.  The drops are read modulo as many primes as
-        those products ask for, whose bridge entries have absolute
-        coefficients summing to at most bridge.bound.  A drop with mixed
-        signs is rebuilt and divided by the scale."""
+        One product per prime takes the drops D_n, read off _drops, against
+        the bridge counts of every vertex orbit: (1+x)^(e_n + b) scale times
+        the connection drops in the count basis, for e_n the degree of D_n
+        and b that of the bridge counts.  The drops are read modulo as many
+        primes as those products ask for, whose bridge entries have
+        absolute coefficients summing to at most bridge.bound.  A drop with
+        mixed signs is rebuilt and divided by the scale."""
         if not steps:
             return []
-        layers, bridge = self._layers, self._bridge_counts
-        residues = self._bridged([d[:, :, 0] for d in layers.drops(steps, bridge.bound)])
-        degrees = [layers.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
+        drops, bridge = self._drops, self._bridge_counts
+        stacks = drops.stack(steps, bridge.bound)
+        residues = self._bridged(drops.primes, [s[:, :, 0] for s in stacks])
+        degrees = [drops.degree(n) + len(bridge.counts) - 1 for n in range(steps)]
         scales = [bridge.scale] * bridge.counts.shape[2]
-        certs = _drop_certificates(residues, layers.primes, degrees, scales)
+        certs = _drop_certificates(residues, drops.primes, degrees, scales)
         return [[row[r] for r in bridge.column] for row in certs]
 
     def _connections(self, n: int) -> list[Polynomial]:
@@ -587,7 +607,7 @@ class Engine:
         if n < 0:
             raise ValueError("layer index must be nonnegative")
         layers, bridge = self._layers, self._bridge_counts
-        residues = self._bridged(layers.layer(n, bridge.bound))
+        residues = self._bridged(layers.primes, layers.layer(n, bridge.bound))
         signed = _Signed(residues, layers.primes)
         return [
             _rebuilt(cs, signed.degree, bridge.scale)

@@ -8,8 +8,9 @@ configurations by open bonds.  The coefficients outgrow a machine word, so
 they are computed modulo primes below 2^31 in numpy float64, exact below
 2^52, and combined by Garner's mixed-radix CRT (McClellan, J. ACM 20,
 1973) under an a-priori coefficient bound, whose mixed-radix digits give
-the sign of every coefficient (_Signed).  The certificates read off those
-signs are issued in monotonicity.
+the sign of every coefficient (_Signed).  One stepper takes rows through
+a count-basis block (_CountLayers), and a drop is stepped like any other
+row.  The certificates read off the signs are issued in monotonicity.
 """
 from __future__ import annotations
 
@@ -167,27 +168,6 @@ class _Signed:
         return np.where(self.negative[entries], values - radix, values).T.tolist()
 
 
-def _difference(layers: Sequence[np.ndarray], w: int, q: int) -> np.ndarray:
-    """(1+x)^w L_n - L_(n+1) modulo q for consecutive layers L_n, given as
-    coefficient stacks modulo q of growing length: one int64 stack
-    d[t, n, ...] over all but the last layer, zero past each degree.
-
-    Each multiplication by 1 + x at most doubles the largest entry, so
-    entries stay below 2^20 q < 2^51 between reductions."""
-    d = np.zeros((len(layers[-1]), len(layers) - 1) + layers[-1].shape[1:])
-    for n, now in enumerate(layers[:-1]):
-        d[: len(now), n] = now
-    for j, k in enumerate(range(len(layers[-2]), len(layers[-2]) + w)):
-        d[1 : k + 1] += d[:k]  # times 1 + x
-        if j % 20 == 19:
-            _reduce(d, q)
-    for n, later in enumerate(layers[1:]):
-        d[: len(later), n] -= later
-    d += q
-    _reduce(d, q)
-    return d.astype(np.int64)
-
-
 def _count_basis(polys: Sequence[Sequence[Polynomial]], degree: int) -> np.ndarray:
     """counts[t, i, j]: coefficient t of (1+x)^degree q_ij(x/(1+x)), for
     polys[i][j] = q_ij of degree at most degree, as Python integers: one
@@ -227,27 +207,26 @@ class _CountLayers:
     """The rows start M^n, layer by layer, in the count basis and modulo
     word primes.
 
-    start[t, r, i] holds the rows (the identity for the powers of M, the
-    row of orbit totals T_0 for the layer weights), and M is a count-basis
-    block of degree w: one _PowerModPrime per prime, its layers stepped
-    from start.  With keep set every layer is kept (the layer weights,
-    whose drops and layers are read more than once); otherwise each prime
-    holds only the last layer reached once a drop is read (the kernel
-    powers, whose drops are read once each, in order).  Primes are taken
-    largest first, as the bounds of the drops and layers ask for them; a
-    prime taken late is stepped up from start.
+    start[t, r, i] holds the rows and M is a count-basis block of degree w:
+    one _PowerModPrime per prime, its layers stepped from start.  The
+    scalar (1+x)^w commutes with M, so the drops (1+x)^w L_n - L_(n+1) of
+    layers L_n = L_0 M^n are the layers of their first drop: callers start
+    from F = (1+x)^w I - M for the drops of the kernel powers, and from the
+    row of orbit totals T_0 or its first drop for the layer weights.  With
+    keep set every layer is kept; otherwise each prime holds only the last
+    layer read (the drops of the kernel powers, read once each, in order).
+    Primes are taken largest first, as the bounds of the layers ask for
+    them; a prime taken late is stepped up from start.
 
     The primes keep the steps exact (_prime_limit) and, given taps, also a
-    later product of the drops or layers with a factor reduced modulo q
-    that sums taps terms per entry, each below q^2.
+    later product of the layers with a factor reduced modulo q that sums
+    taps terms per entry, each below q^2.
 
     M has no negative count, so with S the largest row total of M(1) and
     l1 the largest sum of the absolute coefficients of one row of start,
     the coefficients of one row of start M^n sum to at most l1 S^n in
-    absolute value, and those of one row of the drop
-    D_n = (1+x)^w start M^n - start M^(n+1) to at most l1 S^n (2^w + S)
-    (bound).  start M^n has degree e0 + n w, for e0 that of start, so D_n
-    has degree e0 + (n+1) w (degree).
+    absolute value (bound), and start M^n has degree e0 + n w, for e0 that
+    of start (degree).
     """
 
     def __init__(
@@ -267,18 +246,15 @@ class _CountLayers:
         self.layers: list[tuple[_PowerModPrime, list[Optional[np.ndarray]]]] = []
 
     def bound(self, n: int) -> int:
-        return self.l1 * self.total**n * (2**self.w + self.total)
+        return self.l1 * self.total**n
 
     def degree(self, n: int) -> int:
-        return len(self.start) - 1 + (n + 1) * self.w
+        return len(self.start) - 1 + n * self.w
 
-    def _stepped(
-        self, last: int, first: int, bound: int
-    ) -> Iterator[tuple[_PowerModPrime, list[Optional[np.ndarray]]]]:
-        """Each prime's factor and layers, stepped up to layer last, after
-        taking enough primes for integers of absolute value at most bound;
-        layers below first are let go, also as a prime taken late passes
-        them."""
+    def _stepped(self, last: int, first: int, bound: int) -> Iterator[list[Optional[np.ndarray]]]:
+        """Each prime's layers, stepped up to layer last, after taking
+        enough primes for integers of absolute value at most bound; layers
+        below first are let go, also as a prime taken late passes them."""
         while math.prod(self.primes) <= 2 * bound:
             factor = _PowerModPrime(next(self.candidates), self.counts)
             self.primes.append(factor.q)
@@ -288,27 +264,25 @@ class _CountLayers:
                 layers.append(factor.times(layers[-1]))
                 if len(layers) - 2 < first:
                     layers[-2] = None
-            yield factor, layers
-
-    def drops(self, steps: int, later: int = 1) -> list[np.ndarray]:
-        """D_first, ..., D_(steps-1) modulo every prime taken, for first 0
-        with keep set and steps - 1 without it: per prime one int64 stack
-        d[t, n - first, r, i], zero past the degree of D_n.  The primes
-        cover the coefficients of the drops times a later factor whose
-        entries' absolute coefficients sum to at most later.  Without keep,
-        each layer is let go once no later drop needs it."""
-        first = 0 if self.keep else steps - 1
-        out = []
-        for factor, layers in self._stepped(steps, first, self.bound(steps - 1) * later):
-            out.append(_difference(layers[first : steps + 1], self.w, factor.q))
-            if not self.keep:
-                layers[first] = None
-        return out
+            yield layers
 
     def layer(self, n: int, later: int = 1) -> list[np.ndarray]:
-        """start M^n modulo every prime taken, with keep set: per prime one
-        float64 stack l[t, r, i] of degree e0 + n w.  The primes cover the
-        coefficients of the layer times a later factor whose entries'
-        absolute coefficients sum to at most later."""
-        bound = self.l1 * self.total**n * later
-        return [layers[n] for _, layers in self._stepped(n, 0, bound)]
+        """start M^n modulo every prime taken: per prime one int64 stack
+        l[t, r, i] of degree e0 + n w.  The primes cover the coefficients of
+        the layer times a later factor whose entries' absolute coefficients
+        sum to at most later.  Without keep, each prime holds only this
+        layer afterwards."""
+        stepped = self._stepped(n, 0 if self.keep else n, self.bound(n) * later)
+        return [layers[n].astype(np.int64) for layers in stepped]
+
+    def stack(self, steps: int, later: int = 1) -> list[np.ndarray]:
+        """Layers 0, ..., steps - 1 modulo every prime taken, as layer reads
+        them: per prime one int64 stack s[t, n, r, i], zero past the degree
+        of layer n, with keep set."""
+        out = []
+        for layers in self._stepped(steps - 1, 0, self.bound(steps - 1) * later):
+            s = np.zeros((len(layers[steps - 1]), steps) + self.start.shape[1:], dtype=np.int64)
+            for n, now in enumerate(layers[:steps]):
+                s[: len(now), n] = now
+            out.append(s)
+        return out

@@ -5,9 +5,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import jsonschema
 from hypothesis import given, strategies as st
 
+from layerchain import cli
 from layerchain.cli import _COMMANDS, main
 from layerchain.kernels import PolyMatrix, build_reduced_kernel
-from layerchain.graphs import cycle
+from layerchain.graphs import cycle, path
+from layerchain.patterns import enumerate_patterns
 from layerchain.schemas import (
     CONJECTURE_CERTIFICATE_SCHEMA,
     MATRIX_SCHEMA,
@@ -279,6 +281,34 @@ def test_states_five_cycle_counts(capsys):
     data = run_json(capsys, "states", "--graph", "cycle:5")
     assert data["core_count"] == 42
     assert data["lumped_count"] == 127
+
+
+def test_states_counts_match_the_enumeration(capsys):
+    """states counts the patterns by Bell numbers, as the enumeration lists
+    them."""
+    for spec, graph in (("cycle:2", cycle(2)), ("cycle:4", cycle(4)), ("path:5", path(5))):
+        data = run_json(capsys, "states", "--graph", spec)
+        patterns = enumerate_patterns(graph)
+        infected = sum(x.infected for x in patterns)
+        assert data["pattern_count"] == len(patterns)
+        assert data["infected_count"] == infected
+        assert data["uninfected_count"] == len(patterns) - infected
+
+
+def test_memory_exhaustion_is_a_coded_error(capsys, monkeypatch):
+    """A failed allocation ends in one line error: [out-of-memory] and exit
+    code 1, not a traceback, whether or not it says what it asked for."""
+    for error, message in (
+        (MemoryError("Unable to allocate 8.00 GiB for an array"), "Unable to allocate 8.00 GiB"),
+        (MemoryError(), "out of memory"),
+    ):
+        def exhausted(graph):
+            raise error
+
+        monkeypatch.setattr(cli, "build_lumped_kernel", exhausted)
+        code, out, err = run_cli(capsys, "kernel", "--graph", "cycle:3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: [out-of-memory] {message}") and err.count("\n") == 1
 
 
 def test_verify_cap_exhaustion_is_inconclusive(capsys):

@@ -259,26 +259,95 @@ def test_matrix_onset_cases_match_the_reference(monkeypatch, c2):
     assert math.prod(used[:-1]) <= 2 * bound < math.prod(used)
 
 
+def _difference(layers, w, q):
+    """(1+x)^w L_n - L_(n+1) modulo q for consecutive layers L_n, given as
+    coefficient stacks modulo q of growing length: one int64 stack
+    d[t, n, ...] over all but the last layer, zero past each degree.  The
+    reference for the drops that _CountLayers steps directly.
+
+    Each multiplication by 1 + x at most doubles the largest entry, so
+    entries stay below 2^20 q < 2^51 between reductions."""
+    d = np.zeros((len(layers[-1]), len(layers) - 1) + layers[-1].shape[1:])
+    for n, now in enumerate(layers[:-1]):
+        d[: len(now), n] = now
+    for j, k in enumerate(range(len(layers[-2]), len(layers[-2]) + w)):
+        d[1 : k + 1] += d[:k]  # times 1 + x
+        if j % 20 == 19:
+            residues._reduce(d, q)
+    for n, later in enumerate(layers[1:]):
+        d[: len(later), n] -= later
+    d += q
+    residues._reduce(d, q)
+    return d.astype(np.int64)
+
+
 def test_powers_read_once_hold_one_layer_and_match_kept_layers():
     """Without keep, the stepper that matrix_onset reads one drop at a time
-    from holds one layer per prime between reads, also for primes taken
-    late, and its drops are those of a stepper that keeps every layer."""
+    from, seeded with F = (1+x)^w I - M, holds one layer per prime between
+    reads, also for primes taken late, and its layers are those of a
+    stepper that keeps every layer."""
     counts = count_block(orbit_kernel(Engine(cycle(4))))
-    identity = np.eye(counts.shape[1], dtype=np.int64)[None]
-    kept = residues._CountLayers(identity, counts, keep=True)
-    read = residues._CountLayers(identity, counts, keep=False)
+    seed = monotonicity._drop_factor(counts)
+    kept = residues._CountLayers(seed, counts, keep=True)
+    read = residues._CountLayers(seed, counts, keep=False)
     steps = 5
-    every = kept.drops(steps)
+    every = kept.stack(steps)
     taken = []
     for n in range(steps):
-        drops = read.drops(n + 1)
+        layers = read.layer(n)
         taken.append(len(read.primes))
-        assert all(sum(x is not None for x in layers) == 1 for _, layers in read.layers)
-        for d, full in zip(drops, every):
-            assert d.shape[1] == 1
-            assert np.array_equal(d[:, 0], full[: len(d), n])
-            assert not full[len(d) :, n].any()
+        assert all(sum(x is not None for x in held) == 1 for _, held in read.layers)
+        for layer, full in zip(layers, every):
+            assert layer.dtype == np.int64 and len(layer) == read.degree(n) + 1
+            assert np.array_equal(layer, full[: len(layer), n])
+            assert not full[len(layer) :, n].any()
     assert taken[0] < taken[-1] and read.primes == kept.primes
+
+
+class _ReadLayers(residues._CountLayers):
+    """A stepper that records every layer read and itself in made."""
+
+    made: list = []
+
+    def __init__(self, *args, **keywords):
+        super().__init__(*args, **keywords)
+        self.reads = []
+        self.made.append(self)
+
+    def layer(self, n, later=1):
+        self.reads.append(super().layer(n, later))
+        return self.reads[-1]
+
+
+@settings(max_examples=12)  # each example runs the matrix onset and four drop steps
+@given(small_graphs())
+def test_drop_steppers_match_the_difference_of_layers(graph):
+    """Per prime, the layers of Engine._drops are the drops
+    (1+x)^w T_n - T_(n+1) of the layers of Engine._layers, and the layers
+    matrix_onset reads off its stepper, seeded with F = (1+x)^w I - M, are
+    the drops of the powers of M stepped from the identity (_difference)."""
+    engine = Engine(graph)
+    w, steps = len(engine._counts) - 1, 4
+    drops, layers = engine._drops, engine._layers
+    stacked = drops.stack(steps)
+    layers.layer(steps, drops.bound(steps - 1))  # covers the primes of the drops
+    assert layers.primes[: len(drops.primes)] == drops.primes
+    reads = [layers.layer(n) for n in range(steps + 1)]
+    for k, q in enumerate(drops.primes):
+        assert np.array_equal(stacked[k], _difference([read[k] for read in reads], w, q))
+    _ReadLayers.made.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monotonicity, "_CountLayers", _ReadLayers)
+        matrix_onset(engine._counts)
+    [seeded] = _ReadLayers.made
+    identity = np.eye(engine._counts.shape[1], dtype=np.int64)[None]
+    powers = residues._CountLayers(identity, engine._counts, keep=True)
+    powers.layer(len(seeded.reads), seeded.bound(len(seeded.reads) - 1))
+    assert powers.primes[: len(seeded.primes)] == seeded.primes
+    for n, read in enumerate(seeded.reads):
+        for k, q in enumerate(seeded.primes[: len(read)]):
+            both = [powers.layer(m)[k] for m in (n, n + 1)]
+            assert np.array_equal(read[k], _difference(both, w, q)[:, 0])
 
 
 def test_matrix_onset_rejects_a_negative_count():
@@ -323,11 +392,14 @@ def test_vector_onset_rejects_mismatched_states(c2, pipeline_c2, pipeline_c3):
 def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     """verify_conjecture reads every layer drop and connection drop in the
     count basis modulo word primes, and connection and expected read their
-    polynomials off the same layers, so none of them steps a layer exactly:
-    the only vector times a chain in p (PolyMatrix.vecmat) is the check of
-    the stationary vector of the connectivity chain.  Only a drop whose
-    count-basis coefficients have mixed signs reaches certify_sign.  The
-    count-basis block and bridge rows are configuration counts: none of
+    polynomials off the count-basis layers, so none of them steps a layer
+    exactly: the only vector times a chain in p (PolyMatrix.vecmat) is the
+    check of the stationary vector of the connectivity chain, and the one
+    exact count-basis product is the seed of the drop stepper, the first
+    drop D_0 = (1+x)^w T_0 - T_0 M = T_0 F, so verify's only Kronecker dot
+    tables (_dot_table) are that seed's T_0 F and the bridge rows.  Only a drop
+    whose count-basis coefficients have mixed signs reaches certify_sign.
+    The count-basis block and bridge rows are configuration counts: none of
     them builds the lumped chain in p (build_lumped_kernel), verify weighs
     configurations into p (weigh_configs) only for the cells of the
     connectivity chain, whose stationary vector is solved in p, and no
@@ -337,7 +409,7 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     refused."""
     reduced = Engine(c4).reduced.size
     cells = reduced**2
-    calls = {name: [] for name in ("vecmat", "certify", "lumped", "weigh", "basis")}
+    calls = {name: [] for name in ("vecmat", "certify", "lumped", "weigh", "basis", "dot")}
 
     def spy(module, attr, name):
         real = getattr(module, attr)
@@ -354,6 +426,7 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     spy(kernels, "build_lumped_kernel", "lumped")
     spy(kernels, "weigh_configs", "weigh")
     spy(monotonicity, "_count_basis", "basis")
+    spy(monotonicity, "_dot_table", "dot")
     certificate = verify_conjecture(c4)
     assert certificate.onset_certificate.matrix_step == 5
     assert calls["lumped"] == []
@@ -365,13 +438,21 @@ def test_verify_makes_no_exact_layer_step(monkeypatch, c2, c4):
     certified = [q for q, _ in calls["certify"]]
     assert certified
     assert all(_sign_variations(_shift_basis(q.coeffs, q.degree, 1)) for q in certified)
+    # the seed: the row of initial orbit totals against the columns of
+    # F = (1+x)^w I - M; the bridge rows: the row of distinct stationary entries
+    engine = Engine(c4)
+    factor = monotonicity._drop_factor(engine._counts).transpose(2, 1, 0).tolist()
+    seed = ([engine._layers.start[:, 0].T.tolist()], factor)
+    [bridge] = [args for args in calls["dot"] if args != seed]
+    assert len(calls["dot"]) == 2 and len(bridge[0][0]) == len(set(engine.stationary.entries))
     for read in (lambda engine: engine.connection(1, 3), lambda engine: engine.expected(3)):
-        for name in ("vecmat", "basis"):
+        for name in ("vecmat", "basis", "dot"):
             calls[name].clear()
         read(Engine(c4))
         assert calls["lumped"] == []
         assert [kernel.size for kernel, _ in calls["vecmat"]] == [reduced]
         assert [len(polys) for polys, _ in calls["basis"]] == [1, 1]
+        assert len(calls["dot"]) == 1  # the bridge rows
     with pytest.raises(ValueError):
         verify_conjecture(c2, workers=2)
 
@@ -657,9 +738,10 @@ def test_vector_onset_matches_the_p_basis_reference(graph):
 
 
 def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
-    """On path:4 the layer drops below matrix step 8 need five primes below
-    the engine's limit, and the connection drops below onset 6 two more; the
-    primes are taken largest first, each once."""
+    """On path:4 the layer drops below matrix step 8, the layers of the
+    engine's drop stepper, need five primes below the engine's limit, and
+    the connection drops below onset 6 two more; the primes are taken
+    largest first, each once."""
     engine = Engine(path(4))
     step, matrix_certs = matrix_onset(count_block(orbit_kernel(engine)))
     primes = []
@@ -671,15 +753,15 @@ def test_vector_onset_takes_the_primes_its_bounds_ask_for(monkeypatch):
 
     monkeypatch.setattr(residues, "_PowerModPrime", spy)  # the layer steppers
     onset = vector_onset(engine, step, matrix_certs)
-    layers = engine._layers
+    drops = engine._drops
     assert (onset.matrix_step, onset.onset) == (8, 6)
-    bound = layers.bound(onset.matrix_step - 1)
-    assert len(primes) == 5 and primes == layers.primes
+    bound = drops.bound(onset.matrix_step - 1)
+    assert len(primes) == 5 and primes == drops.primes
     assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
     # the bridge product sums 35 infected orbits times 50 coefficients
     assert primes == sorted(primes, reverse=True) and primes[0] < math.isqrt(2**52 // (35 * 50))
     engine.connection_certificates(onset.onset)
-    bound = layers.bound(onset.onset - 1) * engine._bridge_counts.bound
+    bound = drops.bound(onset.onset - 1) * engine._bridge_counts.bound
     assert len(primes) == 7 and len(set(primes)) == 7
     assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
 
